@@ -9,7 +9,6 @@ so reports and golden tests are stable.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 
@@ -41,32 +40,95 @@ def initial(s: System) -> Config:
                   tuple(() for _ in s.channels))
 
 
-def state_of(c: Config, s: System, p: Participant) -> str:
-    return c.states[s.participants.index(p)]
+# --------------------------------------------------------------------------
+# The exploration kernel.  A system is compiled once into a table; every
+# analysis here steps through it with `_successors`, the one FIFO step.
+
+class _Table:
+    """A system compiled for exploration.  For each participant, in sorted
+    order: its moves from each local state, as (is_send, channel index,
+    label, dst, action) in `Machine.outgoing` order, and the set of its
+    receiving states.  A state with no moves is final."""
+
+    __slots__ = ("moves", "receiving")
+
+    def __init__(self, s: System):
+        index = {ch: i for i, ch in enumerate(s.channels)}
+        machines = [s.machine(p) for p in s.participants]
+        self.moves = tuple(
+            {q: tuple((a.op == "!", index[a.channel], a.label, d, a)
+                      for _, a, d in m.outgoing(q))
+             for q in m.states}
+            for m in machines)
+        self.receiving = tuple(
+            frozenset(q for q in m.states if m.is_receiving(q))
+            for m in machines)
+
+
+def _table(s: System) -> _Table:
+    """The compiled table of s, built on first use and kept on the instance
+    the way System's cached properties are."""
+    t = s.__dict__.get("_table")
+    if t is None:
+        t = s.__dict__["_table"] = _Table(s)
+    return t
+
+
+def _successors(t: _Table, states: tuple, bufs: tuple, k: int | None) -> list:
+    """Every enabled (action, states', buffers') from (states, bufs), in
+    participant order and then `Machine.outgoing` order; a send is enabled
+    only while its channel holds fewer than k messages (when k is given)."""
+    out = []
+    for i, q in enumerate(states):
+        for send, ci, label, dst, act in t.moves[i].get(q, ()):
+            b = bufs[ci]
+            if send:
+                if k is not None and len(b) >= k:
+                    continue
+                b = b + (label,)
+            elif b and b[0] == label:
+                b = b[1:]
+            else:
+                continue
+            out.append((act, states[:i] + (dst,) + states[i + 1:],
+                        bufs[:ci] + (b,) + bufs[ci + 1:]))
+    return out
+
+
+def _explore(s: System, k: int, cap: int) -> tuple[list, list, list]:
+    """BFS over RS_k on plain (states, buffers) keys, each interned to its
+    BFS index on first sight.  Returns the keys in BFS order, the successor
+    row [(action, j), ...] of each, and the BFS parent (i, action) of each,
+    None for the initial one."""
+    t = _table(s)
+    init = initial(s)
+    start = (init.states, init.buffers)
+    keys = [start]
+    index = {start: 0}
+    parents: list[tuple[int, Action] | None] = [None]
+    rows = []
+    # keys grows while it is walked: the walk is the BFS queue
+    for i, (states, bufs) in enumerate(keys):
+        row = []
+        for act, st, bf in _successors(t, states, bufs, k):
+            key = (st, bf)
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(keys)
+                keys.append(key)
+                parents.append((i, act))
+                if len(keys) > cap:
+                    raise ResourceLimit(
+                        f"reachability set exceeded the node cap of {cap}")
+            row.append((act, j))
+        rows.append(row)
+    return keys, rows, parents
 
 
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
     """All enabled transitions from c (k-bounded when k is given)."""
-    chan_index = {ch: i for i, ch in enumerate(s.channels)}
-    out = []
-    for i, p in enumerate(s.participants):
-        m = s.machine(p)
-        for src, act, dst in m.outgoing(c.states[i]):
-            ci = chan_index[act.channel]
-            if act.op == "!":
-                if k is not None and len(c.buffers[ci]) >= k:
-                    continue
-                bufs = list(c.buffers)
-                bufs[ci] = bufs[ci] + (act.label,)
-            else:
-                if not c.buffers[ci] or c.buffers[ci][0] != act.label:
-                    continue
-                bufs = list(c.buffers)
-                bufs[ci] = bufs[ci][1:]
-            states = list(c.states)
-            states[i] = dst
-            out.append((act, Config(tuple(states), tuple(bufs))))
-    return tuple(out)
+    return tuple((act, Config(st, bf)) for act, st, bf
+                 in _successors(_table(s), c.states, c.buffers, k))
 
 
 @dataclass(frozen=True)
@@ -95,54 +157,49 @@ class ReachSet:
 
 
 def reach(s: System, k: int, cap: int | None = None) -> ReachSet:
-    """BFS closure of k-bounded firing from the initial configuration."""
+    """BFS closure of k-bounded firing from the initial configuration.
+    Each configuration is one object, shared by `configs`, `edges` and
+    `parents`."""
     if k < 1:
         raise ValueError("bound k must be >= 1")
     cap = cap if cap is not None else node_cap()
-    init = initial(s)
-    parents: dict[Config, tuple[Config, Action] | None] = {init: None}
-    order = [init]
-    edges = []
-    q = deque([init])
-    while q:
-        c = q.popleft()
-        for act, c2 in fire(c, s, k):
-            edges.append((c, act, c2))
-            if c2 not in parents:
-                parents[c2] = (c, act)
-                order.append(c2)
-                if len(order) > cap:
-                    raise ResourceLimit(
-                        f"reachability set exceeded the node cap of {cap}")
-                q.append(c2)
-    return ReachSet(k, init, tuple(order), tuple(edges), parents)
+    keys, rows, parents = _explore(s, k, cap)
+    configs = tuple(Config(st, bf) for st, bf in keys)
+    edges = tuple((c, act, configs[j])
+                  for c, row in zip(configs, rows) for act, j in row)
+    parent_of: dict[Config, tuple[Config, Action] | None] = {configs[0]: None}
+    for c, (i, act) in zip(configs[1:], parents[1:]):
+        parent_of[c] = (configs[i], act)
+    return ReachSet(k, configs[0], configs, edges, parent_of)
 
 
 def classify(c: Config, s: System) -> frozenset[str]:
     """Configuration flags: stable/final/deadlock/orphan/unspecified_reception,
     or intermediate when none apply.  Multiple flags may hold."""
+    t = _table(s)
+    bufs = c.buffers
+    stable = not any(bufs)
+    allfinal = allreceiving = True
+    unspecified = False
+    for moves, receiving, q in zip(t.moves, t.receiving, c.states):
+        if moves.get(q):
+            allfinal = False
+        if q not in receiving:
+            allreceiving = False
+        elif not (stable or unspecified):
+            unspecified = all(bufs[ci] and bufs[ci][0] != label
+                              for _, ci, label, _, _ in moves[q])
     flags = set()
-    stable = c.is_stable()
-    machines = [s.machine(p) for p in s.participants]
-    allfinal = all(m.is_final(q) for m, q in zip(machines, c.states))
     if stable:
         flags.add("stable")
     if stable and allfinal:
         flags.add("final")
-    if stable and not allfinal and all(m.is_receiving(q) for m, q in zip(machines, c.states)):
+    if stable and not allfinal and allreceiving:
         flags.add("deadlock")
-    if allfinal and any(c.buffers):
+    if allfinal and not stable:
         flags.add("orphan")
-    chan_index = {ch: i for i, ch in enumerate(s.channels)}
-    for m, q in zip(machines, c.states):
-        if not m.is_receiving(q):
-            continue
-        outs = m.outgoing(q)
-        if all(c.buffers[chan_index[a.channel]]
-               and c.buffers[chan_index[a.channel]][0] != a.label
-               for _, a, _ in outs):
-            flags.add("unspecified_reception")
-            break
+    if unspecified:
+        flags.add("unspecified_reception")
     return frozenset(flags) if flags else frozenset({"intermediate"})
 
 
@@ -185,32 +242,34 @@ def check_safety(s: System, k: int, check_liveness: bool = True,
     rs = reach(s, k, cap)
     violations = []
     finals = []
-    for c in rs.configs:
+    for i, c in enumerate(rs.configs):
         flags = classify(c, s)
         for kind in sorted(flags & BAD_FLAGS):
             violations.append((kind, rs.path_to(c), c))
         if "final" in flags:
-            finals.append(c)
+            finals.append(i)
     liveness: bool | None = None
     counterexample = None
     if check_liveness and finals:
-        backward: dict[Config, set[Config]] = {}
+        # backward search from the final configurations over BFS indices;
+        # reach shares one object per configuration, so ids index them
+        index = {id(c): i for i, c in enumerate(rs.configs)}
+        preds: list[list[int]] = [[] for _ in rs.configs]
         for a, _, b in rs.edges:
-            backward.setdefault(b, set()).add(a)
-        live = set(finals)
-        todo = list(finals)
+            preds[index[id(b)]].append(index[id(a)])
+        live = bytearray(len(rs.configs))
+        for i in finals:
+            live[i] = 1
+        todo = finals
         while todo:
-            x = todo.pop()
-            for y in backward.get(x, ()):
-                if y not in live:
-                    live.add(y)
-                    todo.append(y)
-        liveness = True
-        for c in rs.configs:
-            if c not in live:
-                liveness = False
-                counterexample = c
-                break
+            for j in preds[todo.pop()]:
+                if not live[j]:
+                    live[j] = 1
+                    todo.append(j)
+        dead = live.find(0)
+        liveness = dead < 0
+        if not liveness:
+            counterexample = rs.configs[dead]
     return SafetyReport(k, tuple(violations), liveness, counterexample)
 
 
@@ -239,16 +298,18 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
 
 def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
     cap = cap if cap is not None else node_cap()
+    t = _table(s)
     init = initial(s)
+    start = (init.states, init.buffers)
     root: dict = {}
-    # Level-synchronous walk over (config, trie-node) pairs, deduplicated so
-    # converging interleavings do not multiply the frontier.
-    frontier = {(init, id(root)): (init, root)}
+    # Level-synchronous walk over (configuration, trie-node) pairs,
+    # deduplicated so converging interleavings do not multiply the frontier.
+    frontier = {(start, id(root)): (start, root)}
     count = 0
     for _ in range(max_len):
         nxt = {}
-        for c, node in frontier.values():
-            for act, c2 in fire(c, s, k):
+        for (states, bufs), node in frontier.values():
+            for act, st, bf in _successors(t, states, bufs, k):
                 sub = node.get(act)
                 if sub is None:
                     sub = {}
@@ -256,7 +317,8 @@ def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
                     count += 1
                     if count > cap:
                         raise ResourceLimit(f"trace trie exceeded the node cap of {cap}")
-                nxt.setdefault((c2, id(sub)), (c2, sub))
+                key = (st, bf)
+                nxt.setdefault((key, id(sub)), (key, sub))
         frontier = nxt
         if not frontier:
             break

@@ -262,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "communicating machines.")
     ap.add_argument("--version", action="version",
                     version=f"mpst {__version__}")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker count (runs sequentially; accepted for "
-                         "interface stability)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):

@@ -15,8 +15,9 @@ from .syntax import (
 def merge(t1: Local, t2: Local, _path: tuple[str, ...] = ()) -> Local:
     """The partial commutative merge ⊔.
 
-    T ⊔ T = T; receive branchings from the same peer union their branches,
-    recursing on shared labels; homomorphic on rec; undefined elsewhere.
+    T ⊔ T = T, up to the order of branches; receive branchings from the
+    same peer union their branches, recursing on shared labels; homomorphic
+    on rec; undefined elsewhere.
     """
     if t1 == t2:
         return t1
@@ -31,7 +32,24 @@ def merge(t1: Local, t2: Local, _path: tuple[str, ...] = ()) -> Local:
         return LRecv(t1.peer, tuple(out))
     if isinstance(t1, LRec) and isinstance(t2, LRec) and t1.var == t2.var:
         return LRec(t1.var, merge(t1.body, t2.body, _path))
+    if _same(t1, t2):
+        return t1
     raise MergeFailure(f"cannot merge {t1} with {t2}", _path)
+
+
+def _same(t1: Local, t2: Local) -> bool:
+    """t1 and t2 are equal up to the order of their branches."""
+    if isinstance(t1, (LSend, LRecv)):
+        if type(t1) is not type(t2) or t1.peer != t2.peer:
+            return False
+        b1 = sorted(t1.branches, key=lambda br: br[0])
+        b2 = sorted(t2.branches, key=lambda br: br[0])
+        return len(b1) == len(b2) and all(
+            l1 == l2 and _same(u1, u2) for (l1, u1), (l2, u2) in zip(b1, b2))
+    if isinstance(t1, LRec):
+        return (isinstance(t2, LRec) and t1.var == t2.var
+                and _same(t1.body, t2.body))
+    return t1 == t2
 
 
 def project(g: Global, p: Participant,

@@ -1,9 +1,14 @@
 """Configurations, bounded reachability, classification, safety."""
-import pytest
+from collections import Counter
 
-from mpst import (BAD_FLAGS, ResourceLimit, associated, check_safety,
-                  classify, dot_machine, dot_reach, dot_system, fire, initial,
-                  is_basic, reach, traces, trie_flatten)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mpst import (BAD_FLAGS, Action, Machine, ResourceLimit, associated,
+                  check_safety, classify, dot_machine, dot_reach, dot_system,
+                  fire, initial, is_basic, make_system, reach, traces,
+                  trie_flatten)
 import oracles
 
 
@@ -43,17 +48,13 @@ def test_reach_agrees_with_oracle_exactly(commit_system, remark_abc,
                                           remark_aprime, buyer_seller,
                                           deadlock_system, race_system,
                                           uninformed_system):
+    # random machines rarely reach a final configuration by many routes;
+    # these do, so liveness has to follow every predecessor
     systems = [commit_system, remark_abc, remark_aprime, buyer_seller,
                deadlock_system, race_system, uninformed_system]
     for s in systems:
-        enc = encode(s)
-        for k in (1, 2):
-            rset = reach(s, k)
-            oconfigs, oedges = oracles.rs(enc, k)
-            assert {as_tuple(c) for c in rset.configs} == oconfigs
-            assert {(as_tuple(a), act_tuple(b), as_tuple(c))
-                    for a, b, c in rset.edges} \
-                == {(x, a, y) for x, a, y in oedges}
+        for k in (1, 2, 3):
+            assert_kernel_agrees_with_oracle(s, k)
 
 
 def test_classify_agrees_with_oracle(commit_system, remark_abc,
@@ -216,3 +217,148 @@ def test_dot_outputs_are_stable(commit_system):
     assert dot_system(commit_system).count("digraph") >= 1
     r = reach(commit_system, 1)
     assert dot_reach(r) == dot_reach(r)
+
+
+# --- the exploration kernel against the brute-force oracle -------------------
+
+@st.composite
+def small_systems(draw):
+    """2-3 machines of at most 4 states over labels a/b, with any mix of
+    sends and receives (not necessarily deterministic or connected)."""
+    ps = ["A", "B", "C"][:draw(st.integers(2, 3))]
+    machines = []
+    for p in ps:
+        states = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+        moves = draw(st.lists(st.tuples(
+            st.sampled_from(states), st.sampled_from([q for q in ps if q != p]),
+            st.sampled_from("!?"), st.sampled_from("ab"),
+            st.sampled_from(states)), max_size=5))
+        machines.append(Machine(p, "q0", tuple(
+            (src, Action(p, q, "!", lbl) if op == "!" else Action(q, p, "?", lbl),
+             dst)
+            for src, q, op, lbl, dst in moves)))
+    return make_system(machines)
+
+
+def _distances(init, edges):
+    dist = {init: 0}
+    frontier = [init]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for a, _, b in edges:
+                if a == x and b not in dist:
+                    dist[b] = dist[x] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return dist
+
+
+def assert_kernel_agrees_with_oracle(s, k):
+    enc = encode(s)
+    rs = reach(s, k)
+    oconfigs, oedges = oracles.rs(enc, k)
+    assert len(rs.configs) == len(oconfigs)
+    assert {as_tuple(c) for c in rs.configs} == oconfigs
+    assert Counter((as_tuple(a), act_tuple(b), as_tuple(c))
+                   for a, b, c in rs.edges) == Counter(oedges)
+    # one object per configuration, shared by configs, edges and parents
+    ids = {id(c) for c in rs.configs}
+    assert rs.initial is rs.configs[0]
+    assert all(id(a) in ids and id(b) in ids for a, _, b in rs.edges)
+    assert all(id(c) in ids and (v is None or id(v[0]) in ids)
+               for c, v in rs.parents.items())
+    dist = _distances(oracles.initial_config(enc), oedges)
+    oflags = {c: oracles.classify(enc, c) for c in oconfigs}
+    for c in rs.configs:
+        assert classify(c, s) == oflags[as_tuple(c)]
+        # the witness is a shortest path, and fire replays it to c
+        path = rs.path_to(c)
+        assert len(path) == dist[as_tuple(c)]
+        cur = {initial(s)}
+        for a in path:
+            cur = {c2 for c1 in cur for b, c2 in fire(c1, s, k) if b == a}
+        assert c in cur
+    rep = check_safety(s, k)
+    assert {(kind, as_tuple(cfg)) for kind, _, cfg in rep.violations} \
+        == {(f, c) for c, fl in oflags.items() for f in fl & BAD_FLAGS}
+    finals = {c for c, fl in oflags.items() if "final" in fl}
+    live = set(finals)
+    changed = True
+    while changed:
+        changed = False
+        for a, _, b in oedges:
+            if b in live and a not in live:
+                live.add(a)
+                changed = True
+    if not finals:
+        assert rep.liveness is None
+    else:
+        assert rep.liveness == (live == oconfigs)
+        dead = [c for c in rs.configs if as_tuple(c) not in live]
+        assert rep.liveness_counterexample == (dead[0] if dead else None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_systems(), st.integers(1, 3))
+def test_kernel_agrees_with_brute_force(s, k):
+    assert_kernel_agrees_with_oracle(s, k)
+
+
+# --- RS_k sizes of the benchmark families, from their closed forms -----------
+
+def _send(p, q, lbl):
+    return Action(p, q, "!", lbl)
+
+
+def _recv(p, q, lbl):
+    return Action(p, q, "?", lbl)
+
+
+def pairs(n):
+    """n independent pairs: A_i sends x (loop) or y then z (loop) to B_i,
+    and B_i mirrors A_i."""
+    machines = []
+    for i in range(n):
+        a, b = f"A{i}", f"B{i}"
+        for owner, act in ((a, _send), (b, _recv)):
+            machines.append(Machine(owner, "q0", (
+                ("q0", act(a, b, "x"), "q0"), ("q0", act(a, b, "y"), "q1"),
+                ("q1", act(a, b, "z"), "q0"))))
+    return make_system(machines)
+
+
+def ring(n):
+    """The machines of rec t. P0->P1:{go. P1->P2:go. ... P(n-1)->P0:ack. t,
+    stop. P1->P2:stop. ... end}."""
+    ps = [f"P{i}" for i in range(n)]
+    machines = [Machine(ps[0], "q0", (
+        ("q0", _send(ps[0], ps[1], "go"), "q1"),
+        ("q1", _recv(ps[-1], ps[0], "ack"), "q0"),
+        ("q0", _send(ps[0], ps[1], "stop"), "q2")))]
+    for i, p in enumerate(ps[1:], 1):
+        prv = ps[i - 1]
+        go_on = (_send(p, ps[0], "ack") if i == n - 1
+                 else _send(p, ps[i + 1], "go"))
+        moves = [("q0", _recv(prv, p, "go"), "q1"), ("q1", go_on, "q0"),
+                 ("q0", _recv(prv, p, "stop"), "q2")]
+        if i < n - 1:
+            moves.append(("q2", _send(p, ps[i + 1], "stop"), "q3"))
+        machines.append(Machine(p, "q0", tuple(moves)))
+    return make_system(machines)
+
+
+@pytest.mark.parametrize("k,c,e", [(1, 5, 6), (2, 10, 16), (3, 18, 32)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pairs_reach_sizes_match_closed_form(n, k, c, e):
+    rs = reach(pairs(n), k)
+    assert (len(rs.configs), len(rs.edges)) == (c ** n, n * e * c ** (n - 1))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [4, 8])
+def test_ring_reach_sizes_match_closed_form(n, k):
+    # one message is in flight at a time, so RS_k is one cycle for every k
+    rs = reach(ring(n), k)
+    assert len(rs.configs) == len(rs.edges) == 4 * n - 2
+    assert check_safety(ring(n), k).ok

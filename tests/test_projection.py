@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst import (GBranch, LEnd, LRecv, MergeFailure, alpha_equiv, merge,
+from mpst import (GBranch, LEnd, LRecv, LSend, MergeFailure, alpha_equiv, merge,
                   parse_global, parse_local, project, subtype, well_formed)
 from conftest import load
 
@@ -131,6 +131,30 @@ def test_well_formed_collects_reasons():
     bad = parse_global("A -> B : { l. C -> A : x. end, r. end }")
     rep = well_formed(bad)
     assert not rep.ok and rep.failures
+
+
+def test_well_formed_does_not_depend_on_branch_order():
+    # C's selection is written in two orders in the two branches; the merge
+    # of a selection with itself must not care about the order
+    same = parse_global("A -> B : { l. C -> D : { a. end, b. end }, "
+                        "r. C -> D : { a. end, b. end } }")
+    swapped = parse_global("A -> B : { l. C -> D : { a. end, b. end }, "
+                           "r. C -> D : { b. end, a. end } }")
+    assert well_formed(same).ok
+    assert well_formed(swapped).ok
+    for p in ("A", "B", "C", "D"):
+        assert str(project(swapped, p)) == str(project(same, p))
+
+
+def test_merge_of_selections_ignores_branch_order():
+    t1 = parse_local("D!{a. C?{x. end, y. end}, b. end}")
+    t2 = LSend("D", tuple(reversed(
+        [(l, LRecv("C", tuple(reversed(b.branches))) if l == "a" else b)
+         for l, b in t1.branches])))
+    assert merge(t1, t2) == t1
+    assert merge(t2, t1) == t2
+    with pytest.raises(MergeFailure):
+        merge(t1, parse_local("D!{a. C?{x. end, y. end}, c. end}"))
 
 
 # --- randomized merge properties ---------------------------------------------
