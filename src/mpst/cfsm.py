@@ -42,24 +42,29 @@ def initial(s: System) -> Config:
 
 # --------------------------------------------------------------------------
 # The exploration kernel.  A system is compiled once into a table; every
-# analysis here steps through it with `_successors`, the one FIFO step.
+# analysis here steps through it with `_successors`, the one FIFO step,
+# on flat keys (see `_explore`); `Config` objects are built only for callers.
 
 class _Table:
     """A system compiled for exploration.  For each participant, in sorted
-    order: its moves from each local state, as (is_send, channel index,
-    label, dst, action) in `Machine.outgoing` order, and the set of its
-    receiving states.  A state with no moves is final."""
+    order: its moves from each local state, as (is_send, buffer slot in the
+    key, label, dst, action) in `Machine.outgoing` order, its final states
+    (no moves) and its receiving states.  `n` is the number of participants
+    and `start` the key of the initial configuration."""
 
-    __slots__ = ("moves", "receiving")
+    __slots__ = ("n", "start", "moves", "final", "receiving")
 
     def __init__(self, s: System):
-        index = {ch: i for i, ch in enumerate(s.channels)}
         machines = [s.machine(p) for p in s.participants]
+        self.n = n = len(machines)
+        self.start = _key(initial(s))
+        slot = {ch: n + i for i, ch in enumerate(s.channels)}
         self.moves = tuple(
-            {q: tuple((a.op == "!", index[a.channel], a.label, d, a)
+            {q: tuple((a.op == "!", slot[a.channel], a.label, d, a)
                       for _, a, d in m.outgoing(q))
              for q in m.states}
             for m in machines)
+        self.final = tuple(m.final_states for m in machines)
         self.receiving = tuple(
             frozenset(q for q in m.states if m.is_receiving(q))
             for m in machines)
@@ -74,14 +79,23 @@ def _table(s: System) -> _Table:
     return t
 
 
-def _successors(t: _Table, states: tuple, bufs: tuple, k: int | None) -> list:
-    """Every enabled (action, states', buffers') from (states, bufs), in
-    participant order and then `Machine.outgoing` order; a send is enabled
-    only while its channel holds fewer than k messages (when k is given)."""
+def _key(c: Config) -> tuple:
+    return c.states + c.buffers
+
+
+def _config(t: _Table, key: tuple) -> Config:
+    return Config(key[:t.n], key[t.n:])
+
+
+def _successors(t: _Table, key: tuple, k: int | None) -> list:
+    """Every enabled (action, key') from key, in participant order and then
+    `Machine.outgoing` order; a send is enabled only while its channel holds
+    fewer than k messages (when k is given).  A move rewrites two slots of
+    the key, its participant's state and one buffer, in one copy."""
     out = []
-    for i, q in enumerate(states):
-        for send, ci, label, dst, act in t.moves[i].get(q, ()):
-            b = bufs[ci]
+    for i, moves in enumerate(t.moves):
+        for send, slot, label, dst, act in moves.get(key[i], ()):
+            b = key[slot]
             if send:
                 if k is not None and len(b) >= k:
                     continue
@@ -90,45 +104,65 @@ def _successors(t: _Table, states: tuple, bufs: tuple, k: int | None) -> list:
                 b = b[1:]
             else:
                 continue
-            out.append((act, states[:i] + (dst,) + states[i + 1:],
-                        bufs[:ci] + (b,) + bufs[ci + 1:]))
+            nxt = list(key)
+            nxt[i] = dst
+            nxt[slot] = b
+            out.append((act, tuple(nxt)))
     return out
 
 
-def _explore(s: System, k: int, cap: int) -> tuple[list, list, list]:
-    """BFS over RS_k on plain (states, buffers) keys, each interned to its
-    BFS index on first sight.  Returns the keys in BFS order, the successor
-    row [(action, j), ...] of each, and the BFS parent (i, action) of each,
-    None for the initial one."""
+def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:
+    """BFS over RS_k, each configuration interned to its BFS index on first
+    sight.  A key is one flat tuple: the local states, participants in
+    sorted order, then the buffers, channels in `System.channels` order.
+
+    Returns the keys in BFS order; the successor row of each, a flat list
+    [action, j, action, j, ...] in `_successors` order, which is the order
+    of `fire` and of `reach`'s edges; and the BFS parent (i, action) of
+    each, None for the initial key, so that following parents from key j
+    gives a shortest path to it.  Raises ValueError for k < 1, and
+    ResourceLimit as soon as there are more than cap (default `node_cap()`)
+    keys."""
+    if k < 1:
+        raise ValueError("bound k must be >= 1")
+    cap = cap if cap is not None else node_cap()
     t = _table(s)
-    init = initial(s)
-    start = (init.states, init.buffers)
-    keys = [start]
-    index = {start: 0}
+    keys = [t.start]
+    index = {t.start: 0}
     parents: list[tuple[int, Action] | None] = [None]
     rows = []
     # keys grows while it is walked: the walk is the BFS queue
-    for i, (states, bufs) in enumerate(keys):
+    for i, key in enumerate(keys):
         row = []
-        for act, st, bf in _successors(t, states, bufs, k):
-            key = (st, bf)
-            j = index.get(key)
+        for act, nxt in _successors(t, key, k):
+            j = index.get(nxt)
             if j is None:
-                j = index[key] = len(keys)
-                keys.append(key)
+                j = index[nxt] = len(keys)
+                keys.append(nxt)
                 parents.append((i, act))
                 if len(keys) > cap:
                     raise ResourceLimit(
                         f"reachability set exceeded the node cap of {cap}")
-            row.append((act, j))
+            row.append(act)
+            row.append(j)
         rows.append(row)
     return keys, rows, parents
 
 
+def _path(parents: list, i: int) -> tuple[Action, ...]:
+    """The actions along BFS parents from the initial key to key i."""
+    acc = []
+    while (prev := parents[i]) is not None:
+        i, act = prev
+        acc.append(act)
+    return tuple(reversed(acc))
+
+
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
     """All enabled transitions from c (k-bounded when k is given)."""
-    return tuple((act, Config(st, bf)) for act, st, bf
-                 in _successors(_table(s), c.states, c.buffers, k))
+    t = _table(s)
+    return tuple((act, _config(t, key))
+                 for act, key in _successors(t, _key(c), k))
 
 
 @dataclass(frozen=True)
@@ -151,56 +185,70 @@ class ReachSet:
             c, act = prev[0], prev[1]
             acc.append(act)
 
-    @property
-    def config_set(self) -> frozenset[Config]:
-        return frozenset(self.configs)
-
 
 def reach(s: System, k: int, cap: int | None = None) -> ReachSet:
     """BFS closure of k-bounded firing from the initial configuration.
-    Each configuration is one object, shared by `configs`, `edges` and
-    `parents`."""
-    if k < 1:
-        raise ValueError("bound k must be >= 1")
-    cap = cap if cap is not None else node_cap()
+
+    `configs` is in BFS order; `edges` lists each configuration's outgoing
+    transitions in `fire` order, configurations in BFS order; `parents`
+    gives shortest paths.  Each configuration is one object, built from an
+    `_explore` key (local states, then buffers) and shared by `configs`,
+    `edges` and `parents`.  Raises ValueError for k < 1 and
+    ResourceLimit when more than cap (default `node_cap()`) configurations
+    are found."""
     keys, rows, parents = _explore(s, k, cap)
-    configs = tuple(Config(st, bf) for st, bf in keys)
-    edges = tuple((c, act, configs[j])
-                  for c, row in zip(configs, rows) for act, j in row)
+    t = _table(s)
+    configs = tuple(_config(t, key) for key in keys)
+    edges = tuple((c, act, configs[j]) for c, row in zip(configs, rows)
+                  for act, j in zip(row[::2], row[1::2]))
     parent_of: dict[Config, tuple[Config, Action] | None] = {configs[0]: None}
     for c, (i, act) in zip(configs[1:], parents[1:]):
         parent_of[c] = (configs[i], act)
     return ReachSet(k, configs[0], configs, edges, parent_of)
 
 
+# The flag sets `_flags` can return, sorted; no other combination holds.
+_FINAL = ("final", "stable")
+_DEADLOCK = ("deadlock", "stable")
+_STABLE = ("stable",)
+_ORPHAN = ("orphan",)
+_UNSPECIFIED = ("unspecified_reception",)
+# all(map(_member, sets, key)) tests each local state without a Python loop
+_member = frozenset.__contains__
+
+
+def _flags(t: _Table, key: tuple) -> tuple[str, ...]:
+    """The sorted flags of a configuration, () when it is intermediate.
+
+    Stable: every buffer is empty.  Final: stable, every participant final.
+    Deadlock: stable, every participant receiving.  Orphan: every
+    participant final, some buffer non-empty.  Unspecified reception: some
+    participant is receiving and every channel it receives on holds another
+    label at its head."""
+    allfinal = all(map(_member, t.final, key))
+    if not any(key[t.n:]):
+        if allfinal:
+            return _FINAL
+        if all(map(_member, t.receiving, key)):
+            return _DEADLOCK
+        return _STABLE
+    if allfinal:
+        return _ORPHAN
+    for q, moves, receiving in zip(key, t.moves, t.receiving):
+        if q in receiving:
+            for _, slot, label, _, _ in moves[q]:
+                b = key[slot]
+                if not b or b[0] == label:
+                    break
+            else:
+                return _UNSPECIFIED
+    return ()
+
+
 def classify(c: Config, s: System) -> frozenset[str]:
     """Configuration flags: stable/final/deadlock/orphan/unspecified_reception,
     or intermediate when none apply.  Multiple flags may hold."""
-    t = _table(s)
-    bufs = c.buffers
-    stable = not any(bufs)
-    allfinal = allreceiving = True
-    unspecified = False
-    for moves, receiving, q in zip(t.moves, t.receiving, c.states):
-        if moves.get(q):
-            allfinal = False
-        if q not in receiving:
-            allreceiving = False
-        elif not (stable or unspecified):
-            unspecified = all(bufs[ci] and bufs[ci][0] != label
-                              for _, ci, label, _, _ in moves[q])
-    flags = set()
-    if stable:
-        flags.add("stable")
-    if stable and allfinal:
-        flags.add("final")
-    if stable and not allfinal and allreceiving:
-        flags.add("deadlock")
-    if allfinal and not stable:
-        flags.add("orphan")
-    if unspecified:
-        flags.add("unspecified_reception")
-    return frozenset(flags) if flags else frozenset({"intermediate"})
+    return frozenset(_flags(_table(s), _key(c)) or ("intermediate",))
 
 
 BAD_FLAGS = frozenset({"deadlock", "orphan", "unspecified_reception"})
@@ -238,26 +286,38 @@ def _config_json(c: Config) -> dict:
 def check_safety(s: System, k: int, check_liveness: bool = True,
                  cap: int | None = None) -> SafetyReport:
     """Scan RS_k for deadlock/orphan/unspecified-reception configurations;
-    k-bounded liveness = every configuration can reach a final one in RS_k."""
-    rs = reach(s, k, cap)
+    k-bounded liveness = every configuration can reach a final one in RS_k.
+
+    Violations come in BFS order of their configurations, kinds sorted
+    within one configuration, each with a shortest path to it (the path
+    `reach(s, k).path_to` gives).  The liveness counterexample is the first
+    configuration in BFS order that cannot reach a final one.  Raises
+    ValueError for k < 1 and ResourceLimit when more than cap (default
+    `node_cap()`) configurations are found, exactly as `reach` does.  Works
+    on the BFS indices of `_explore`'s flat keys (local states, then
+    buffers): a `Config` is built only for a configuration reported."""
+    keys, rows, parents = _explore(s, k, cap)
+    t = _table(s)
     violations = []
     finals = []
-    for i, c in enumerate(rs.configs):
-        flags = classify(c, s)
-        for kind in sorted(flags & BAD_FLAGS):
-            violations.append((kind, rs.path_to(c), c))
+    for i, key in enumerate(keys):
+        flags = _flags(t, key)
         if "final" in flags:
             finals.append(i)
+        bad = [kind for kind in flags if kind in BAD_FLAGS]
+        if bad:
+            c = _config(t, key)
+            path = _path(parents, i)
+            violations.extend((kind, path, c) for kind in bad)
     liveness: bool | None = None
     counterexample = None
     if check_liveness and finals:
-        # backward search from the final configurations over BFS indices;
-        # reach shares one object per configuration, so ids index them
-        index = {id(c): i for i, c in enumerate(rs.configs)}
-        preds: list[list[int]] = [[] for _ in rs.configs]
-        for a, _, b in rs.edges:
-            preds[index[id(b)]].append(index[id(a)])
-        live = bytearray(len(rs.configs))
+        # backward search from the final configurations
+        preds: list[list[int]] = [[] for _ in keys]
+        for i, row in enumerate(rows):
+            for j in row[1::2]:
+                preds[j].append(i)
+        live = bytearray(len(keys))
         for i in finals:
             live[i] = 1
         todo = finals
@@ -269,7 +329,7 @@ def check_safety(s: System, k: int, check_liveness: bool = True,
         dead = live.find(0)
         liveness = dead < 0
         if not liveness:
-            counterexample = rs.configs[dead]
+            counterexample = _config(t, keys[dead])
     return SafetyReport(k, tuple(violations), liveness, counterexample)
 
 
@@ -299,17 +359,15 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
 def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
     cap = cap if cap is not None else node_cap()
     t = _table(s)
-    init = initial(s)
-    start = (init.states, init.buffers)
     root: dict = {}
     # Level-synchronous walk over (configuration, trie-node) pairs,
     # deduplicated so converging interleavings do not multiply the frontier.
-    frontier = {(start, id(root)): (start, root)}
+    frontier = {(t.start, id(root)): (t.start, root)}
     count = 0
     for _ in range(max_len):
         nxt = {}
-        for (states, bufs), node in frontier.values():
-            for act, st, bf in _successors(t, states, bufs, k):
+        for key, node in frontier.values():
+            for act, key2 in _successors(t, key, k):
                 sub = node.get(act)
                 if sub is None:
                     sub = {}
@@ -317,8 +375,7 @@ def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
                     count += 1
                     if count > cap:
                         raise ResourceLimit(f"trace trie exceeded the node cap of {cap}")
-                key = (st, bf)
-                nxt.setdefault((key, id(sub)), (key, sub))
+                nxt.setdefault((key2, id(sub)), (key2, sub))
         frontier = nxt
         if not frontier:
             break

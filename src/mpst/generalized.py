@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cfsm import fire, is_basic, node_cap, reach
 from .compat import dual, multiparty_compatible
@@ -204,12 +203,13 @@ class GeneralLocal:
         _validate(self.entry, eqs, LOCAL_EQS)
 
 
-@lru_cache(maxsize=None)
-def _defs(g) -> dict:
-    out = {}
-    for eq in g.equations:
-        for v in _defined_vars(eq):
-            out[v] = eq
+def _defs(g: GeneralGlobal | GeneralLocal) -> dict:
+    """The equation defining each variable of g, built on first use and kept
+    on the instance the way System's cached properties are."""
+    out = g.__dict__.get("_defs")
+    if out is None:
+        out = g.__dict__["_defs"] = {v: eq for eq in g.equations
+                                     for v in _defined_vars(eq)}
     return out
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst import (BAD_FLAGS, Action, Machine, ResourceLimit, associated,
-                  check_safety, classify, dot_machine, dot_reach, dot_system,
-                  fire, initial, is_basic, make_system, reach, traces,
-                  trie_flatten)
+from mpst import (BAD_FLAGS, Action, Machine, ResourceLimit, SafetyReport,
+                  associated, check_safety, classify, dot_machine, dot_reach,
+                  dot_system, fire, initial, is_basic, make_system, reach,
+                  traces, trie_flatten)
+from mpst.cfsm import _explore
 import oracles
 
 
@@ -197,6 +198,32 @@ def test_reach_explicit_cap(commit_system):
         reach(commit_system, 1, cap=10)
 
 
+def test_check_safety_cap_matches_reach(monkeypatch, commit_system):
+    # the same count trips the cap, with the same message, as in reach
+    for cap in (1, 10, 29):
+        with pytest.raises(ResourceLimit) as want:
+            reach(commit_system, 1, cap=cap)
+        with pytest.raises(ResourceLimit) as got:
+            check_safety(commit_system, 1, cap=cap)
+        assert str(got.value) == str(want.value) \
+            == f"reachability set exceeded the node cap of {cap}"
+    assert check_safety(commit_system, 1, cap=30).ok  # RS_1 has 30
+    monkeypatch.setenv("MPST_NODE_CAP", "5")
+    with pytest.raises(ResourceLimit) as want:
+        reach(commit_system, 1)
+    with pytest.raises(ResourceLimit) as got:
+        check_safety(commit_system, 1, check_liveness=False)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_check_safety_rejects_bound_below_one(commit_system, k):
+    with pytest.raises(ValueError, match="bound k must be >= 1"):
+        check_safety(commit_system, k)
+    with pytest.raises(ValueError, match="bound k must be >= 1"):
+        reach(commit_system, k)
+
+
 def test_associated_product_machine(remark_abc):
     pm = associated(remark_abc, minus="A")
     states, edges = pm.materialize()
@@ -241,13 +268,16 @@ def small_systems(draw):
 
 
 def _distances(init, edges):
+    succ = {}
+    for a, _, b in edges:
+        succ.setdefault(a, []).append(b)
     dist = {init: 0}
     frontier = [init]
     while frontier:
         nxt = []
         for x in frontier:
-            for a, _, b in edges:
-                if a == x and b not in dist:
+            for b in succ.get(x, ()):
+                if b not in dist:
                     dist[b] = dist[x] + 1
                     nxt.append(b)
         frontier = nxt
@@ -282,6 +312,13 @@ def assert_kernel_agrees_with_oracle(s, k):
     rep = check_safety(s, k)
     assert {(kind, as_tuple(cfg)) for kind, _, cfg in rep.violations} \
         == {(f, c) for c, fl in oflags.items() for f in fl & BAD_FLAGS}
+    # the report itself is pinned: configurations in BFS order, kinds sorted
+    # within one, each with the shortest path reach gives
+    assert list(rep.violations) == [
+        (kind, rs.path_to(c), c) for c in rs.configs
+        for kind in sorted(oflags[as_tuple(c)] & BAD_FLAGS)]
+    assert check_safety(s, k, check_liveness=False) \
+        == SafetyReport(k, rep.violations, None)
     finals = {c for c, fl in oflags.items() if "final" in fl}
     live = set(finals)
     changed = True
@@ -348,11 +385,20 @@ def ring(n):
     return make_system(machines)
 
 
+def explored_sizes(s, k):
+    """Keys and successor entries of the kernel that check_safety runs on,
+    which does not go through reach."""
+    keys, rows, parents = _explore(s, k, None)
+    assert len(rows) == len(parents) == len(keys)
+    return len(keys), sum(len(row) for row in rows) // 2
+
+
 @pytest.mark.parametrize("k,c,e", [(1, 5, 6), (2, 10, 16), (3, 18, 32)])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pairs_reach_sizes_match_closed_form(n, k, c, e):
     rs = reach(pairs(n), k)
     assert (len(rs.configs), len(rs.edges)) == (c ** n, n * e * c ** (n - 1))
+    assert explored_sizes(pairs(n), k) == (c ** n, n * e * c ** (n - 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -361,4 +407,5 @@ def test_ring_reach_sizes_match_closed_form(n, k):
     # one message is in flight at a time, so RS_k is one cycle for every k
     rs = reach(ring(n), k)
     assert len(rs.configs) == len(rs.edges) == 4 * n - 2
+    assert explored_sizes(ring(n), k) == (4 * n - 2, 4 * n - 2)
     assert check_safety(ring(n), k).ok

@@ -1,4 +1,7 @@
 """Graph-shaped session types: equation systems, nets, and synthesis."""
+import gc
+import weakref
+
 import pytest
 
 from mpst import (Action, ChoiceOwnership, LabelledNet, Machine, ParseError,
@@ -140,6 +143,19 @@ def test_global_and_local_traces_agree(data_transfer_type):
         tg = trie_flatten(gtraces_global(data_transfer_type, 6, k))
         tl = trie_flatten(gtraces_local(fam, 6, k))
         assert set(tg) == set(tl)
+
+
+def test_stepping_keeps_no_equation_system_alive():
+    # the per-system map of definitions lives on the instance, so a type
+    # nothing refers to any more is freed with it
+    g = parse_gglobal(DIAMOND)
+    fam = {p: gproject(g, p) for p in gg_participants(g)}
+    assert gstep_global(g, ginitial_global(g), 1)
+    assert gstep_local(fam, ginitial_local(fam), 1)
+    refs = [weakref.ref(t) for t in (g, *fam.values())]
+    del g, fam
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_mixed_parallel_rejects_noncommuting_actions():
