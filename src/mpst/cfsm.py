@@ -88,10 +88,11 @@ def _config(t: _Table, key: tuple) -> Config:
 
 
 def _successors(t: _Table, key: tuple, k: int | None) -> list:
-    """Every enabled (action, key') from key, in participant order and then
-    `Machine.outgoing` order; a send is enabled only while its channel holds
-    fewer than k messages (when k is given).  A move rewrites two slots of
-    the key, its participant's state and one buffer, in one copy."""
+    """Every enabled move from key, in participant order and then
+    `Machine.outgoing` order, as (action, participant index, its new state,
+    buffer slot, the slot's new word); a send is enabled only while its
+    channel holds fewer than k messages (when k is given).  A move rewrites
+    these two slots of the key and no other."""
     out = []
     for i, moves in enumerate(t.moves):
         for send, slot, label, dst, act in moves.get(key[i], ()):
@@ -104,10 +105,7 @@ def _successors(t: _Table, key: tuple, k: int | None) -> list:
                 b = b[1:]
             else:
                 continue
-            nxt = list(key)
-            nxt[i] = dst
-            nxt[slot] = b
-            out.append((act, tuple(nxt)))
+            out.append((act, i, dst, slot, b))
     return out
 
 
@@ -134,7 +132,11 @@ def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:
     # keys grows while it is walked: the walk is the BFS queue
     for i, key in enumerate(keys):
         row = []
-        for act, nxt in _successors(t, key, k):
+        for act, p, dst, slot, b in _successors(t, key, k):
+            nxt = list(key)
+            nxt[p] = dst
+            nxt[slot] = b
+            nxt = tuple(nxt)
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(keys)
@@ -161,8 +163,14 @@ def _path(parents: list, i: int) -> tuple[Action, ...]:
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
     """All enabled transitions from c (k-bounded when k is given)."""
     t = _table(s)
-    return tuple((act, _config(t, key))
-                 for act, key in _successors(t, _key(c), k))
+    out = []
+    for act, p, dst, slot, b in _successors(t, _key(c), k):
+        states = list(c.states)
+        states[p] = dst
+        bufs = list(c.buffers)
+        bufs[slot - t.n] = b
+        out.append((act, Config(tuple(states), tuple(bufs))))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -367,7 +375,11 @@ def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
     for _ in range(max_len):
         nxt = {}
         for key, node in frontier.values():
-            for act, key2 in _successors(t, key, k):
+            for act, p, dst, slot, b in _successors(t, key, k):
+                key2 = list(key)
+                key2[p] = dst
+                key2[slot] = b
+                key2 = tuple(key2)
                 sub = node.get(act)
                 if sub is None:
                     sub = {}
