@@ -17,13 +17,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .cfsm import fire, is_basic, node_cap, reach
+from .cfsm import _explore, _fifo, _trie, is_basic, node_cap, reach
 from .compat import dual, multiparty_compatible
 from .errors import (ChoiceOwnership, NotBasic, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
                      SynthesisFailure)
 from .syntax import (Action, Label, Machine, Participant, System, Var,
-                     _Parser)
+                     _Parser, channels)
 
 DEFAULT_FORK_CAP = 8
 
@@ -453,14 +453,10 @@ def _gfire(defs: dict, ps: ParState, p: Participant):
     return out
 
 
-def _gchannels(ps: tuple[Participant, ...]):
-    return tuple((a, b) for a in ps for b in ps if a != b)
-
-
 def ginitial_global(g: GeneralGlobal) -> GConfig:
     ps = gg_participants(g)
     return GConfig(tuple((g.entry,) for _ in ps),
-                   tuple(() for _ in _gchannels(ps)))
+                   tuple(() for _ in channels(ps)))
 
 
 def gstep_global(g: GeneralGlobal, c: GConfig, k: int | None = None,
@@ -474,7 +470,7 @@ def gstep_global(g: GeneralGlobal, c: GConfig, k: int | None = None,
 def ginitial_local(family: dict[Participant, GeneralLocal]) -> GConfig:
     ps = tuple(sorted(family))
     return GConfig(tuple((family[p].entry,) for p in ps),
-                   tuple(() for _ in _gchannels(ps)))
+                   tuple(() for _ in channels(ps)))
 
 
 def gstep_local(family: dict[Participant, GeneralLocal], c: GConfig,
@@ -488,41 +484,30 @@ def gstep_local(family: dict[Participant, GeneralLocal], c: GConfig,
 
 def _gsteps(defs_by: dict, ps: tuple[Participant, ...], c: GConfig,
             k: int | None, fork_cap: int, global_view: bool):
-    chans = _gchannels(ps)
-    index = {ch: i for i, ch in enumerate(chans)}
+    index = {ch: i for i, ch in enumerate(channels(ps))}
     out = set()
     for i, p in enumerate(ps):
         defs = defs_by[p]
         for elem in _gclosure(defs, c.holes[i], p if global_view else None,
                               fork_cap):
             for act, hi, cont in _gfire(defs, elem, p):
-                ci = index[act.channel]
-                if act.op == "!":
-                    if k is not None and len(c.buffers[ci]) >= k:
-                        continue
-                    bufs = list(c.buffers)
-                    bufs[ci] = bufs[ci] + (act.label,)
-                else:
-                    if not c.buffers[ci] or c.buffers[ci][0] != act.label:
-                        continue
-                    bufs = list(c.buffers)
-                    bufs[ci] = bufs[ci][1:]
+                bufs = _fifo(c.buffers, index[act.channel], act, k)
+                if bufs is None:
+                    continue
                 holes = list(c.holes)
                 holes[i] = _put(elem, hi, cont)
-                out.add((act, GConfig(tuple(holes), tuple(bufs))))
+                out.add((act, GConfig(tuple(holes), bufs)))
     return tuple(sorted(out, key=lambda t: (t[0], t[1].holes, t[1].buffers)))
 
 
 def gtraces_global(g: GeneralGlobal, max_len: int, k: int,
                    cap: int | None = None) -> dict:
-    from .semantics import _trie
     return _trie(ginitial_global(g),
                  lambda c, kk: gstep_global(g, c, kk), max_len, k, cap)
 
 
 def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
                   k: int, cap: int | None = None) -> dict:
-    from .semantics import _trie
     return _trie(ginitial_local(family),
                  lambda c, kk: gstep_local(family, c, kk), max_len, k, cap)
 
@@ -686,19 +671,20 @@ def receiver_property(s: System, k: int = 1,
     informed of the chosen branch no matter how execution proceeds."""
     if require_compatible:
         _require_compat(s)
-    rs = reach(s, k)
+    keys, rows, _ = _explore(s, k, None)
+    succ = [list(zip(row[::2], row[1::2])) for row in rows]
     ps = s.participants
-    for c in rs.configs:
+    for key, moves in zip(keys, succ):
         for i, p in enumerate(ps):
             m = s.machine(p)
-            sends = [(a, d) for _, a, d in m.outgoing(c.states[i])
+            sends = [(a, d) for _, a, d in m.outgoing(key[i])
                      if a.op == "!"]
             if len(sends) < 2:
                 continue
-            succs = {act: c2 for act, c2 in fire(c, s, k)}
+            succs = dict(moves)
             if any(a not in succs for a, _ in sends):
                 continue  # the choice is blocked here, judged elsewhere
-            families = [_complete_receiver_sets(s, succs[a], k)
+            families = [_complete_receiver_sets(succ, succs[a])
                         for a, _ in sends]
             common = families[0]
             for fam in families[1:]:
@@ -708,33 +694,32 @@ def receiver_property(s: System, k: int = 1,
     return True
 
 
-def _complete_receiver_sets(s: System, c0, k: int) -> frozenset[frozenset]:
+def _complete_receiver_sets(succ: list, c0: int) -> frozenset[frozenset]:
     """Receiver sets that cannot grow any further from some reachable
-    point after c0."""
+    point after configuration c0, along the RS_k edges succ lists by BFS
+    index (see `_explore`)."""
     start = (c0, frozenset())
-    nodes = {start}
-    edges: dict = {start: []}
+    edges: dict = {start: []}  # the nodes reached, with their successors
     dq = deque([start])
     while dq:
-        cfg, r = dq.popleft()
-        for act, cfg2 in fire(cfg, s, k):
+        cfg, r = node = dq.popleft()
+        for act, cfg2 in succ[cfg]:
             r2 = r | {act.receiver} if act.op == "?" else r
-            node = (cfg2, r2)
-            edges[(cfg, r)].append(node)
-            if node not in nodes:
-                nodes.add(node)
-                edges.setdefault(node, [])
-                dq.append(node)
-    can_grow = {n: any(m[1] > n[1] for m in edges[n]) for n in nodes}
+            nxt = (cfg2, r2)
+            edges[node].append(nxt)
+            if nxt not in edges:
+                edges[nxt] = []
+                dq.append(nxt)
+    can_grow = {n: any(m[1] > n[1] for m in edges[n]) for n in edges}
     changed = True
     while changed:
         changed = False
-        for n in nodes:
+        for n in edges:
             if not can_grow[n] and any(
                     can_grow[m] for m in edges[n] if m[1] == n[1]):
                 can_grow[n] = True
                 changed = True
-    return frozenset(n[1] for n in nodes if not can_grow[n])
+    return frozenset(n[1] for n in edges if not can_grow[n])
 
 
 def unique_sender(s: System, k: int = 1,

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfsm import node_cap, traces as system_traces
-from .errors import ResourceLimit
+from .cfsm import _fifo, _trie, traces as system_traces
+from .generalized import GeneralGlobal, gtraces_global, gtraces_local
 from .projection import project
 from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, LRec, LRecv,
-                     LSend, LVar, Local, Participant, System, gparticipants,
-                     unfold)
+                     LSend, Local, Participant, System, channels,
+                     gparticipants, unfold)
 
 
 def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global], ...]:
@@ -105,13 +105,6 @@ def gbuffers(g: Global) -> dict[tuple[Participant, Participant], tuple[str, ...]
 # --------------------------------------------------------------------------
 # Collections of local types with explicit buffers
 
-Channel = tuple[Participant, Participant]
-
-
-def _channels(participants: tuple[Participant, ...]) -> tuple[Channel, ...]:
-    return tuple((p, q) for p in participants for q in participants if p != q)
-
-
 @dataclass(frozen=True)
 class LocalConfig:
     """A sorted family of local types plus FIFO buffers for every channel."""
@@ -124,8 +117,8 @@ class LocalConfig:
         return tuple(p for p, _ in self.types)
 
     @property
-    def channels(self) -> tuple[Channel, ...]:
-        return _channels(self.participants)
+    def channels(self) -> tuple[tuple[Participant, Participant], ...]:
+        return channels(self.participants)
 
     def type_of(self, p: Participant) -> Local:
         for q, t in self.types:
@@ -137,7 +130,7 @@ class LocalConfig:
 def local_config(types: dict[Participant, Local]) -> LocalConfig:
     items = tuple(sorted(types.items()))
     ps = tuple(p for p, _ in items)
-    return LocalConfig(items, tuple(() for _ in _channels(ps)))
+    return LocalConfig(items, tuple(() for _ in channels(ps)))
 
 
 def project_config(g: Global) -> LocalConfig:
@@ -160,36 +153,22 @@ def _norm(t: Local) -> Local:
 
 def step_local(c: LocalConfig, k: int | None = None) -> tuple[tuple[Action, LocalConfig], ...]:
     """All enabled steps of a local-type collection (k-bounded sends)."""
-    chans = c.channels
-    index = {ch: i for i, ch in enumerate(chans)}
+    index = {ch: i for i, ch in enumerate(c.channels)}
     out = []
-    for i, (p, t0) in enumerate(c.types):
-        t = _norm(t0)
+    for i, (p, t) in enumerate(c.types):
+        t = _norm(t)
         if isinstance(t, LSend):
-            ci = index[(p, t.peer)]
-            if k is not None and len(c.buffers[ci]) >= k:
-                continue
-            for label, cont in t.branches:
-                bufs = list(c.buffers)
-                bufs[ci] = bufs[ci] + (label,)
-                types = list(c.types)
-                types[i] = (p, cont)
-                out.append((Action(p, t.peer, "!", label),
-                            LocalConfig(tuple(types), tuple(bufs))))
+            moves = [(Action(p, t.peer, "!", a), u) for a, u in t.branches]
         elif isinstance(t, LRecv):
-            ci = index[(t.peer, p)]
-            buf = c.buffers[ci]
-            if not buf:
-                continue
-            for label, cont in t.branches:
-                if buf[0] != label:
-                    continue
-                bufs = list(c.buffers)
-                bufs[ci] = bufs[ci][1:]
+            moves = [(Action(t.peer, p, "?", a), u) for a, u in t.branches]
+        else:
+            continue
+        for act, cont in moves:
+            bufs = _fifo(c.buffers, index[act.channel], act, k)
+            if bufs is not None:
                 types = list(c.types)
                 types[i] = (p, cont)
-                out.append((Action(t.peer, p, "?", label),
-                            LocalConfig(tuple(types), tuple(bufs))))
+                out.append((act, LocalConfig(tuple(types), bufs)))
     return tuple(out)
 
 
@@ -204,30 +183,6 @@ def traces_local(c: LocalConfig, max_len: int, k: int, cap: int | None = None) -
     return _trie(c, step_local, max_len, k, cap)
 
 
-def _trie(state, stepper, max_len: int, k: int, cap: int | None) -> dict:
-    cap = cap if cap is not None else node_cap()
-    root: dict = {}
-    frontier = {(state, id(root)): (state, root)}
-    count = 0
-    for _ in range(max_len):
-        nxt = {}
-        for st, node in frontier.values():
-            for act, st2 in stepper(st, k):
-                sub = node.get(act)
-                if sub is None:
-                    sub = {}
-                    node[act] = sub
-                    count += 1
-                    if count > cap:
-                        raise ResourceLimit(
-                            f"trace trie exceeded the node cap of {cap}")
-                nxt.setdefault((st2, id(sub)), (st2, sub))
-        frontier = nxt
-        if not frontier:
-            break
-    return root
-
-
 def _as_trie(x, max_len: int, k: int) -> dict:
     if isinstance(x, dict) and all(isinstance(v, dict) for v in x.values()) \
             and all(isinstance(a, Action) for a in x):
@@ -238,11 +193,10 @@ def _as_trie(x, max_len: int, k: int) -> dict:
         return traces_local(x, max_len, k)
     if isinstance(x, System):
         return system_traces(x, max_len, k)
-    from . import generalized as gen
-    if isinstance(x, gen.GeneralGlobal):
-        return gen.gtraces_global(x, max_len, k)
+    if isinstance(x, GeneralGlobal):
+        return gtraces_global(x, max_len, k)
     if isinstance(x, dict):
-        return gen.gtraces_local(x, max_len, k)
+        return gtraces_local(x, max_len, k)
     raise TypeError(f"cannot take traces of {type(x).__name__}")
 
 
@@ -251,18 +205,14 @@ def trace_equiv(x, y, max_len: int, k: int) -> tuple[bool, tuple[Action, ...] | 
     distinguishing trace (ties broken lexicographically)."""
     tx = _as_trie(x, max_len, k)
     ty = _as_trie(y, max_len, k)
-    if tx == ty:
-        return True, None
     # BFS over the union of both tries for the first point of divergence
     frontier = [((), tx, ty)]
     while frontier:
         nxt = []
         for prefix, a, b in frontier:
-            labels = sorted(set(a) | set(b))
-            for act in labels:
-                if (act in a) != (act in b):
-                    return False, prefix + (act,)
-            for act in labels:
-                nxt.append((prefix + (act,), a[act], b[act]))
+            if a.keys() != b.keys():
+                return False, prefix + (min(a.keys() ^ b.keys()),)
+            for act, sub in sorted(a.items()):
+                nxt.append((prefix + (act,), sub, b[act]))
         frontier = nxt
-    raise AssertionError("tries differ but no divergence found")
+    return True, None

@@ -251,8 +251,7 @@ class System:
 
     @cached_property
     def channels(self) -> tuple[tuple[Participant, Participant], ...]:
-        ps = self.participants
-        return tuple((p, q) for p in ps for q in ps if p != q)
+        return channels(self.participants)
 
     @cached_property
     def alphabet(self) -> frozenset[Label]:
@@ -260,6 +259,12 @@ class System:
 
     def machine(self, p: Participant) -> Machine:
         return self.by_owner[p]
+
+
+def channels(ps: tuple[Participant, ...]) -> tuple[tuple[Participant, Participant], ...]:
+    """The ordered pairs of distinct participants: the buffer order of
+    every kind of configuration."""
+    return tuple((p, q) for p in ps for q in ps if p != q)
 
 
 def make_system(machines) -> System:

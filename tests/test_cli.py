@@ -86,6 +86,16 @@ def test_synth_with_verification():
     assert "traces agree up to length 8 for bounds 1..2" in err
 
 
+def test_synth_verifies_deep_traces(tmp_path):
+    # a trace trie 1200 levels deep: nothing may recurse once per level
+    f = tmp_path / "loop.cfsm"
+    f.write_text("machine A { init q0; q0 -- A B ! x --> q0; }\n"
+                 "machine B { init q0; q0 -- A B ? x --> q0; }\n")
+    rc, out, err = run("synth", f, "--verify", "1200,1")
+    assert rc == 0, err
+    assert "traces agree up to length 1200 for bounds 1..1" in err
+
+
 def test_synth_refuses_incompatible_machines():
     rc, out, err = run("synth", DATA / "remark_abc.cfsm")
     assert rc == 1 and out == ""

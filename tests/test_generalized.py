@@ -11,7 +11,7 @@ from mpst import (Action, ChoiceOwnership, LabelledNet, Machine, ParseError,
                   make_system, mixed_parallel, parse_gglobal, parse_glocal,
                   parse_system, print_gglobal, print_glocal,
                   receiver_property, session_compatible, to_petri,
-                  trace_equiv, trie_flatten, unique_sender)
+                  trace_equiv, traces, trie_flatten, unique_sender)
 from conftest import load
 
 DIAMOND = """
@@ -143,6 +143,17 @@ def test_global_and_local_traces_agree(data_transfer_type):
         tg = trie_flatten(gtraces_global(data_transfer_type, 6, k))
         tl = trie_flatten(gtraces_local(fam, 6, k))
         assert set(tg) == set(tl)
+
+
+def test_local_family_and_its_machines_have_the_same_traces(
+        data_transfer_type):
+    # the buffer rule of stepped equation systems against the compiled one
+    # of machine systems
+    fam = {p: gproject(data_transfer_type, p)
+           for p in gg_participants(data_transfer_type)}
+    s = make_system([gto_machine(t, p) for p, t in fam.items()])
+    for k in (1, 2):
+        assert gtraces_local(fam, 6, k) == traces(s, 6, k)
 
 
 def test_stepping_keeps_no_equation_system_alive():

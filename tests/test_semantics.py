@@ -1,8 +1,15 @@
 """Execution of global types and local-type collections, trace equivalence."""
-from mpst import (Action, GBranch, local_config, parse_global, parse_local,
-                  print_type, project, project_config, gbuffers, step_global,
-                  step_local, trace_equiv, traces, traces_global,
-                  traces_local, trie_flatten, unfold)
+from mpst import (Action, GBranch, gparticipants, local_config, make_system,
+                  parse_global, parse_local, parse_system, print_type,
+                  project, project_config, gbuffers, step_global, step_local,
+                  to_machine, trace_equiv, traces, traces_global,
+                  traces_local, trie_flatten, unfold, well_formed)
+from conftest import DATA
+
+LOOP = """
+machine A { init q0; q0 -- A B ! x --> q0; }
+machine B { init q0; q0 -- A B ? x --> q0; }
+"""
 
 
 def acts(steps):
@@ -131,6 +138,35 @@ def test_trace_equiv_accepts_prebuilt_tries(commit_type, commit_system):
     ts = traces(commit_system, 6, 1)
     ok, w = trace_equiv(tg, ts, 6, 1)
     assert ok, w
+
+
+def test_trace_equiv_decides_deep_tries():
+    # one trie level per step: nothing may recurse once per level
+    g = parse_global("rec t. A -> B : x. t")
+    assert trace_equiv(g, parse_system(LOOP), 1200, 1) == (True, None)
+
+
+def test_trie_flatten_handles_deep_tries():
+    flat = trie_flatten(traces(parse_system(LOOP), 1200, 1))
+    assert len(flat) == 1201 and max(map(len, flat)) == 1200
+
+
+def test_local_types_and_their_machines_have_the_same_traces():
+    # the buffer rule of stepped local types against the compiled one of
+    # machine systems, on every projectable global type of the corpus
+    checked = 0
+    for path in sorted(DATA.glob("*.gt")):
+        g = parse_global(path.read_text())
+        if not well_formed(g):
+            continue
+        ps = sorted(gparticipants(g))
+        fam = local_config({p: project(g, p) for p in ps})
+        s = make_system([to_machine(project(g, p), p) for p in ps])
+        for k in (1, 2, 3):
+            assert (trie_flatten(traces_local(fam, 6, k))
+                    == trie_flatten(traces(s, 6, k))), (path.name, k)
+        checked += 1
+    assert checked == 3
 
 
 def test_marked_global_type_prints_the_in_transit_label(commit_type):
