@@ -702,10 +702,10 @@ def _complete_receiver_sets(succ: list, c0: int) -> frozenset[frozenset]:
     edges: dict = {start: []}  # the nodes reached, with their successors
     dq = deque([start])
     while dq:
-        cfg, r = node = dq.popleft()
-        for act, cfg2 in succ[cfg]:
+        i, r = node = dq.popleft()
+        for act, j in succ[i]:
             r2 = r | {act.receiver} if act.op == "?" else r
-            nxt = (cfg2, r2)
+            nxt = (j, r2)
             edges[node].append(nxt)
             if nxt not in edges:
                 edges[nxt] = []
