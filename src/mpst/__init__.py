@@ -9,6 +9,8 @@ including a generalised, graph-shaped flavour of types with fork/join
 parallelism and shared continuations.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (ChoiceOwnership, MergeFailure, MPSTError, NotBasic,
                      NotCompatible, NotSessionCompatible, ParseError,
                      ResourceLimit, SynthesisFailure)
@@ -40,5 +42,7 @@ from .generalized import (EndEq, Fork, GConfig, GeneralGlobal, GeneralLocal,
                           print_glocal, receiver_property, session_compatible,
                           to_petri, unique_sender)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds here
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

@@ -28,7 +28,8 @@ def _trie(start, step, max_len: int, k: int, cap: int | None) -> dict:
     to sub-trie of the runs of at most max_len steps from start, where
     step(state, k) lists the enabled (action, state') pairs.  The walk is
     level-synchronous over (state, trie node) pairs, deduplicated so that
-    converging interleavings do not multiply the frontier."""
+    converging interleavings do not multiply the frontier.  It keeps its own
+    loop: `_bfs` interns each state once, whatever its depth."""
     cap = cap if cap is not None else node_cap()
     root: dict = {}
     frontier = {(start, id(root)): (start, root)}
@@ -52,6 +53,49 @@ def _trie(start, step, max_len: int, k: int, cap: int | None) -> dict:
     return root
 
 
+def _bfs(start, step, cap: int | None, what: str) -> tuple[list, list, list]:
+    """Breadth-first search from start, where step(node) lists the
+    (label, node') pairs leaving node; each node is interned to its BFS
+    index on first sight.
+
+    Returns the nodes in BFS order; the successor row of each, a flat list
+    [label, j, label, j, ...] in step order; and the BFS parent (i, label)
+    of each, None for start, so that `_path` from node j gives a shortest
+    path to it.  Raises ResourceLimit ("<what> exceeded the node cap of
+    <cap>") as soon as there are more than cap (default `node_cap()`)
+    nodes."""
+    cap = cap if cap is not None else node_cap()
+    nodes = [start]
+    index = {start: 0}
+    parents: list[tuple[int, object] | None] = [None]
+    rows = []
+    # nodes grows while it is walked: the walk is the BFS queue
+    for i, node in enumerate(nodes):
+        row = []
+        for label, nxt in step(node):
+            j = index.get(nxt)
+            if j is None:
+                j = index[nxt] = len(nodes)
+                nodes.append(nxt)
+                parents.append((i, label))
+                if len(nodes) > cap:
+                    raise ResourceLimit(
+                        f"{what} exceeded the node cap of {cap}")
+            row.append(label)
+            row.append(j)
+        rows.append(row)
+    return nodes, rows, parents
+
+
+def _path(parents: list, i: int) -> tuple:
+    """The labels along `_bfs` parents from the start to node i."""
+    acc = []
+    while (prev := parents[i]) is not None:
+        i, label = prev
+        acc.append(label)
+    return tuple(reversed(acc))
+
+
 @dataclass(frozen=True)
 class Config:
     """Joint control state + buffer contents, aligned with the system's
@@ -71,8 +115,8 @@ def initial(s: System) -> Config:
 
 # --------------------------------------------------------------------------
 # The exploration kernel.  A system is compiled once into a table; every
-# analysis here steps through it with `_successors`, the FIFO step of
-# machine systems (`_fifo` is that of the other views), on flat keys (see
+# analysis here steps through it with `_steps`, the FIFO step of machine
+# systems (`_fifo` is that of the other views), on flat keys (see
 # `_explore`); `Config` objects are built only for callers.
 
 class _Table:
@@ -117,13 +161,12 @@ def _config(t: _Table, key: tuple) -> Config:
     return Config(key[:t.n], key[t.n:])
 
 
-def _successors(t: _Table, key: tuple, k: int | None) -> list:
-    """Every enabled move from key, in participant order and then
-    `Machine.outgoing` order, as (action, participant index, its new state,
-    buffer slot, the slot's new word); a send is enabled only while its
-    channel holds fewer than k messages (when k is given).  A move rewrites
-    these two slots of the key and no other.  The buffer rule is `_fifo`'s,
-    inlined: calling it per move cost 6-7% on `check_safety`."""
+def _steps(t: _Table, key: tuple, k: int | None) -> list:
+    """Every enabled move from key, as (action, key'), in participant order
+    and then `Machine.outgoing` order; a send is enabled only while its
+    channel holds fewer than k messages (when k is given).  The buffer rule
+    is `_fifo`'s, inlined: calling it per move cost 6-7% on
+    `check_safety`."""
     out = []
     for i, moves in enumerate(t.moves):
         for send, slot, label, dst, act in moves.get(key[i], ()):
@@ -136,14 +179,17 @@ def _successors(t: _Table, key: tuple, k: int | None) -> list:
                 b = b[1:]
             else:
                 continue
-            out.append((act, i, dst, slot, b))
+            nxt = list(key)
+            nxt[i] = dst
+            nxt[slot] = b
+            out.append((act, tuple(nxt)))
     return out
 
 
 def _fifo(buffers: tuple, i: int, act: Action, k: int | None) -> tuple | None:
     """The buffers after act on channel i, None when act is not enabled, by
-    the rule of `_successors`, which keeps its own inlined copy for speed:
-    the FIFO step of local-type collections and equation systems."""
+    the rule of `_steps`, which keeps its own inlined copy for speed: the
+    FIFO step of local-type collections and equation systems."""
     b = buffers[i]
     if act.op == "!":
         if k is not None and len(b) >= k:
@@ -157,67 +203,23 @@ def _fifo(buffers: tuple, i: int, act: Action, k: int | None) -> tuple | None:
 
 
 def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:
-    """BFS over RS_k, each configuration interned to its BFS index on first
-    sight.  A key is one flat tuple: the local states, participants in
-    sorted order, then the buffers, channels in `System.channels` order.
-
-    Returns the keys in BFS order; the successor row of each, a flat list
-    [action, j, action, j, ...] in `_successors` order, which is the order
-    of `fire` and of `reach`'s edges; and the BFS parent (i, action) of
-    each, None for the initial key, so that following parents from key j
-    gives a shortest path to it.  Raises ValueError for k < 1, and
-    ResourceLimit as soon as there are more than cap (default `node_cap()`)
-    keys."""
+    """`_bfs` over RS_k.  A key is one flat tuple: the local states,
+    participants in sorted order, then the buffers, channels in
+    `System.channels` order.  The successor rows are in `_steps` order,
+    which is the order of `fire` and of `reach`'s edges.  Raises ValueError
+    for k < 1, and ResourceLimit as soon as there are more than cap
+    (default `node_cap()`) keys."""
     if k < 1:
         raise ValueError("bound k must be >= 1")
-    cap = cap if cap is not None else node_cap()
     t = _table(s)
-    keys = [t.start]
-    index = {t.start: 0}
-    parents: list[tuple[int, Action] | None] = [None]
-    rows = []
-    # keys grows while it is walked: the walk is the BFS queue
-    for i, key in enumerate(keys):
-        row = []
-        for act, p, dst, slot, b in _successors(t, key, k):
-            nxt = list(key)
-            nxt[p] = dst
-            nxt[slot] = b
-            nxt = tuple(nxt)
-            j = index.get(nxt)
-            if j is None:
-                j = index[nxt] = len(keys)
-                keys.append(nxt)
-                parents.append((i, act))
-                if len(keys) > cap:
-                    raise ResourceLimit(
-                        f"reachability set exceeded the node cap of {cap}")
-            row.append(act)
-            row.append(j)
-        rows.append(row)
-    return keys, rows, parents
-
-
-def _path(parents: list, i: int) -> tuple[Action, ...]:
-    """The actions along BFS parents from the initial key to key i."""
-    acc = []
-    while (prev := parents[i]) is not None:
-        i, act = prev
-        acc.append(act)
-    return tuple(reversed(acc))
+    return _bfs(t.start, lambda key: _steps(t, key, k), cap,
+                "reachability set")
 
 
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
     """All enabled transitions from c (k-bounded when k is given)."""
     t = _table(s)
-    out = []
-    for act, p, dst, slot, b in _successors(t, _key(c), k):
-        states = list(c.states)
-        states[p] = dst
-        bufs = list(c.buffers)
-        bufs[slot - t.n] = b
-        out.append((act, Config(tuple(states), tuple(bufs))))
-    return tuple(out)
+    return tuple((act, _config(t, key)) for act, key in _steps(t, _key(c), k))
 
 
 @dataclass(frozen=True)
@@ -412,17 +414,8 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
 
 def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
     t = _table(s)
-
-    def step(key: tuple, k: int) -> list:
-        out = []
-        for act, p, dst, slot, b in _successors(t, key, k):
-            nxt = list(key)
-            nxt[p] = dst
-            nxt[slot] = b
-            out.append((act, tuple(nxt)))
-        return out
-
-    return _trie(t.start, step, max_len, k, cap)
+    return _trie(t.start, lambda key, k: _steps(t, key, k), max_len, k,
+                 cap)
 
 
 def trie_flatten(trie: dict, prefix: tuple = ()) -> set[tuple]:

@@ -106,6 +106,9 @@ def _cmd_translate(args) -> int:
         return 0
     if isinstance(obj, System):
         if args.participant:
+            if args.participant not in obj.participants:
+                raise ParseError(
+                    f"no machine for participant {args.participant}")
             t = to_local(obj.machine(args.participant))
             _emit(print_type(t) + "\n", args.output)
         else:
@@ -249,10 +252,12 @@ def _cmd_dot(args) -> int:
 
 def _verify_arg(text: str) -> tuple[int, int]:
     try:
-        n, k = text.split(",")
-        return int(n), int(k)
+        n, k = map(int, text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected N,K (e.g. 10,3)")
+    if n < 1 or k < 1:
+        raise argparse.ArgumentTypeError("N and K must be at least 1")
+    return n, k
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +332,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, ValueError) as e:
+        # ValueError: an argument out of range, such as a bound below 1
         print(f"mpst: {e}", file=sys.stderr)
         return 2
     except ResourceLimit as e:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .cfsm import is_basic, reach
+from .cfsm import _explore, is_basic
 from .errors import NotBasic
 from .syntax import Action, Participant, System
 
@@ -88,23 +88,21 @@ def multiparty_compatible(s: System, allow_nonbasic: bool = False) -> CompatRepo
                 raise NotBasic(f"{p}: {nondet[0]}")
             if not allow_nonbasic:
                 raise NotBasic(f"{p}: {reasons[0]}")
-    rs1 = reach(s, 1)
     ps = s.participants
+    n = len(ps)
     failures: list[CompatFailure] = []
-    seen_start: set[tuple] = set()
     closure_cache: dict = {}
-    for c in rs1.configs:
-        if not c.is_stable():
+    # the stable configurations of RS_1, keys whose buffers are all empty:
+    # no two of them share their local states
+    for key in _explore(s, 1, None)[0]:
+        if any(key[n:]):
             continue
+        states = key[:n]
         for i, p in enumerate(ps):
-            key = (c.states, p)
-            if key in seen_start:
-                continue
-            seen_start.add(key)
             others = tuple(x for x in ps if x != p)
-            ctx = tuple(q for x, q in zip(ps, c.states) if x != p)
+            ctx = tuple(q for x, q in zip(ps, states) if x != p)
             failures.extend(
-                _walk(s, p, c.states[i], others, ctx, closure_cache))
+                _walk(s, p, states[i], others, ctx, closure_cache))
     unique = []
     keys = set()
     for f in failures:
@@ -118,7 +116,10 @@ def multiparty_compatible(s: System, allow_nonbasic: bool = False) -> CompatRepo
 def _closure(s: System, p: Participant, others: tuple[Participant, ...],
              ctx: tuple[str, ...], cache: dict) -> dict:
     """Contexts reachable from ctx by atomic exchanges not involving p,
-    mapped to the shortest exchange path reaching them (discovery order)."""
+    mapped to the shortest exchange path reaching them (discovery order).
+    It keeps its own loop: on `_bfs`, with the paths rebuilt from parents,
+    it was longer, and `multiparty_compatible` of ring(16) took 1.03-1.17x
+    as long on a 2-core VM."""
     key = (p, ctx)
     if key in cache:
         return cache[key]
@@ -146,7 +147,9 @@ def _closure(s: System, p: Participant, others: tuple[Participant, ...],
 
 def _walk(s: System, p: Participant, q0: str, others: tuple[Participant, ...],
           ctx0: tuple[str, ...], closure_cache: dict) -> list[CompatFailure]:
-    """Check p's behaviour from state q0 against every reachable context."""
+    """Check p's behaviour from state q0 against every reachable context.
+    It keeps its own loop: it records failures as it walks, and each step
+    extends the path by a context path and an exchange, not by one label."""
     m = s.machine(p)
     failures: list[CompatFailure] = []
     visited = {(q0, ctx0)}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .cfsm import _explore, _fifo, _trie, is_basic, node_cap, reach
+from .cfsm import _bfs, _explore, _fifo, _path, _trie, is_basic, node_cap
 from .compat import dual, multiparty_compatible
 from .errors import (ChoiceOwnership, NotBasic, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
@@ -387,21 +387,23 @@ def _put(ps: ParState, i: int, *new: Var) -> ParState:
     return tuple(sorted(ps[:i] + ps[i + 1:] + new))
 
 
-def _gclosure(defs: dict, ps: ParState, p: Participant | None,
-              fork_cap: int) -> tuple[ParState, ...]:
+def _gclosure(defs: dict, ps: ParState,
+              p: Participant | None) -> tuple[ParState, ...]:
     """Hole positions silently reachable from ps.
 
     Structural equations are crossed freely; with a participant given (the
     global reading) message equations that do not involve it are crossed
-    too.  Choices branch the closure rather than the hole multiset.
+    too.  Choices branch the closure rather than the hole multiset.  It
+    keeps its own loop: it returns a sorted set, not a graph, and stops at
+    the first multiset of more than DEFAULT_FORK_CAP holes.
     """
     seen = {ps}
     dq = deque([ps])
     while dq:
         cur = dq.popleft()
-        if len(cur) > fork_cap:
-            raise ResourceLimit(
-                f"more than {fork_cap} parallel branches for one participant")
+        if len(cur) > DEFAULT_FORK_CAP:
+            raise ResourceLimit(f"more than {DEFAULT_FORK_CAP} parallel "
+                                f"branches for one participant")
         nxt: list[ParState] = []
         for i, x in enumerate(cur):
             if i and cur[i - 1] == x:
@@ -459,12 +461,11 @@ def ginitial_global(g: GeneralGlobal) -> GConfig:
                    tuple(() for _ in channels(ps)))
 
 
-def gstep_global(g: GeneralGlobal, c: GConfig, k: int | None = None,
-                 fork_cap: int = DEFAULT_FORK_CAP) -> tuple[tuple[Action, GConfig], ...]:
+def gstep_global(g: GeneralGlobal, c: GConfig,
+                 k: int | None = None) -> tuple[tuple[Action, GConfig], ...]:
     """Enabled steps of a global equation system (k-bounded sends)."""
     ps = gg_participants(g)
-    return _gsteps({p: _defs(g) for p in ps}, ps, c, k, fork_cap,
-                   global_view=True)
+    return _gsteps({p: _defs(g) for p in ps}, ps, c, k, global_view=True)
 
 
 def ginitial_local(family: dict[Participant, GeneralLocal]) -> GConfig:
@@ -474,22 +475,20 @@ def ginitial_local(family: dict[Participant, GeneralLocal]) -> GConfig:
 
 
 def gstep_local(family: dict[Participant, GeneralLocal], c: GConfig,
-                k: int | None = None,
-                fork_cap: int = DEFAULT_FORK_CAP) -> tuple[tuple[Action, GConfig], ...]:
+                k: int | None = None) -> tuple[tuple[Action, GConfig], ...]:
     """Enabled steps of a family of local equation systems."""
     ps = tuple(sorted(family))
-    return _gsteps({p: _defs(family[p]) for p in ps}, ps, c, k, fork_cap,
+    return _gsteps({p: _defs(family[p]) for p in ps}, ps, c, k,
                    global_view=False)
 
 
 def _gsteps(defs_by: dict, ps: tuple[Participant, ...], c: GConfig,
-            k: int | None, fork_cap: int, global_view: bool):
+            k: int | None, global_view: bool):
     index = {ch: i for i, ch in enumerate(channels(ps))}
     out = set()
     for i, p in enumerate(ps):
         defs = defs_by[p]
-        for elem in _gclosure(defs, c.holes[i], p if global_view else None,
-                              fork_cap):
+        for elem in _gclosure(defs, c.holes[i], p if global_view else None):
             for act, hi, cont in _gfire(defs, elem, p):
                 bufs = _fifo(c.buffers, index[act.channel], act, k)
                 if bufs is None:
@@ -516,33 +515,29 @@ def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
 # Machines from local equation systems: subset construction over hole
 # positions, actions resolved against the owner.
 
-def gto_machine(t: GeneralLocal, owner: Participant,
-                fork_cap: int = DEFAULT_FORK_CAP) -> Machine:
+def gto_machine(t: GeneralLocal, owner: Participant) -> Machine:
+    """The machine of t: `_bfs` over closed sets of hole positions, state
+    s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
+    states."""
     defs = _defs(t)
 
-    def close(states: frozenset[ParState]) -> frozenset[ParState]:
+    def close(states) -> frozenset[ParState]:
         acc: set[ParState] = set()
         for ps in states:
-            acc.update(_gclosure(defs, ps, None, fork_cap))
+            acc.update(_gclosure(defs, ps, None))
         return frozenset(acc)
 
-    init = close(frozenset({(t.entry,)}))
-    names: dict[frozenset[ParState], str] = {init: "s0"}
-    order = deque([init])
-    transitions = []
-    while order:
-        cur = order.popleft()
+    def step(cur: frozenset[ParState]) -> list:
         moves: dict[Action, set[ParState]] = {}
         for ps in cur:
-            for act0, hi, cont in _gfire(defs, ps, owner):
-                moves.setdefault(act0, set()).add(_put(ps, hi, cont))
-        for act in sorted(moves):
-            nxt = close(frozenset(moves[act]))
-            if nxt not in names:
-                names[nxt] = f"s{len(names)}"
-                order.append(nxt)
-            transitions.append((names[cur], act, names[nxt]))
-    return Machine(owner, "s0", tuple(transitions))
+            for act, hi, cont in _gfire(defs, ps, owner):
+                moves.setdefault(act, set()).add(_put(ps, hi, cont))
+        return [(act, close(moves[act])) for act in sorted(moves)]
+
+    _, rows, _ = _bfs(close({(t.entry,)}), step, None, "subset construction")
+    return Machine(owner, "s0", tuple(
+        (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
+        for act, j in zip(row[::2], row[1::2])))
 
 
 # --------------------------------------------------------------------------
@@ -597,7 +592,8 @@ def to_petri(t, owner: Participant | None = None) -> LabelledNet:
 
 def is_safe(net: LabelledNet, cap: int | None = None) -> tuple[bool, dict | None]:
     """Exhaustively check that no reachable marking puts two tokens on a
-    place; returns the offending marking otherwise."""
+    place; returns the offending marking otherwise.  It keeps its own loop,
+    which stops at the first unsafe marking."""
     cap = cap if cap is not None else node_cap()
     init = frozenset({(net.initial, 1)})
     seen = {init}
@@ -697,29 +693,26 @@ def receiver_property(s: System, k: int = 1,
 def _complete_receiver_sets(succ: list, c0: int) -> frozenset[frozenset]:
     """Receiver sets that cannot grow any further from some reachable
     point after configuration c0, along the RS_k edges succ lists by BFS
-    index (see `_explore`)."""
-    start = (c0, frozenset())
-    edges: dict = {start: []}  # the nodes reached, with their successors
-    dq = deque([start])
-    while dq:
-        i, r = node = dq.popleft()
-        for act, j in succ[i]:
-            r2 = r | {act.receiver} if act.op == "?" else r
-            nxt = (j, r2)
-            edges[node].append(nxt)
-            if nxt not in edges:
-                edges[nxt] = []
-                dq.append(nxt)
-    can_grow = {n: any(m[1] > n[1] for m in edges[n]) for n in edges}
+    index (see `_explore`): `_bfs` over (configuration, receivers so far)."""
+
+    def step(node):
+        i, r = node
+        return [(act, (j, r | {act.receiver} if act.op == "?" else r))
+                for act, j in succ[i]]
+
+    nodes, rows, _ = _bfs((c0, frozenset()), step, None, "receiver-set search")
+    sets = [r for _, r in nodes]
+    nexts = [row[1::2] for row in rows]
+    can_grow = [any(sets[m] > r for m in ms) for r, ms in zip(sets, nexts)]
     changed = True
     while changed:
         changed = False
-        for n in edges:
+        for n, ms in enumerate(nexts):
             if not can_grow[n] and any(
-                    can_grow[m] for m in edges[n] if m[1] == n[1]):
+                    can_grow[m] for m in ms if sets[m] == sets[n]):
                 can_grow[n] = True
                 changed = True
-    return frozenset(n[1] for n in edges if not can_grow[n])
+    return frozenset(r for r, grow in zip(sets, can_grow) if not grow)
 
 
 def unique_sender(s: System, k: int = 1,
@@ -728,29 +721,21 @@ def unique_sender(s: System, k: int = 1,
     decided by a single participant."""
     if require_compatible:
         _require_compat(s)
-    rs = reach(s, k)
-    ps = s.participants
-    by_source: dict = {}
-    for a, act, b in rs.edges:
-        by_source.setdefault(a, []).append((act, b))
-    reachable_cache: dict = {}
-    all_edges = rs.edges
+    keys, rows, parents = _explore(s, k, None)
+    succ = [list(zip(row[::2], row[1::2])) for row in rows]
+    by_act: dict[Action, list[tuple[int, int]]] = {}  # edges in BFS order
+    for c, moves in enumerate(succ):
+        for act, c2 in moves:
+            by_act.setdefault(act, []).append((c, c2))
+    reachable_cache: dict[int, set[int]] = {}
 
-    def reachable_from(c) -> set:
-        if c in reachable_cache:
-            return reachable_cache[c]
-        seen = {c}
-        dq = deque([c])
-        while dq:
-            x = dq.popleft()
-            for _, y in by_source.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    dq.append(y)
-        reachable_cache[c] = seen
-        return seen
+    def reachable_from(c: int) -> set[int]:
+        if c not in reachable_cache:
+            nodes = _bfs(c, lambda i: succ[i], None, "reachability set")[0]
+            reachable_cache[c] = set(nodes)
+        return reachable_cache[c]
 
-    for i, p in enumerate(ps):
+    for i, p in enumerate(s.participants):
         m = s.machine(p)
         for q in sorted(m.states):
             recvs = [(a, d) for _, a, d in m.outgoing(q) if a.op == "?"]
@@ -764,10 +749,10 @@ def unique_sender(s: System, k: int = 1,
                     after2 = {d for _, a, d in m.outgoing(d2) if a == a1}
                     if after1 & after2:
                         continue
-                    inst1 = [(c, c2) for c, act, c2 in all_edges
-                             if act == a1 and c.states[i] == q]
-                    inst2 = [(c, c2) for c, act, c2 in all_edges
-                             if act == a2 and c.states[i] == q]
+                    inst1 = [(c, c2) for c, c2 in by_act.get(a1, ())
+                             if keys[c][i] == q]
+                    inst2 = [(c, c2) for c, c2 in by_act.get(a2, ())
+                             if keys[c][i] == q]
                     if not inst1 or not inst2:
                         continue
                     # receives one of which can still follow the other are
@@ -777,7 +762,7 @@ def unique_sender(s: System, k: int = 1,
                     if any(reachable_from(c2) & starts2 for _, c2 in inst1) \
                             or any(reachable_from(c2) & starts1 for _, c2 in inst2):
                         continue
-                    w1 = _best_witnesses(rs, inst1, inst2, a1, a2)
+                    w1 = _best_witnesses(parents, inst1, inst2, a1, a2)
                     if w1 is None:
                         continue
                     phi1, phi2, div = w1
@@ -788,11 +773,11 @@ def unique_sender(s: System, k: int = 1,
     return True
 
 
-def _best_witnesses(rs, inst1, inst2, a1, a2):
+def _best_witnesses(parents, inst1, inst2, a1, a2):
     """Shortest executions reaching each receive, maximising their common
     prefix; returns both with the divergence point."""
-    paths1 = sorted(rs.path_to(c) + (a1,) for c, _ in inst1)
-    paths2 = sorted(rs.path_to(c) + (a2,) for c, _ in inst2)
+    paths1 = sorted(_path(parents, c) + (a1,) for c, _ in inst1)
+    paths2 = sorted(_path(parents, c) + (a2,) for c, _ in inst2)
     best = None
     for w1 in paths1:
         for w2 in paths2:
@@ -882,7 +867,6 @@ def gsynthesize(s: System) -> GeneralGlobal:
         raise NotSessionCompatible(f"{bad[0]} fails: {bad[1]}")
     ps = s.participants
     machines = [s.machine(p) for p in ps]
-    init = tuple(m.initial for m in machines)
 
     def exchanges(tup):
         out = []
@@ -898,24 +882,20 @@ def gsynthesize(s: System) -> GeneralGlobal:
                         out.append((a, tuple(nxt)))
         return sorted(out)
 
-    names = {init: "x0"}
-    order = [init]
-    dq = deque([init])
-    edges = []
-    while dq:
-        cur = dq.popleft()
-        for a, nxt in exchanges(cur):
-            if nxt not in names:
-                names[nxt] = f"x{len(names)}"
-                order.append(nxt)
-                dq.append(nxt)
-            edges.append((cur, a, nxt))
-    counter = iter(range(len(names), len(names) + 4 * len(edges) + 4))
+    # vertex x{i} is the i-th joint state found; edges are (i, action, j)
+    nodes, rows, _ = _bfs(tuple(m.initial for m in machines), exchanges,
+                          None, "synchronous execution")
+    outgoing = [[(u, a, v) for a, v in zip(row[::2], row[1::2])]
+                for u, row in enumerate(rows)]
+    edges = [e for outs in outgoing for e in outs]
+    incoming: list[list] = [[] for _ in nodes]
+    for e in edges:
+        incoming[e[2]].append(e)
+    counter = iter(range(len(nodes), len(nodes) + 4 * len(edges) + 4))
     eqs = []
     head_var: dict = {}
     # branching points: one head variable per outgoing edge, cascaded
-    for u in order:
-        outs = [e for e in edges if e[0] == u]
+    for u, outs in enumerate(outgoing):
         if len(outs) < 2:
             continue
         heads = []
@@ -923,7 +903,7 @@ def gsynthesize(s: System) -> GeneralGlobal:
             v = f"x{next(counter)}"
             head_var[e] = v
             heads.append(v)
-        left = names[u]
+        left = f"x{u}"
         while len(heads) > 2:
             aux = f"x{next(counter)}"
             eqs.append(GGChoice(left, heads[0], aux))
@@ -932,8 +912,7 @@ def gsynthesize(s: System) -> GeneralGlobal:
         eqs.append(GGChoice(left, heads[0], heads[1]))
     # shared continuations: one entry variable per incoming edge, merged
     entry_var: dict = {}
-    for v in order:
-        ins = [e for e in edges if e[2] == v]
+    for v, ins in enumerate(incoming):
         if len(ins) < 2:
             continue
         tails = []
@@ -945,17 +924,17 @@ def gsynthesize(s: System) -> GeneralGlobal:
             aux = f"x{next(counter)}"
             eqs.append(Merge(tails[0], tails[1], aux))
             tails = [aux] + tails[2:]
-        eqs.append(Merge(tails[0], tails[1], names[v]))
+        eqs.append(Merge(tails[0], tails[1], f"x{v}"))
     for e in edges:
         u, a, v = e
-        eqs.append(GGMsg(head_var.get(e, names[u]), a.sender, a.receiver,
-                         a.label, entry_var.get(e, names[v])))
-    for tup in order:
-        if not any(e[0] == tup for e in edges):
+        eqs.append(GGMsg(head_var.get(e, f"x{u}"), a.sender, a.receiver,
+                         a.label, entry_var.get(e, f"x{v}")))
+    for u, tup in enumerate(nodes):
+        if not outgoing[u]:
             if not all(q in m.final_states
                        for q, m in zip(tup, machines)):
                 raise SynthesisFailure(
                     f"execution stops at {dict(zip(ps, tup))} "
                     f"with unfinished machines")
-            eqs.append(EndEq(names[tup]))
+            eqs.append(EndEq(f"x{u}"))
     return GeneralGlobal("x0", tuple(eqs))

@@ -8,12 +8,10 @@ into a local type, introducing one recursion binder per loop entry.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import NotBasic
 from .syntax import (Action, LEnd, LRec, LRecv, LSend, LVar, Local, Machine,
                      Participant, alpha_canonical)
-from .cfsm import is_basic
+from .cfsm import _bfs, is_basic
 
 
 def to_machine(t: Local, owner: Participant) -> Machine:
@@ -49,19 +47,12 @@ def to_machine(t: Local, owner: Participant) -> Machine:
 
     init = denote(t, (), {})
     # Rename states q0, q1, ... in BFS order with action-sorted edges.
-    names: dict[tuple, str] = {init: "q0"}
-    order = deque([init])
-    while order:
-        p = order.popleft()
-        for act, dst in sorted(succ[p]):
-            if dst not in names:
-                names[dst] = f"q{len(names)}"
-                order.append(dst)
-    transitions = []
-    for path in names:
-        for act, dst in succ[path]:
-            transitions.append((names[path], act, names[dst]))
-    return Machine(owner, "q0", tuple(transitions))
+    order = _bfs(init, lambda path: sorted(succ[path]), None,
+                 "local type translation")[0]
+    names = {path: f"q{i}" for i, path in enumerate(order)}
+    return Machine(owner, "q0", tuple(
+        (names[path], act, names[dst])
+        for path in order for act, dst in succ[path]))
 
 
 def to_local(m: Machine) -> Local:
@@ -111,17 +102,10 @@ def _canonical(m: Machine) -> tuple:
         if (src, act) in seen and seen[(src, act)] != dst:
             raise NotBasic("isomorphism requires deterministic machines")
         seen[(src, act)] = dst
-    names = {m.initial: 0}
-    order = deque([m.initial])
-    while order:
-        q = order.popleft()
-        for _, act, dst in sorted(m.outgoing(q), key=lambda e: e[1]):
-            if dst not in names:
-                names[dst] = len(names)
-                order.append(dst)
-    edges = []
-    for q in sorted(names, key=names.get):
-        for _, act, dst in m.outgoing(q):
-            if dst in names:
-                edges.append((names[q], act, names[dst]))
-    return (m.owner, tuple(sorted(edges)))
+    # the machine is deterministic, so (action, dst) pairs sort by action
+    order = _bfs(m.initial,
+                 lambda q: sorted((act, dst) for _, act, dst in m.outgoing(q)),
+                 None, "canonical renaming")[0]
+    names = {q: i for i, q in enumerate(order)}
+    return (m.owner, tuple(sorted((names[q], act, names[dst]) for q in order
+                                  for _, act, dst in m.outgoing(q))))

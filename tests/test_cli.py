@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import DATA
 
 
@@ -174,3 +175,23 @@ def test_dot():
     assert out.startswith('digraph "A" {') and "doublecircle" in out
     rc, _, err = run("dot", DATA / "commit.gt")
     assert rc == 2 and "dot expects" in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (("check", "commit.cfsm", "--bound", "0"), "bound k must be >= 1"),
+    (("check", "commit.cfsm", "--bound", "-2"), "bound k must be >= 1"),
+    (("dot", "commit.cfsm", "--bound", "-1"), "bound k must be >= 1"),
+    (("translate", "commit.cfsm", "-p", "Z"), "no machine for participant Z"),
+], ids=["check-bound-0", "check-bound-minus-2", "dot-bound-minus-1",
+        "translate-unknown-participant"])
+def test_bad_arguments_are_one_line_usage_errors(args, message):
+    cmd, name, *rest = args
+    rc, out, err = run(cmd, DATA / name, *rest)
+    assert (rc, out, err) == (2, "", f"mpst: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["0,0", "0,2", "6,0", "6,-1"])
+def test_synth_verify_bounds_must_be_positive(spec):
+    rc, out, err = run("synth", DATA / "commit.cfsm", "--verify", spec)
+    assert rc == 2 and out == ""
+    assert "N and K must be at least 1" in err

@@ -5,11 +5,11 @@ import weakref
 import pytest
 
 from mpst import (Action, ChoiceOwnership, LabelledNet, Machine, ParseError,
-                  dot_net, gg_participants, ginitial_global, ginitial_local,
-                  gproject, gstep_global, gstep_local, gsynthesize,
-                  gto_machine, gtraces_global, gtraces_local, is_safe,
-                  make_system, mixed_parallel, parse_gglobal, parse_glocal,
-                  parse_system, print_gglobal, print_glocal,
+                  ResourceLimit, dot_net, gg_participants, ginitial_global,
+                  ginitial_local, gproject, gstep_global, gstep_local,
+                  gsynthesize, gto_machine, gtraces_global, gtraces_local,
+                  is_safe, make_system, mixed_parallel, parse_gglobal,
+                  parse_glocal, parse_system, print_gglobal, print_glocal,
                   receiver_property, session_compatible, to_petri,
                   trace_equiv, traces, trie_flatten, unique_sender)
 from conftest import load
@@ -83,6 +83,16 @@ def test_machine_translation_of_the_sender(data_transfer_type):
         counts[str(a)] = counts.get(str(a), 0) + 1
     assert counts == {"AB!data": 4, "AC!log": 3, "AB!eof": 2}
     assert mixed_parallel(m)
+
+
+def test_subset_construction_obeys_the_node_cap(monkeypatch):
+    t = parse_glocal(load("data_transfer_a.glt"))
+    monkeypatch.setenv("MPST_NODE_CAP", "2")
+    with pytest.raises(ResourceLimit) as err:
+        gto_machine(t, "A")
+    assert str(err.value) == "subset construction exceeded the node cap of 2"
+    monkeypatch.setenv("MPST_NODE_CAP", "6")
+    assert len(gto_machine(t, "A").states) == 6
 
 
 def test_fork_of_two_sends_is_a_diamond():

@@ -1,15 +1,21 @@
 """Parsing, printing, and structural helpers for types and machines."""
+import inspect
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpst
 from mpst import (Action, GBranch, GEnd, GRec, LEnd, LRecv, LSend, ParseError,
                   alpha_canonical, alpha_equiv, glabels, gparticipants,
                   make_system, parse_global, parse_local, parse_system,
                   print_system, print_type, unfold)
 from mpst.syntax import tokenize
+
+
+def test_package_exports_no_submodules():
+    assert not [n for n in mpst.__all__ if inspect.ismodule(getattr(mpst, n))]
 
 
 def test_action_rendering_and_fields():
