@@ -20,16 +20,14 @@ from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, LEnd, LRec,
                      llabels, make_system, parse_global, parse_local,
                      parse_system, print_system, print_type, unfold)
 from .projection import WellFormedReport, merge, project, subtype, well_formed
-from .cfsm import (BAD_FLAGS, Config, ProductMachine, ReachSet, SafetyReport,
-                   associated, check_safety, classify, dot_machine, dot_reach,
-                   dot_system, fire, initial, is_basic, reach, traces,
-                   trie_flatten)
+from .cfsm import (BAD_FLAGS, Config, ReachSet, SafetyReport, check_safety,
+                   classify, dot_machine, dot_reach, dot_system, fire, initial,
+                   is_basic, reach, traces, trie_flatten)
 from .translate import isomorphic, to_local, to_machine
 from .semantics import (LocalConfig, gbuffers, local_config, project_config,
                         step_global, step_local, trace_equiv, traces_global,
                         traces_local)
-from .compat import (CompatFailure, CompatReport, depends, dual,
-                     is_alternation, multiparty_compatible)
+from .compat import CompatFailure, CompatReport, dual, multiparty_compatible
 from .synthesis import synthesize, verify_roundtrip
 from .generalized import (EndEq, Fork, GConfig, GeneralGlobal, GeneralLocal,
                           GGChoice, GGMsg, GLEChoice, GLIChoice, GLRecv,

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import product as iproduct
 
 from .errors import ResourceLimit
-from .syntax import Action, Machine, Participant, System
+from .syntax import Action, Machine, System
 
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -400,8 +399,7 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
                            f"{seen[(src, act)]} and {dst}")
         seen[(src, act)] = dst
     for q in sorted(m.states):
-        outs = m.outgoing(q)
-        peers = {a.receiver if a.op == "!" else a.sender for _, a, _ in outs}
+        peers = m._sends(q).keys() | m._receives(q).keys()
         if len(peers) > 1:
             reasons.append(f"not directed: state {q} talks to {sorted(peers)}")
         if m.is_mixed(q):
@@ -427,48 +425,6 @@ def trie_flatten(trie: dict, prefix: tuple = ()) -> set[tuple]:
         out.add(pre)
         todo.extend((pre + (act,), sub) for act, sub in node.items())
     return out
-
-
-# --------------------------------------------------------------------------
-# Associated product CFSM
-
-@dataclass(frozen=True)
-class ProductMachine:
-    """Product of several machines with componentwise transitions.
-
-    States are tuples aligned with `names`; expansion is lazy, `materialize`
-    builds the full product space Q1 x ... x Qn.
-    """
-
-    names: tuple[Participant, ...]
-    machines: tuple[Machine, ...]
-    initial: tuple[str, ...]
-
-    def successors(self, state: tuple[str, ...]) -> tuple[tuple[Action, tuple[str, ...]], ...]:
-        out = []
-        for i, m in enumerate(self.machines):
-            for _, act, dst in m.outgoing(state[i]):
-                nxt = list(state)
-                nxt[i] = dst
-                out.append((act, tuple(nxt)))
-        return tuple(out)
-
-    def materialize(self) -> tuple[tuple[tuple[str, ...], ...],
-                                   tuple[tuple[tuple[str, ...], Action, tuple[str, ...]], ...]]:
-        spaces = [sorted(m.states) for m in self.machines]
-        states = tuple(iproduct(*spaces))
-        edges = []
-        for st in states:
-            for act, nxt in self.successors(st):
-                edges.append((st, act, nxt))
-        return states, tuple(edges)
-
-
-def associated(s: System, minus: Participant | None = None) -> ProductMachine:
-    names = tuple(p for p in s.participants if p != minus)
-    machines = tuple(s.machine(p) for p in names)
-    return ProductMachine(names, machines,
-                          tuple(m.initial for m in machines))
 
 
 # --------------------------------------------------------------------------

@@ -163,6 +163,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.bound < 1:
+        raise ValueError("bound k must be >= 1")
+    if args.steps < 0:
+        raise ValueError("steps must be >= 0")
     obj = _load(args.file)
     if isinstance(obj, Global):
         state = obj
@@ -234,7 +238,7 @@ def _cmd_petri(args) -> int:
 def _cmd_dot(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, System):
-        if args.bound:
+        if args.bound is not None:
             sys.stdout.write(dot_reach(reach(obj, args.bound)))
         else:
             sys.stdout.write(dot_system(obj))

@@ -18,35 +18,12 @@ from dataclasses import dataclass
 
 from .cfsm import _explore, is_basic
 from .errors import NotBasic
-from .syntax import Action, Participant, System
+from .syntax import Action, Machine, Participant, System
 
 
 def dual(a: Action) -> Action:
     """The matching receive of a send and vice versa."""
     return Action(a.sender, a.receiver, "?" if a.op == "!" else "!", a.label)
-
-
-def is_alternation(trace) -> bool:
-    """True when the trace is a sequence of send·matching-receive pairs."""
-    if len(trace) % 2:
-        return False
-    for i in range(0, len(trace), 2):
-        if trace[i].op != "!" or trace[i + 1] != dual(trace[i]):
-            return False
-    return True
-
-
-def depends(t1: Action, t2: Action, phi) -> bool:
-    """t1 enables t2 within the trace phi: t1 occurs before t2 and they are
-    a matching send/receive pair or share a subject."""
-    phi = tuple(phi)
-    try:
-        i = phi.index(t1)
-    except ValueError:
-        return False
-    if t2 not in phi[i + 1:]:
-        return False
-    return t1 == dual(t2) or t1.subject == t2.subject
 
 
 @dataclass(frozen=True)
@@ -79,42 +56,78 @@ class CompatReport:
 
 
 def multiparty_compatible(s: System, allow_nonbasic: bool = False) -> CompatReport:
-    """Decide multiparty compatibility over the 1-bounded reachability set."""
+    """Decide multiparty compatibility over the 1-bounded reachability set.
+    Raises NotBasic for a nondeterministic machine, and without
+    allow_nonbasic for any machine that is not basic."""
     for p, m in s.machines:
         ok, reasons = is_basic(m)
-        if not ok:
-            nondet = [r for r in reasons if r.startswith("nondeterministic")]
-            if nondet:
-                raise NotBasic(f"{p}: {nondet[0]}")
-            if not allow_nonbasic:
-                raise NotBasic(f"{p}: {reasons[0]}")
+        # is_basic lists the nondeterminism reasons first
+        if not ok and (not allow_nonbasic
+                       or reasons[0].startswith("nondeterministic")):
+            raise NotBasic(f"{p}: {reasons[0]}")
+    return _multiparty_compatible(s, _explore(s, 1, None)[0])
+
+
+def _multiparty_compatible(s: System, keys: list) -> CompatReport:
+    """`multiparty_compatible` of a system of deterministic machines, given
+    the keys of its RS_1 (see `_explore`)."""
     ps = s.participants
     n = len(ps)
+    ms = tuple(m for _, m in s.machines)
     failures: list[CompatFailure] = []
     closure_cache: dict = {}
     # the stable configurations of RS_1, keys whose buffers are all empty:
     # no two of them share their local states
-    for key in _explore(s, 1, None)[0]:
+    for key in keys:
         if any(key[n:]):
             continue
-        states = key[:n]
         for i, p in enumerate(ps):
-            others = tuple(x for x in ps if x != p)
-            ctx = tuple(q for x, q in zip(ps, states) if x != p)
-            failures.extend(
-                _walk(s, p, states[i], others, ctx, closure_cache))
+            failures.extend(_walk(
+                p, ms[i], key[i], ps[:i] + ps[i + 1:], ms[:i] + ms[i + 1:],
+                key[:i] + key[i + 1:n], closure_cache))
     unique = []
-    keys = set()
+    seen = set()
     for f in failures:
         fkey = (f.participant, f.state, f.kind, f.witness)
-        if fkey not in keys:
-            keys.add(fkey)
+        if fkey not in seen:
+            seen.add(fkey)
             unique.append(f)
     return CompatReport(not unique, tuple(unique))
 
 
-def _closure(s: System, p: Participant, others: tuple[Participant, ...],
-             ctx: tuple[str, ...], cache: dict) -> dict:
+def _exchanges(names: tuple[Participant, ...], machines: tuple[Machine, ...],
+               states: tuple[str, ...], skip: Participant | None = None
+               ) -> list[tuple[Action, tuple[str, ...]]]:
+    """The matched exchanges from states, the local states of machines,
+    which belong to the participants names: each send not addressed to
+    skip, taken together with each receive of it by its receiver, as
+    (send, states'), in participant order and then `Machine.outgoing`
+    order."""
+    out = []
+    for i, (p, m) in enumerate(zip(names, machines)):
+        for r, labels in m._sends(states[i]).items():
+            if r == skip:
+                continue
+            j = names.index(r)
+            accepts = machines[j]._receives(states[j]).get(p)
+            if not accepts:
+                continue
+            for label, targets in labels.items():
+                rtargets = accepts.get(label)
+                if not rtargets:
+                    continue
+                send = Action(p, r, "!", label)
+                for di in targets:
+                    for dj in rtargets:
+                        nxt = list(states)
+                        nxt[i], nxt[j] = di, dj
+                        out.append((send, tuple(nxt)))
+    return out
+
+
+def _closure(p: Participant, others: tuple[Participant, ...],
+             ctx_machines: tuple[Machine, ...], ctx: tuple[str, ...],
+             cache: dict) -> dict:
     """Contexts reachable from ctx by atomic exchanges not involving p,
     mapped to the shortest exchange path reaching them (discovery order).
     It keeps its own loop: on `_bfs`, with the paths rebuilt from parents,
@@ -127,30 +140,21 @@ def _closure(s: System, p: Participant, others: tuple[Participant, ...],
     dq = deque([ctx])
     while dq:
         cur = dq.popleft()
-        for ui, u in enumerate(others):
-            for _, act, du in s.machine(u).outgoing(cur[ui]):
-                if act.op != "!" or act.receiver == p:
-                    continue
-                vi = others.index(act.receiver)
-                recv = dual(act)
-                for _, act2, dv in s.machine(act.receiver).outgoing(cur[vi]):
-                    if act2 == recv:
-                        nxt = list(cur)
-                        nxt[ui], nxt[vi] = du, dv
-                        nxt = tuple(nxt)
-                        if nxt not in out:
-                            out[nxt] = out[cur] + (act, recv)
-                            dq.append(nxt)
+        for send, nxt in _exchanges(others, ctx_machines, cur, p):
+            if nxt not in out:
+                out[nxt] = out[cur] + (send, dual(send))
+                dq.append(nxt)
     cache[key] = out
     return out
 
 
-def _walk(s: System, p: Participant, q0: str, others: tuple[Participant, ...],
+def _walk(p: Participant, m: Machine, q0: str,
+          others: tuple[Participant, ...], ctx_machines: tuple[Machine, ...],
           ctx0: tuple[str, ...], closure_cache: dict) -> list[CompatFailure]:
-    """Check p's behaviour from state q0 against every reachable context.
-    It keeps its own loop: it records failures as it walks, and each step
-    extends the path by a context path and an exchange, not by one label."""
-    m = s.machine(p)
+    """Check p's machine m from state q0 against every context reachable
+    from ctx0, the states of the other participants' machines.  It keeps
+    its own loop: it records failures as it walks, and each step extends
+    the path by a context path and an exchange, not by one label."""
     failures: list[CompatFailure] = []
     visited = {(q0, ctx0)}
     dq = deque([(q0, ctx0, ())])
@@ -162,92 +166,67 @@ def _walk(s: System, p: Participant, q0: str, others: tuple[Participant, ...],
 
     while dq:
         q, ctx, path = dq.popleft()
-        outs = m.outgoing(q)
-        if not outs:
+        sends, recvs = m._sends(q), m._receives(q)
+        if not sends and not recvs:
             continue
-        sends = [e for e in outs if e[1].op == "!"]
-        recvs = [e for e in outs if e[1].op == "?"]
-        clo = _closure(s, p, others, ctx, closure_cache)
+        clo = _closure(p, others, ctx_machines, ctx, closure_cache)
 
-        if sends:
-            groups: dict[Participant, list] = {}
-            for _, act, dst in sends:
-                groups.setdefault(act.receiver, []).append((act.label, dst))
-            for r in sorted(groups):
-                labels = frozenset(lbl for lbl, _ in groups[r])
-                ri = others.index(r)
-                mr = s.machine(r)
-                found = None
-                best = None
-                best_cover = -1
-                for ctx2, cpath in clo.items():
-                    J = {a.label for _, a, _ in mr.outgoing(ctx2[ri])
-                         if a.op == "?" and a.sender == p}
-                    if labels <= J:
-                        found = (ctx2, cpath)
-                        break
-                    if len(labels & J) > best_cover:
-                        best_cover = len(labels & J)
-                        best = (ctx2, cpath, J)
-                if found is None:
-                    ctx2, cpath, J = best
-                    missing = sorted(labels - J)
-                    failures.append(CompatFailure(
-                        p, q, "uncovered",
-                        f"{p} offers {sorted(labels)} to {r} but no reachable "
-                        f"context of {r} accepts {missing}",
-                        Action(p, r, "!", missing[0]), path + cpath))
-                    continue
-                ctx2, cpath = found
-                for lbl, dst in sorted(groups[r]):
-                    recv = Action(p, r, "?", lbl)
-                    tgt = [dv for _, a2, dv in mr.outgoing(ctx2[ri]) if a2 == recv]
-                    nctx = list(ctx2)
-                    nctx[ri] = tgt[0]
-                    push(dst, tuple(nctx),
-                         path + cpath + (Action(p, r, "!", lbl), recv))
-
-        if recvs:
-            recvmap: dict[Participant, dict[str, str]] = {}
-            for _, act, dst in recvs:
-                recvmap.setdefault(act.sender, {})[act.label] = dst
+        for r, labels in sends.items():
+            ri = others.index(r)
+            mr = ctx_machines[ri]
+            best, best_cover = None, -1
             for ctx2, cpath in clo.items():
-                for ri, r in enumerate(others):
-                    sendouts = [(a, dv) for _, a, dv in
-                                s.machine(r).outgoing(ctx2[ri])
-                                if a.op == "!" and a.receiver == p]
-                    if not sendouts:
-                        continue
-                    accepted = recvmap.get(r)
-                    if accepted is None:
-                        # p is not reading this channel here; the message
-                        # waits in its buffer rather than being refused
-                        continue
-                    bad = sorted({a.label for a, _ in sendouts}
-                                 - set(accepted))
-                    if bad:
-                        have = (f"{sorted(accepted)} from {r}" if accepted
-                                else f"nothing from {r}")
-                        failures.append(CompatFailure(
-                            p, q, "unhandled",
-                            f"{r} may send {bad[0]} to {p}, which accepts "
-                            f"only {have} at state {q}",
-                            Action(r, p, "!", bad[0]), path + cpath))
-                    for a, dv in sorted(sendouts):
-                        if a.label in accepted:
+                J = mr._receives(ctx2[ri]).get(p, {})
+                if labels.keys() <= J.keys():
+                    break
+                cover = len(labels.keys() & J.keys())
+                if cover > best_cover:
+                    best, best_cover = (cpath, J), cover
+            else:
+                cpath, J = best
+                missing = sorted(labels.keys() - J.keys())
+                failures.append(CompatFailure(
+                    p, q, "uncovered",
+                    f"{p} offers {sorted(labels)} to {r} but no reachable "
+                    f"context of {r} accepts {missing}",
+                    Action(p, r, "!", missing[0]), path + cpath))
+                continue
+            for lbl, targets in labels.items():
+                nctx = list(ctx2)
+                nctx[ri] = J[lbl][0]
+                exchange = (Action(p, r, "!", lbl), Action(p, r, "?", lbl))
+                for dst in targets:
+                    push(dst, tuple(nctx), path + cpath + exchange)
+
+        # the senders p reads from here: a message from any other one
+        # waits in its buffer rather than being refused
+        peers = [(ri, r, recvs[r]) for ri, r in enumerate(others)
+                 if r in recvs]
+        for ctx2, cpath in clo.items() if peers else ():
+            for ri, r, accepted in peers:
+                offers = ctx_machines[ri]._sends(ctx2[ri]).get(p)
+                if not offers:
+                    continue
+                bad = sorted(offers.keys() - accepted.keys())
+                if bad:
+                    failures.append(CompatFailure(
+                        p, q, "unhandled",
+                        f"{r} may send {bad[0]} to {p}, which accepts "
+                        f"only {sorted(accepted)} from {r} at state {q}",
+                        Action(r, p, "!", bad[0]), path + cpath))
+                for lbl, targets in offers.items():
+                    if lbl in accepted:
+                        a = Action(r, p, "!", lbl)
+                        for dv in targets:
                             nctx = list(ctx2)
                             nctx[ri] = dv
-                            push(accepted[a.label], tuple(nctx),
+                            push(accepted[lbl][0], tuple(nctx),
                                  path + cpath + (a, dual(a)))
-            if not sends:
-                has_dual = any(
-                    a.op == "!" and a.receiver == p
-                    for ctx2 in clo
-                    for ri in range(len(others))
-                    for _, a, _ in s.machine(others[ri]).outgoing(ctx2[ri]))
-                if not has_dual:
-                    failures.append(CompatFailure(
-                        p, q, "no_dual",
-                        f"{p} waits at state {q} but no reachable context "
-                        f"ever sends to {p}", None, path))
+        if not sends and not any(
+                p in mr._sends(ctx2[ri])
+                for ctx2 in clo for ri, mr in enumerate(ctx_machines)):
+            failures.append(CompatFailure(
+                p, q, "no_dual",
+                f"{p} waits at state {q} but no reachable context "
+                f"ever sends to {p}", None, path))
     return failures

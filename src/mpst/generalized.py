@@ -18,8 +18,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .cfsm import _bfs, _explore, _fifo, _path, _trie, is_basic, node_cap
-from .compat import dual, multiparty_compatible
-from .errors import (ChoiceOwnership, NotBasic, NotCompatible,
+from .compat import (_exchanges, _multiparty_compatible, dual,
+                     multiparty_compatible)
+from .errors import (ChoiceOwnership, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
                      SynthesisFailure)
 from .syntax import (Action, Label, Machine, Participant, System, Var,
@@ -639,19 +640,38 @@ def dot_net(net: LabelledNet) -> str:
 # --------------------------------------------------------------------------
 # Session compatibility for systems of (possibly non-basic) machines
 
+def _moves(m: Machine, q: str, op: str) -> list[tuple[Action, str]]:
+    """The sends (op "!") or receives (op "?") of m at q as (action,
+    target) pairs, one per target, in `Machine.outgoing` order."""
+    if op == "!":
+        return [(Action(m.owner, r, op, label), d)
+                for r, labels in m._sends(q).items()
+                for label, targets in labels.items() for d in targets]
+    return [(Action(r, m.owner, op, label), d)
+            for r, labels in m._receives(q).items()
+            for label, targets in labels.items() for d in targets]
+
+
+def _targets(m: Machine, q: str, a: Action) -> tuple[str, ...]:
+    """The states m reaches from q by a."""
+    if a.op == "!":
+        by_label = m._sends(q).get(a.receiver)
+    else:
+        by_label = m._receives(q).get(a.sender)
+    return by_label.get(a.label, ()) if by_label else ()
+
+
+def _commute(m: Machine, a1: Action, d1: str, a2: Action, d2: str) -> bool:
+    """Moves a1 to d1 and a2 to d2 from one state of m commute: some state
+    follows both a1 then a2 and a2 then a1."""
+    return not set(_targets(m, d1, a2)).isdisjoint(_targets(m, d2, a1))
+
+
 def mixed_parallel(m: Machine) -> bool:
     """Sends and receives available together always commute."""
-    for q in sorted(m.states):
-        outs = m.outgoing(q)
-        sends = [(a, d) for _, a, d in outs if a.op == "!"]
-        recvs = [(a, d) for _, a, d in outs if a.op == "?"]
-        for a1, d1 in sends:
-            for a2, d2 in recvs:
-                after1 = {d for _, a, d in m.outgoing(d1) if a == a2}
-                after2 = {d for _, a, d in m.outgoing(d2) if a == a1}
-                if not (after1 & after2):
-                    return False
-    return True
+    return all(_commute(m, a1, d1, a2, d2) for q in sorted(m.states)
+               for a1, d1 in _moves(m, q, "!")
+               for a2, d2 in _moves(m, q, "?"))
 
 
 def _require_compat(s: System) -> None:
@@ -668,20 +688,26 @@ def receiver_property(s: System, k: int = 1,
     if require_compatible:
         _require_compat(s)
     keys, rows, _ = _explore(s, k, None)
+    return _receiver_property(s, keys, rows)
+
+
+def _receiver_property(s: System, keys: list, rows: list) -> bool:
+    """`receiver_property` over the keys and rows of RS_k (see
+    `_explore`)."""
     succ = [list(zip(row[::2], row[1::2])) for row in rows]
-    ps = s.participants
+    # each participant's sends from each of its states, one per target
+    sends = [{q: [a for a, _ in _moves(m, q, "!")] for q in m.states}
+             for _, m in s.machines]
     for key, moves in zip(keys, succ):
-        for i, p in enumerate(ps):
-            m = s.machine(p)
-            sends = [(a, d) for _, a, d in m.outgoing(key[i])
-                     if a.op == "!"]
-            if len(sends) < 2:
+        for sends_at, q in zip(sends, key):
+            acts = sends_at[q]
+            if len(acts) < 2:
                 continue
             succs = dict(moves)
-            if any(a not in succs for a, _ in sends):
+            if any(a not in succs for a in acts):
                 continue  # the choice is blocked here, judged elsewhere
             families = [_complete_receiver_sets(succ, succs[a])
-                        for a, _ in sends]
+                        for a in acts]
             common = families[0]
             for fam in families[1:]:
                 common = common & fam
@@ -721,7 +747,12 @@ def unique_sender(s: System, k: int = 1,
     decided by a single participant."""
     if require_compatible:
         _require_compat(s)
-    keys, rows, parents = _explore(s, k, None)
+    return _unique_sender(s, *_explore(s, k, None))
+
+
+def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
+    """`unique_sender` over the keys, rows and parents of RS_k (see
+    `_explore`)."""
     succ = [list(zip(row[::2], row[1::2])) for row in rows]
     by_act: dict[Action, list[tuple[int, int]]] = {}  # edges in BFS order
     for c, moves in enumerate(succ):
@@ -735,19 +766,14 @@ def unique_sender(s: System, k: int = 1,
             reachable_cache[c] = set(nodes)
         return reachable_cache[c]
 
-    for i, p in enumerate(s.participants):
-        m = s.machine(p)
+    for i, (_, m) in enumerate(s.machines):
         for q in sorted(m.states):
-            recvs = [(a, d) for _, a, d in m.outgoing(q) if a.op == "?"]
+            recvs = _moves(m, q, "?")
             for x in range(len(recvs)):
                 for y in range(x + 1, len(recvs)):
                     (a1, d1), (a2, d2) = recvs[x], recvs[y]
-                    if a1 == a2:
-                        continue
                     # commuting receives are not a race
-                    after1 = {d for _, a, d in m.outgoing(d1) if a == a2}
-                    after2 = {d for _, a, d in m.outgoing(d2) if a == a1}
-                    if after1 & after2:
+                    if a1 == a2 or _commute(m, a1, d1, a2, d2):
                         continue
                     inst1 = [(c, c2) for c, c2 in by_act.get(a1, ())
                              if keys[c][i] == q]
@@ -823,35 +849,28 @@ class SessionReport:
 
 def session_compatible(s: System) -> SessionReport:
     """Deterministic machines, multiparty compatible, commuting mixed
-    states, unique deciders for races, and informable receivers."""
-    items = []
-    det = True
-    for p, m in s.machines:
-        ok, reasons = is_basic(m)
-        nondet = [r for r in reasons if r.startswith("nondeterministic")]
-        if nondet:
-            det = False
-            items.append(("deterministic", False, f"{p}: {nondet[0]}"))
-            break
-    if det:
-        items.append(("deterministic", True, ""))
-        try:
-            report = multiparty_compatible(s, allow_nonbasic=True)
-            compat = bool(report)
-            detail = "" if compat else report.failures[0].message
-        except NotBasic as e:  # pragma: no cover - determinism checked above
-            compat, detail = False, str(e)
-        items.append(("multiparty_compatible", compat, detail))
-        mp = all(mixed_parallel(m) for _, m in s.machines)
-        items.append(("mixed_parallel", mp,
-                      "" if mp else "a mixed state fails to commute"))
-        if compat:
-            us = unique_sender(s, require_compatible=False)
-            items.append(("unique_sender", us,
-                          "" if us else "a race has no unique decider"))
-            rp = receiver_property(s, require_compatible=False)
-            items.append(("receiver_property", rp,
-                          "" if rp else "branches inform different receivers"))
+    states, unique deciders for races, and informable receivers.  RS_1 is
+    explored once, for all three checks that read it."""
+    nondet = next((f"{p}: {r}" for p, m in s.machines
+                   for r in is_basic(m)[1] if r.startswith("nondeterministic")),
+                  None)
+    if nondet:
+        return SessionReport(False, (("deterministic", False, nondet),))
+    keys, rows, parents = _explore(s, 1, None)
+    report = _multiparty_compatible(s, keys)
+    items = [("deterministic", True, ""),
+             ("multiparty_compatible", report.compatible,
+              "" if report else report.failures[0].message)]
+    mp = all(mixed_parallel(m) for _, m in s.machines)
+    items.append(("mixed_parallel", mp,
+                  "" if mp else "a mixed state fails to commute"))
+    if report:
+        us = _unique_sender(s, keys, rows, parents)
+        items.append(("unique_sender", us,
+                      "" if us else "a race has no unique decider"))
+        rp = _receiver_property(s, keys, rows)
+        items.append(("receiver_property", rp,
+                      "" if rp else "branches inform different receivers"))
     return SessionReport(all(v for _, v, _ in items) and len(items) == 5,
                          tuple(items))
 
@@ -866,24 +885,10 @@ def gsynthesize(s: System) -> GeneralGlobal:
         bad = next((n, d) for n, v, d in report.items if not v)
         raise NotSessionCompatible(f"{bad[0]} fails: {bad[1]}")
     ps = s.participants
-    machines = [s.machine(p) for p in ps]
-
-    def exchanges(tup):
-        out = []
-        for i, p in enumerate(ps):
-            for _, a, di in machines[i].outgoing(tup[i]):
-                if a.op != "!":
-                    continue
-                j = ps.index(a.receiver)
-                for _, a2, dj in machines[j].outgoing(tup[j]):
-                    if a2 == dual(a):
-                        nxt = list(tup)
-                        nxt[i], nxt[j] = di, dj
-                        out.append((a, tuple(nxt)))
-        return sorted(out)
-
+    machines = tuple(m for _, m in s.machines)
     # vertex x{i} is the i-th joint state found; edges are (i, action, j)
-    nodes, rows, _ = _bfs(tuple(m.initial for m in machines), exchanges,
+    nodes, rows, _ = _bfs(tuple(m.initial for m in machines),
+                          lambda tup: sorted(_exchanges(ps, machines, tup)),
                           None, "synchronous execution")
     outgoing = [[(u, a, v) for a, v in zip(row[::2], row[1::2])]
                 for u, row in enumerate(rows)]

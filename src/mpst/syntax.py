@@ -181,6 +181,9 @@ Local = LEnd | LVar | LRec | LSend | LRecv
 # Machines and systems
 
 
+_NO_MOVES: tuple[dict, dict] = ({}, {})  # a state that is not in the machine
+
+
 @dataclass(frozen=True)
 class Machine:
     """CFSM: finite control, transitions labelled with send/receive actions."""
@@ -211,6 +214,33 @@ class Machine:
     def outgoing(self, q: str) -> tuple[tuple[str, Action, str], ...]:
         return self._out.get(q, ())
 
+    @cached_property
+    def _by_peer(self) -> dict[str, tuple[dict, dict]]:
+        """The moves from each state by peer: (sends, receives), each
+        {peer: {label: targets}} in `outgoing` order, that is sorted by
+        peer, label and target.  Every target is kept, so a
+        nondeterministic machine loses none."""
+        out = {}
+        for q, es in self._out.items():
+            sends: dict = {}
+            recvs: dict = {}
+            for _, a, d in es:
+                if a.op == "!":
+                    by = sends.setdefault(a.receiver, {})
+                else:
+                    by = recvs.setdefault(a.sender, {})
+                by[a.label] = by.get(a.label, ()) + (d,)
+            out[q] = (sends, recvs)
+        return out
+
+    def _sends(self, q: str) -> dict:
+        """What q sends to each receiver: {receiver: {label: targets}}."""
+        return self._by_peer.get(q, _NO_MOVES)[0]
+
+    def _receives(self, q: str) -> dict:
+        """What q accepts from each sender: {sender: {label: targets}}."""
+        return self._by_peer.get(q, _NO_MOVES)[1]
+
     def is_final(self, q: str) -> bool:
         return not self.outgoing(q)
 
@@ -223,8 +253,7 @@ class Machine:
         return bool(outs) and all(e[1].op == "?" for e in outs)
 
     def is_mixed(self, q: str) -> bool:
-        outs = self.outgoing(q)
-        return any(e[1].op == "!" for e in outs) and any(e[1].op == "?" for e in outs)
+        return bool(self._sends(q) and self._receives(q))
 
     @cached_property
     def final_states(self) -> frozenset[str]:

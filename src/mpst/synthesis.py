@@ -13,23 +13,15 @@ from __future__ import annotations
 
 from itertools import count
 
-from .cfsm import is_basic
 from .compat import multiparty_compatible
-from .errors import NotBasic, NotCompatible, SynthesisFailure
+from .errors import NotCompatible, SynthesisFailure
 from .projection import well_formed
 from .semantics import trace_equiv
-from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, System,
-                     alpha_canonical)
+from .syntax import GBranch, GEnd, Global, GRec, GVar, System, alpha_canonical
 
 
-def synthesize(s: System, pair_order: str = "lex") -> Global:
+def synthesize(s: System) -> Global:
     """Build a global type whose executions match the system's."""
-    if pair_order not in ("lex", "revlex"):
-        raise ValueError("pair_order must be 'lex' or 'revlex'")
-    for p, m in s.machines:
-        ok, reasons = is_basic(m)
-        if not ok:
-            raise NotBasic(f"{p}: {reasons[0]}")
     report = multiparty_compatible(s)
     if not report:
         raise NotCompatible(
@@ -47,30 +39,22 @@ def synthesize(s: System, pair_order: str = "lex") -> Global:
         return {p for p, q, f in zip(ps, tup, finals) if q in f}
 
     def enabled_pairs(tup):
+        """(sender, receiver, offered labels, accepted labels) of each
+        channel with a send and a receive at tup, sorted by channel."""
         pairs = []
         for i, p in enumerate(ps):
-            offers: dict[str, set[str]] = {}
-            for _, a, _ in machines[i].outgoing(tup[i]):
-                if a.op == "!":
-                    offers.setdefault(a.receiver, set()).add(a.label)
-            for r in sorted(offers):
+            for r, offers in machines[i]._sends(tup[i]).items():
                 j = ps.index(r)
-                J = {a.label for _, a, _ in machines[j].outgoing(tup[j])
-                     if a.op == "?" and a.sender == p}
+                J = machines[j]._receives(tup[j]).get(p)
                 if J:
-                    pairs.append((p, r, frozenset(offers[r]), frozenset(J)))
-        pairs.sort(key=lambda t: (t[0], t[1]))
-        if pair_order == "revlex":
-            pairs.reverse()
+                    pairs.append((p, r, frozenset(offers), frozenset(J)))
         return pairs
 
     def advance(tup, p, r, label):
         i, j = ps.index(p), ps.index(r)
-        send = Action(p, r, "!", label)
-        recv = Action(p, r, "?", label)
         nxt = list(tup)
-        nxt[i] = next(d for _, a, d in machines[i].outgoing(tup[i]) if a == send)
-        nxt[j] = next(d for _, a, d in machines[j].outgoing(tup[j]) if a == recv)
+        nxt[i] = machines[i]._sends(tup[i])[r][label][0]
+        nxt[j] = machines[j]._receives(tup[j])[p][label][0]
         return tuple(nxt)
 
     def emit(tup) -> Global:

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpst import (BAD_FLAGS, Action, Machine, ResourceLimit, SafetyReport,
-                  associated, check_safety, classify, dot_machine, dot_reach,
-                  dot_system, fire, initial, is_basic, make_system, reach,
-                  traces, trie_flatten)
+                  check_safety, classify, dot_machine, dot_reach, dot_system,
+                  fire, initial, is_basic, make_system, reach, traces,
+                  trie_flatten)
 from mpst.cfsm import _explore
 import oracles
 
@@ -222,19 +222,6 @@ def test_check_safety_rejects_bound_below_one(commit_system, k):
         check_safety(commit_system, k)
     with pytest.raises(ValueError, match="bound k must be >= 1"):
         reach(commit_system, k)
-
-
-def test_associated_product_machine(remark_abc):
-    pm = associated(remark_abc, minus="A")
-    states, edges = pm.materialize()
-    nb = len(remark_abc.machine("B").states)
-    nc = len(remark_abc.machine("C").states)
-    assert len(states) == nb * nc
-    assert pm.initial == ("q0", "q0")
-    # lazy successors agree with the materialized edge list
-    for st in states:
-        assert tuple(pm.successors(st)) == tuple(
-            (a, n) for (u, a, n) in edges if u == st)
 
 
 def test_dot_outputs_are_stable(commit_system):

@@ -181,9 +181,17 @@ def test_dot():
     (("check", "commit.cfsm", "--bound", "0"), "bound k must be >= 1"),
     (("check", "commit.cfsm", "--bound", "-2"), "bound k must be >= 1"),
     (("dot", "commit.cfsm", "--bound", "-1"), "bound k must be >= 1"),
+    (("dot", "commit.cfsm", "--bound", "0"), "bound k must be >= 1"),
+    (("simulate", "commit.cfsm", "--steps", "4", "--bound", "0"),
+     "bound k must be >= 1"),
+    (("simulate", "commit.cfsm", "--steps", "4", "--bound", "-1"),
+     "bound k must be >= 1"),
+    (("simulate", "commit.cfsm", "--steps", "-3", "--bound", "1"),
+     "steps must be >= 0"),
     (("translate", "commit.cfsm", "-p", "Z"), "no machine for participant Z"),
 ], ids=["check-bound-0", "check-bound-minus-2", "dot-bound-minus-1",
-        "translate-unknown-participant"])
+        "dot-bound-0", "simulate-bound-0", "simulate-bound-minus-1",
+        "simulate-steps-minus-3", "translate-unknown-participant"])
 def test_bad_arguments_are_one_line_usage_errors(args, message):
     cmd, name, *rest = args
     rc, out, err = run(cmd, DATA / name, *rest)

@@ -1,9 +1,8 @@
-"""Multiparty compatibility, duality, and trace dependency."""
+"""Multiparty compatibility and duality."""
 import pytest
 from hypothesis import given, strategies as st
 
-from mpst import (Action, NotBasic, depends, dual, is_alternation,
-                  multiparty_compatible)
+from mpst import Action, NotBasic, dual, multiparty_compatible
 
 
 def _actions():
@@ -19,29 +18,6 @@ def test_dual_is_an_involution(a):
     assert dual(b) == a
     assert b.op != a.op
     assert (b.sender, b.receiver, b.label) == (a.sender, a.receiver, a.label)
-
-
-def test_alternation_requires_matched_pairs():
-    snd = Action("B", "S", "!", "title")
-    rcv = dual(snd)
-    quote = Action("S", "B", "!", "quote")
-    assert is_alternation(())
-    assert is_alternation((snd, rcv))
-    assert is_alternation((snd, rcv, quote, dual(quote)))
-    assert not is_alternation((snd, rcv, quote))          # odd length
-    assert not is_alternation((rcv, snd))                 # receive first
-    assert not is_alternation((snd, quote, rcv, dual(quote)))
-
-
-def test_depends_on_matching_pair_and_shared_subject():
-    ab = Action("A", "B", "!", "a")
-    ac = Action("A", "C", "!", "b")
-    phi = (ab, ac, dual(ab), dual(ac))
-    assert depends(ab, dual(ab), phi)        # send enables its receive
-    assert depends(ab, ac, phi)              # both performed by A
-    assert not depends(dual(ab), ab, phi)    # wrong order
-    assert not depends(ac, dual(ab), phi)    # disjoint subjects, no match
-    assert not depends(Action("C", "B", "!", "z"), ab, phi)  # absent
 
 
 def test_commit_is_compatible(commit_system):

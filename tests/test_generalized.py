@@ -6,13 +6,15 @@ import pytest
 
 from mpst import (Action, ChoiceOwnership, LabelledNet, Machine, ParseError,
                   ResourceLimit, dot_net, gg_participants, ginitial_global,
-                  ginitial_local, gproject, gstep_global, gstep_local,
-                  gsynthesize, gto_machine, gtraces_global, gtraces_local,
-                  is_safe, make_system, mixed_parallel, parse_gglobal,
+                  ginitial_local, gparticipants, gproject, gstep_global,
+                  gstep_local, gsynthesize, gto_machine, gtraces_global,
+                  gtraces_local, is_safe, make_system, mixed_parallel,
+                  multiparty_compatible, parse_gglobal, parse_global,
                   parse_glocal, parse_system, print_gglobal, print_glocal,
-                  receiver_property, session_compatible, to_petri,
-                  trace_equiv, traces, trie_flatten, unique_sender)
-from conftest import load
+                  project, receiver_property, session_compatible, to_machine,
+                  to_petri, trace_equiv, traces, trie_flatten, unique_sender)
+from mpst import cfsm, compat, generalized
+from conftest import DATA, load
 
 DIAMOND = """
 init x0;
@@ -205,6 +207,97 @@ def test_session_compatibility_report(commit_system, data_transfer_type):
             "deterministic", "multiparty_compatible", "mixed_parallel",
             "unique_sender", "receiver_property"]
         assert all(ok for _, ok, _ in rep.items)
+
+
+def _machine(owner, *moves):
+    """A .cfsm block from (src, sender, receiver, op, label, dst) moves."""
+    body = "".join(f"{s} -- {p} {q} {op} {lbl} --> {d}; "
+                   for s, p, q, op, lbl, d in moves)
+    return f"machine {owner} {{ init q0; {body}}}\n"
+
+
+def _pairs(n):
+    """n independent looping pairs: A_i sends x (loop) or y then z to B_i,
+    and B_i mirrors A_i."""
+    text = ""
+    for i in range(n):
+        a, b = f"A{i}", f"B{i}"
+        for owner, op in ((a, "!"), (b, "?")):
+            text += _machine(owner, ("q0", a, b, op, "x", "q0"),
+                             ("q0", a, b, op, "y", "q1"),
+                             ("q1", a, b, op, "z", "q0"))
+    return parse_system(text)
+
+
+def _projected(text):
+    g = parse_global(text)
+    return make_system([to_machine(project(g, p), p)
+                        for p in gparticipants(g)])
+
+
+def _ring(n):
+    """rec t. P0->P1:{go. P1->P2:go. ... P(n-1)->P0:ack. t,
+    stop. P1->P2:stop. ... end}, projected."""
+    go = "".join(f"P{i}->P{i + 1}:go. " for i in range(1, n - 1))
+    stop = "".join(f"P{i}->P{i + 1}:stop. " for i in range(1, n - 1))
+    return _projected(f"rec t. P0->P1:{{go. {go}P{n - 1}->P0:ack. t, "
+                      f"stop. {stop}end}}")
+
+
+def _indep(n):
+    return _projected("".join(f"A{i}->B{i}:m. " for i in range(n)) + "end")
+
+
+def _fork_join_loops():
+    """Two data*.eof loops, A0 to B0 and A1 to B1, under a fork and a
+    join."""
+    eqs = ["init x0;", "x0 = x1 | x2;", "x7 | x14 = x15;", "x15 = end;"]
+    for i, (entry, v) in enumerate((("x1", 3), ("x2", 10))):
+        head, back, dec, eof, out = (f"x{v + j}" for j in range(5))
+        eqs += [f"{entry} + {back} = {head};",
+                f"{head} = A{i} -> B{i} : data ; {dec};",
+                f"{dec} = {back} + {eof};",
+                f"{eof} = A{i} -> B{i} : eof ; {out};"]
+    g = parse_gglobal("\n".join(eqs))
+    return make_system([gto_machine(gproject(g, p), p)
+                        for p in gg_participants(g)])
+
+
+FAMILIES = {**{f"pairs{n}": (lambda n=n: _pairs(n)) for n in (1, 2, 3)},
+            **{f"ring{n}": (lambda n=n: _ring(n)) for n in (3, 4)},
+            "indep3": lambda: _indep(3), "fj2": _fork_join_loops}
+CORPUS = sorted(p.name for p in DATA.glob("*.cfsm"))
+
+
+@pytest.mark.parametrize("name", CORPUS + sorted(FAMILIES))
+def test_session_report_agrees_with_the_public_checks(name):
+    s = (FAMILIES[name]() if name in FAMILIES
+         else parse_system(load(name)))
+    report = multiparty_compatible(s, allow_nonbasic=True)
+    want = {"deterministic": True,
+            "multiparty_compatible": report.compatible,
+            "mixed_parallel": all(mixed_parallel(m) for _, m in s.machines)}
+    if report:
+        want["unique_sender"] = unique_sender(s, require_compatible=False)
+        want["receiver_property"] = receiver_property(
+            s, require_compatible=False)
+    items = session_compatible(s).items
+    assert {check: ok for check, ok, _ in items} == want
+    assert items[1][2] == ("" if report else report.failures[0].message)
+
+
+def test_session_compatible_explores_rs1_once(monkeypatch):
+    calls = []
+
+    def counting(s, k, cap):
+        calls.append(k)
+        return cfsm._explore(s, k, cap)
+
+    monkeypatch.setattr(compat, "_explore", counting)
+    monkeypatch.setattr(generalized, "_explore", counting)
+    s = parse_system(load("commit.cfsm"))
+    assert [ok for _, ok, _ in session_compatible(s).items] == [True] * 5
+    assert calls == [1]
 
 
 def test_general_synthesis_of_one_exchange():

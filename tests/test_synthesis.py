@@ -1,9 +1,8 @@
 """Recovering a global type from a compatible system."""
 import pytest
 
-from mpst import (NotBasic, NotCompatible, alpha_equiv, make_system,
-                  parse_global, print_type, project, synthesize, to_machine,
-                  trace_equiv, verify_roundtrip)
+from mpst import (NotBasic, NotCompatible, alpha_equiv, parse_global,
+                  print_type, synthesize, verify_roundtrip)
 from conftest import load
 
 
@@ -36,26 +35,6 @@ def test_incompatible_system_is_refused(remark_abc):
 def test_nonbasic_system_is_refused(race_system):
     with pytest.raises(NotBasic):
         synthesize(race_system)
-
-
-def test_pair_order_picks_among_independent_exchanges():
-    g = parse_global("A -> B : a. C -> D : b. end")
-    s = make_system([to_machine(project(g, p), p)
-                     for p in ("A", "B", "C", "D")])
-    lex = synthesize(s)
-    rev = synthesize(s, pair_order="revlex")
-    assert print_type(lex) == "A->B:a. C->D:b. end"
-    assert print_type(rev) == "C->D:b. A->B:a. end"
-    # different linearisations of the same behaviour
-    ok, _ = trace_equiv(lex, rev, 8, 1)
-    assert ok
-    ok, _ = trace_equiv(rev, s, 8, 1)
-    assert ok
-
-
-def test_unknown_pair_order_is_an_error(commit_system):
-    with pytest.raises(ValueError):
-        synthesize(commit_system, pair_order="random")
 
 
 def test_roundtrip_verification_reports_per_bound(commit_system):
