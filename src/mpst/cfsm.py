@@ -2,8 +2,9 @@
 
 Configurations pair the joint control state with one FIFO word per ordered
 participant pair.  Exploration is k-bounded: a send is enabled only while its
-channel holds fewer than k messages.  All iteration orders are deterministic
-so reports and golden tests are stable.
+channel holds fewer than k messages, and it carries only the channels that
+some transition uses, the only ones that can ever fill.  All iteration orders
+are deterministic so reports and golden tests are stable.
 """
 
 from __future__ import annotations
@@ -122,16 +123,22 @@ class _Table:
     """A system compiled for exploration.  For each participant, in sorted
     order: its moves from each local state, as (is_send, buffer slot in the
     key, label, dst, action) in `Machine.outgoing` order, its final states
-    (no moves) and its receiving states.  `n` is the number of participants
-    and `start` the key of the initial configuration."""
+    (no moves) and its receiving states.  `n` is the number of participants,
+    `chans` the positions in `System.channels` of the channels some move
+    uses, in that order, `width` the number of channels and `start` the key
+    of the initial configuration."""
 
-    __slots__ = ("n", "start", "moves", "final", "receiving")
+    __slots__ = ("n", "chans", "width", "start", "moves", "final",
+                 "receiving")
 
     def __init__(self, s: System):
         machines = [s.machine(p) for p in s.participants]
         self.n = n = len(machines)
-        self.start = _key(initial(s))
-        slot = {ch: n + i for i, ch in enumerate(s.channels)}
+        used = {a.channel for m in machines for _, a, _ in m.transitions}
+        self.chans = tuple(i for i, ch in enumerate(s.channels) if ch in used)
+        self.width = len(s.channels)
+        self.start = _key(self, initial(s))
+        slot = {s.channels[i]: j for j, i in enumerate(self.chans, n)}
         self.moves = tuple(
             {q: tuple((a.op == "!", slot[a.channel], a.label, d, a)
                       for _, a, d in m.outgoing(q))
@@ -152,12 +159,20 @@ def _table(s: System) -> _Table:
     return t
 
 
-def _key(c: Config) -> tuple:
-    return c.states + c.buffers
+def _key(t: _Table, c: Config) -> tuple:
+    """The key of c (see `_explore`): its local states, then its buffers on
+    the channels of `t.chans`.  Words on other channels are left out."""
+    return c.states + tuple(c.buffers[i] for i in t.chans)
 
 
-def _config(t: _Table, key: tuple) -> Config:
-    return Config(key[:t.n], key[t.n:])
+def _config(t: _Table, key: tuple, buffers: tuple | None = None) -> Config:
+    """The configuration of key, its buffers back in `System.channels`
+    order; the channels the key leaves out hold what they hold in buffers
+    (by default nothing)."""
+    bufs = list(buffers) if buffers else [()] * t.width
+    for i, b in zip(t.chans, key[t.n:]):
+        bufs[i] = b
+    return Config(key[:t.n], tuple(bufs))
 
 
 def _steps(t: _Table, key: tuple, k: int | None) -> list:
@@ -203,9 +218,10 @@ def _fifo(buffers: tuple, i: int, act: Action, k: int | None) -> tuple | None:
 
 def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:
     """`_bfs` over RS_k.  A key is one flat tuple: the local states,
-    participants in sorted order, then the buffers, channels in
-    `System.channels` order.  The successor rows are in `_steps` order,
-    which is the order of `fire` and of `reach`'s edges.  Raises ValueError
+    participants in sorted order, then the buffers of the channels some move
+    uses, in `System.channels` order (`_Table.chans`).  The successor rows
+    are in `_steps` order, which is the order of `fire` and of `reach`'s
+    edges.  Raises ValueError
     for k < 1, and ResourceLimit as soon as there are more than cap
     (default `node_cap()`) keys."""
     if k < 1:
@@ -218,7 +234,8 @@ def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
     """All enabled transitions from c (k-bounded when k is given)."""
     t = _table(s)
-    return tuple((act, _config(t, key)) for act, key in _steps(t, _key(c), k))
+    return tuple((act, _config(t, key, c.buffers))
+                 for act, key in _steps(t, _key(t, c), k))
 
 
 @dataclass(frozen=True)
@@ -248,10 +265,10 @@ def reach(s: System, k: int, cap: int | None = None) -> ReachSet:
     `configs` is in BFS order; `edges` lists each configuration's outgoing
     transitions in `fire` order, configurations in BFS order; `parents`
     gives shortest paths.  Each configuration is one object, built from an
-    `_explore` key (local states, then buffers) and shared by `configs`,
-    `edges` and `parents`.  Raises ValueError for k < 1 and
-    ResourceLimit when more than cap (default `node_cap()`) configurations
-    are found."""
+    `_explore` key (local states, then the buffers of the channels some
+    move uses) and shared by `configs`, `edges` and `parents`.  Raises
+    ValueError for k < 1 and ResourceLimit when more than cap (default
+    `node_cap()`) configurations are found."""
     keys, rows, parents = _explore(s, k, cap)
     t = _table(s)
     configs = tuple(_config(t, key) for key in keys)
@@ -274,7 +291,8 @@ _member = frozenset.__contains__
 
 
 def _flags(t: _Table, key: tuple) -> tuple[str, ...]:
-    """The sorted flags of a configuration, () when it is intermediate.
+    """The sorted flags of the configuration of key, with nothing on the
+    channels the key leaves out, () when it is intermediate.
 
     Stable: every buffer is empty.  Final: stable, every participant final.
     Deadlock: stable, every participant receiving.  Orphan: every
@@ -304,7 +322,12 @@ def _flags(t: _Table, key: tuple) -> tuple[str, ...]:
 def classify(c: Config, s: System) -> frozenset[str]:
     """Configuration flags: stable/final/deadlock/orphan/unspecified_reception,
     or intermediate when none apply.  Multiple flags may hold."""
-    return frozenset(_flags(_table(s), _key(c)) or ("intermediate",))
+    t = _table(s)
+    flags = _flags(t, _key(t, c))
+    if "stable" in flags and not c.is_stable():
+        # words wait only on channels that no move uses: nothing takes them
+        flags = _ORPHAN if flags == _FINAL else ()
+    return frozenset(flags or ("intermediate",))
 
 
 BAD_FLAGS = frozenset({"deadlock", "orphan", "unspecified_reception"})
@@ -350,8 +373,9 @@ def check_safety(s: System, k: int, check_liveness: bool = True,
     configuration in BFS order that cannot reach a final one.  Raises
     ValueError for k < 1 and ResourceLimit when more than cap (default
     `node_cap()`) configurations are found, exactly as `reach` does.  Works
-    on the BFS indices of `_explore`'s flat keys (local states, then
-    buffers): a `Config` is built only for a configuration reported."""
+    on the BFS indices of `_explore`'s flat keys (local states, then the
+    buffers of the channels some move uses): a `Config` is built only for a
+    configuration reported."""
     keys, rows, parents = _explore(s, k, cap)
     t = _table(s)
     violations = []

@@ -70,12 +70,15 @@ def multiparty_compatible(s: System, allow_nonbasic: bool = False) -> CompatRepo
 
 def _multiparty_compatible(s: System, keys: list) -> CompatReport:
     """`multiparty_compatible` of a system of deterministic machines, given
-    the keys of its RS_1 (see `_explore`)."""
+    the keys of its RS_1 (see `_explore`).  It reads only the local states
+    of a key and whether some buffer is non-empty, so the channels a key
+    leaves out, which no move uses and which stay empty, do not matter."""
     ps = s.participants
     n = len(ps)
     ms = tuple(m for _, m in s.machines)
     failures: list[CompatFailure] = []
     closure_cache: dict = {}
+    fed_cache: dict = {}
     # the stable configurations of RS_1, keys whose buffers are all empty:
     # no two of them share their local states
     for key in keys:
@@ -84,7 +87,7 @@ def _multiparty_compatible(s: System, keys: list) -> CompatReport:
         for i, p in enumerate(ps):
             failures.extend(_walk(
                 p, ms[i], key[i], ps[:i] + ps[i + 1:], ms[:i] + ms[i + 1:],
-                key[:i] + key[i + 1:n], closure_cache))
+                key[:i] + key[i + 1:n], closure_cache, fed_cache))
     unique = []
     seen = set()
     for f in failures:
@@ -150,9 +153,12 @@ def _closure(p: Participant, others: tuple[Participant, ...],
 
 def _walk(p: Participant, m: Machine, q0: str,
           others: tuple[Participant, ...], ctx_machines: tuple[Machine, ...],
-          ctx0: tuple[str, ...], closure_cache: dict) -> list[CompatFailure]:
+          ctx0: tuple[str, ...], closure_cache: dict,
+          fed_cache: dict) -> list[CompatFailure]:
     """Check p's machine m from state q0 against every context reachable
-    from ctx0, the states of the other participants' machines.  It keeps
+    from ctx0, the states of the other participants' machines.  Whether
+    some context of a closure sends to p is decided once per closure and
+    kept in fed_cache under the closure's key in closure_cache.  It keeps
     its own loop: it records failures as it walks, and each step extends
     the path by a context path and an exchange, not by one label."""
     failures: list[CompatFailure] = []
@@ -222,9 +228,14 @@ def _walk(p: Participant, m: Machine, q0: str,
                             nctx[ri] = dv
                             push(accepted[lbl][0], tuple(nctx),
                                  path + cpath + (a, dual(a)))
-        if not sends and not any(
+        if sends:
+            continue
+        fed = fed_cache.get((p, ctx))
+        if fed is None:
+            fed = fed_cache[(p, ctx)] = any(
                 p in mr._sends(ctx2[ri])
-                for ctx2 in clo for ri, mr in enumerate(ctx_machines)):
+                for ctx2 in clo for ri, mr in enumerate(ctx_machines))
+        if not fed:
             failures.append(CompatFailure(
                 p, q, "no_dual",
                 f"{p} waits at state {q} but no reachable context "

@@ -693,7 +693,8 @@ def receiver_property(s: System, k: int = 1,
 
 def _receiver_property(s: System, keys: list, rows: list) -> bool:
     """`receiver_property` over the keys and rows of RS_k (see
-    `_explore`)."""
+    `_explore`).  It reads only the local states of a key, its first
+    entries in participant order, never its buffers."""
     succ = [list(zip(row[::2], row[1::2])) for row in rows]
     # each participant's sends from each of its states, one per target
     sends = [{q: [a for a, _ in _moves(m, q, "!")] for q in m.states}
@@ -752,7 +753,8 @@ def unique_sender(s: System, k: int = 1,
 
 def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
     """`unique_sender` over the keys, rows and parents of RS_k (see
-    `_explore`)."""
+    `_explore`).  It reads only the local states of a key, its first
+    entries in participant order, never its buffers."""
     succ = [list(zip(row[::2], row[1::2])) for row in rows]
     by_act: dict[Action, list[tuple[int, int]]] = {}  # edges in BFS order
     for c, moves in enumerate(succ):

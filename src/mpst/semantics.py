@@ -157,18 +157,24 @@ def step_local(c: LocalConfig, k: int | None = None) -> tuple[tuple[Action, Loca
     out = []
     for i, (p, t) in enumerate(c.types):
         t = _norm(t)
+        # p uses one channel here: check its buffer before building moves
         if isinstance(t, LSend):
+            j = index[(p, t.peer)]
+            if k is not None and len(c.buffers[j]) >= k:
+                continue
             moves = [(Action(p, t.peer, "!", a), u) for a, u in t.branches]
         elif isinstance(t, LRecv):
-            moves = [(Action(t.peer, p, "?", a), u) for a, u in t.branches]
+            j = index[(t.peer, p)]
+            b = c.buffers[j]
+            moves = [(Action(t.peer, p, "?", a), u) for a, u in t.branches
+                     if b and b[0] == a]
         else:
             continue
         for act, cont in moves:
-            bufs = _fifo(c.buffers, index[act.channel], act, k)
-            if bufs is not None:
-                types = list(c.types)
-                types[i] = (p, cont)
-                out.append((act, LocalConfig(tuple(types), bufs)))
+            types = list(c.types)
+            types[i] = (p, cont)
+            out.append((act, LocalConfig(tuple(types),
+                                         _fifo(c.buffers, j, act, k))))
     return tuple(out)
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst import (BAD_FLAGS, Action, Machine, ResourceLimit, SafetyReport,
-                  check_safety, classify, dot_machine, dot_reach, dot_system,
-                  fire, initial, is_basic, make_system, reach, traces,
-                  trie_flatten)
+from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
+                  SafetyReport, check_safety, classify, dot_machine,
+                  dot_reach, dot_system, fire, initial, is_basic, make_system,
+                  reach, traces, trie_flatten)
 from mpst.cfsm import _explore
 import oracles
 
@@ -329,6 +329,29 @@ def test_kernel_agrees_with_brute_force(s, k):
     assert_kernel_agrees_with_oracle(s, k)
 
 
+@st.composite
+def any_configs(draw, s):
+    """A configuration of s that need not be reachable: any local state of
+    each machine and up to three words on every channel, channels that no
+    move uses included."""
+    states = tuple(draw(st.sampled_from(sorted(m.states)))
+                   for _, m in s.machines)
+    buffers = tuple(tuple(draw(st.lists(st.sampled_from("ab"), max_size=3)))
+                    for _ in s.channels)
+    return Config(states, buffers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), small_systems(), st.sampled_from([None, 1, 2, 3]))
+def test_fire_and_classify_agree_with_oracle_anywhere(data, s, k):
+    # reachable configurations leave unused channels empty; these need not
+    c = data.draw(any_configs(s))
+    enc = encode(s)
+    want = oracles.successors(enc, as_tuple(c), 4 if k is None else k)
+    assert [(act_tuple(a), as_tuple(c2)) for a, c2 in fire(c, s, k)] == want
+    assert classify(c, s) == oracles.classify(enc, as_tuple(c))
+
+
 # --- RS_k sizes of the benchmark families, from their closed forms -----------
 
 def _send(p, q, lbl):
@@ -396,3 +419,17 @@ def test_ring_reach_sizes_match_closed_form(n, k):
     assert len(rs.configs) == len(rs.edges) == 4 * n - 2
     assert explored_sizes(ring(n), k) == (4 * n - 2, 4 * n - 2)
     assert check_safety(ring(n), k).ok
+
+
+@pytest.mark.parametrize("s,n,used,k,sizes", [
+    (ring(16), 16, 16, 2, (62, 62)),
+    (ring(32), 32, 32, 2, (126, 126)),
+    (pairs(4), 8, 4, 2, (10 ** 4, 4 * 16 * 10 ** 3)),
+], ids=["ring16", "ring32", "pairs4"])
+def test_explored_keys_carry_only_the_channels_moves_use(s, n, used, k,
+                                                         sizes):
+    # ring(n) uses n of its n(n-1) channels and pairs(4) 4 of 56: only those
+    # can ever fill, so only those are in a key
+    keys = _explore(s, k, None)[0]
+    assert {len(key) for key in keys} == {n + used}
+    assert explored_sizes(s, k) == sizes

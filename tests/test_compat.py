@@ -1,8 +1,12 @@
 """Multiparty compatibility and duality."""
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
-from mpst import Action, NotBasic, dual, multiparty_compatible
+from mpst import (Action, Machine, NotBasic, dual, make_system,
+                  multiparty_compatible, print_system)
+from mpst.cli import main
 
 
 def _actions():
@@ -96,3 +100,47 @@ def test_nondeterminism_rejected_even_when_allowed():
     b = Machine("B", "p0", (("p0", Action("A", "B", "?", "x"), "p1"),))
     with pytest.raises(NotBasic, match="nondeterministic"):
         multiparty_compatible(make_system([a, b]), allow_nonbasic=True)
+
+
+def _ring(n, stop_at=None):
+    """The machines of rec t. P0->P1:{go. P1->P2:go. ... P(n-1)->P0:ack. t,
+    stop. P1->P2:stop. ... end}; participant stop_at, when given, ends on
+    stop without passing it on."""
+    ps = [f"P{i}" for i in range(n)]
+    machines = [Machine(ps[0], "q0", (
+        ("q0", Action(ps[0], ps[1], "!", "go"), "q1"),
+        ("q1", Action(ps[-1], ps[0], "?", "ack"), "q0"),
+        ("q0", Action(ps[0], ps[1], "!", "stop"), "q2")))]
+    for i, p in enumerate(ps[1:], 1):
+        nxt = ps[(i + 1) % n]
+        moves = [("q0", Action(ps[i - 1], p, "?", "go"), "q1"),
+                 ("q1", Action(p, nxt, "!", "ack" if i == n - 1 else "go"),
+                  "q0"),
+                 ("q0", Action(ps[i - 1], p, "?", "stop"), "q2")]
+        if i < n - 1 and p != stop_at:
+            moves.append(("q2", Action(p, nxt, "!", "stop"), "q3"))
+        machines.append(Machine(p, "q0", tuple(moves)))
+    return make_system(machines)
+
+
+def _no_dual(p):
+    return {"participant": p, "state": "q0", "kind": "no_dual",
+            "message": f"{p} waits at state q0 but no reachable context "
+                       f"ever sends to {p}",
+            "witness": None, "path": []}
+
+
+@pytest.mark.parametrize("stop_at,failures", [
+    (None, []),
+    ("P4", [_no_dual("P5"), _no_dual("P6"), _no_dual("P7")]),
+])
+def test_compat_json_on_ring8(tmp_path, capsys, stop_at, failures):
+    # the no_dual verdict is decided once per closure, and these pin its
+    # report, order included, on a ring where many walk states share one
+    path = tmp_path / "ring8.cfsm"
+    path.write_text(print_system(_ring(8, stop_at)))
+    rc = main(["compat", str(path), "--json"])
+    want = {"compatible": not failures, "failures": failures}
+    assert (rc, capsys.readouterr().out) == (
+        1 if failures else 0,
+        json.dumps(want, sort_keys=True, indent=2) + "\n")
