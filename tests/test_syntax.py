@@ -178,3 +178,69 @@ def test_make_system_sorts_by_owner(commit_system):
     ms = [m for _, m in commit_system.machines]
     s2 = make_system(list(reversed(ms)))
     assert s2 == commit_system
+
+
+# --- parse errors: message, line and column ----------------------------------
+
+# id: (reader, input, message, line, column); the reader is the id's prefix
+PARSE_ERRORS = {
+    "global-self-message": (
+        "A -> A : x. end", "self-message A->A", 1, 6),
+    "global-self-message-line-3": (
+        "rec t.\n  A -> B : x.\n  C ->   C : y. t", "self-message C->C", 3, 10),
+    "global-in-flight-marker": (
+        "A ~> B : x. end", "the in-flight marker ~> is runtime-only", 1, 3),
+    "local-in-flight-marker": (
+        "A ~> B : x. end", "unbound recursion variable 'A'", 1, 1),
+    "global-unguarded-rec": ("rec t. t", "unguarded recursion on 't'", 1, 5),
+    "global-unguarded-nested-rec": (
+        "rec t.\nrec u. t", "unguarded recursion on 't'", 1, 5),
+    "local-unguarded-rec": ("rec t. t", "unguarded recursion on 't'", 1, 5),
+    "local-unguarded-nested-rec": (
+        "rec t.\nrec u. t", "unguarded recursion on 't'", 1, 5),
+    "global-shadowed-binder": (
+        "rec t. A -> B : x. rec t. t",
+        "recursion variable 't' shadows an outer binding", 1, 24),
+    "local-shadowed-binder": (
+        "rec t. B ! x. rec t. t",
+        "recursion variable 't' shadows an outer binding", 1, 19),
+    "global-unbound-variable": (
+        "A -> B : x. u", "unbound recursion variable 'u'", 1, 13),
+    "global-unbound-variable-alone": (
+        "t", "unbound recursion variable 't'", 1, 1),
+    "local-unbound-variable": (
+        "B ? x. u", "unbound recursion variable 'u'", 1, 8),
+    "global-duplicate-label": (
+        "A -> B : { x. end, y. end,\n x. end }",
+        "duplicate branch label 'x'", 2, 10),
+    "local-duplicate-label": (
+        "B ! { x. end, y. end,\n x. end }", "duplicate branch label 'x'", 2, 10),
+    "global-trailing-input": (
+        "A -> B : x. end\ntrailing", "trailing input 'trailing'", 2, 1),
+    "local-trailing-input": (
+        "B ! x. end\ntrailing", "trailing input 'trailing'", 2, 1),
+    "global-send-in-global": (
+        "A ! x. end", "unbound recursion variable 'A'", 1, 1),
+    "local-arrow-in-local": (
+        "A -> B : x. end", "unbound recursion variable 'A'", 1, 1),
+    "global-keyword-as-participant": (
+        "end -> B : x. end", "trailing input '->'", 1, 5),
+    "local-keyword-as-participant": ("end ! x. end", "trailing input '!'", 1, 5),
+    "global-empty-input": (
+        "", "expected a global type, found 'end of input'", 1, 1),
+    "global-comment-only-input": (
+        "  // only a comment\n", "expected a global type, found 'end of input'",
+        2, 1),
+    "local-empty-input": (
+        "", "expected a local type, found 'end of input'", 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_error_table(case):
+    text, message, line, col = PARSE_ERRORS[case]
+    parse = parse_global if case.startswith("global-") else parse_local
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"{line}:{col}: {message}", line, col)
