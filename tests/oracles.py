@@ -235,6 +235,214 @@ DATA_TRANSFER = {
 }
 
 
+# ---------------------------------------------------------------------------
+# Equation systems (graph-shaped types): the reference for stepping, subset
+# construction and labelled nets, written one form at a time.  An equation
+# is any object with the fields of its form, told apart by class name, so
+# nothing here imports the package.  Actions are 4-tuples as above; a
+# multiset of holes is a sorted tuple of variables.
+
+FORK_CAP = 8
+
+
+class ForkCap(Exception):
+    """A participant would hold more than FORK_CAP parallel holes."""
+
+
+def _form(eq):
+    return type(eq).__name__
+
+
+def eq_defs(equations):
+    """The equation defining each variable."""
+    defs = {}
+    for eq in equations:
+        for v in ((eq.l1, eq.l2) if _form(eq) in ("Join", "Merge")
+                  else (eq.lhs,)):
+            defs[v] = eq
+    return defs
+
+
+def _put(ps, i, *new):
+    return tuple(sorted(ps[:i] + ps[i + 1:] + new))
+
+
+def gclosure(defs, ps, p):
+    """Hole multisets silently reachable from ps; with p given (the global
+    reading) exchanges that do not involve p are silent too."""
+    seen = {ps}
+    todo = deque([ps])
+    while todo:
+        cur = todo.popleft()
+        if len(cur) > FORK_CAP:
+            raise ForkCap(cur)
+        nxt = []
+        for i, x in enumerate(cur):
+            eq = defs[x]
+            form = _form(eq)
+            if form == "Indir":
+                nxt.append(_put(cur, i, eq.rhs))
+            elif form == "Fork":
+                nxt.append(_put(cur, i, eq.left, eq.right))
+            elif form in ("GGChoice", "GLIChoice", "GLEChoice"):
+                nxt.append(_put(cur, i, eq.left))
+                nxt.append(_put(cur, i, eq.right))
+            elif form == "Merge":
+                nxt.append(_put(cur, i, eq.rhs))
+            elif form == "Join":
+                other = eq.l2 if x == eq.l1 else eq.l1
+                rest = cur[:i] + cur[i + 1:]
+                if other in rest:
+                    j = rest.index(other)
+                    nxt.append(tuple(sorted(rest[:j] + rest[j + 1:]
+                                            + (eq.rhs,))))
+            elif form == "GGMsg" and p is not None \
+                    and p not in (eq.src, eq.dst):
+                nxt.append(_put(cur, i, eq.cont))
+        for cand in nxt:
+            if cand not in seen:
+                seen.add(cand)
+                todo.append(cand)
+    return tuple(sorted(seen))
+
+
+def gfire(defs, ps, p):
+    """The sends and receives of p enabled in ps, as (action, hole index,
+    continuation) triples."""
+    out = []
+    for i, x in enumerate(ps):
+        eq = defs[x]
+        form = _form(eq)
+        if form == "GGMsg":
+            if eq.src == p:
+                out.append(((p, eq.dst, "!", eq.label), i, eq.cont))
+            elif eq.dst == p:
+                out.append(((eq.src, p, "?", eq.label), i, eq.cont))
+        elif form == "GLSend":
+            out.append(((p, eq.peer, "!", eq.label), i, eq.cont))
+        elif form == "GLRecv":
+            out.append(((eq.peer, p, "?", eq.label), i, eq.cont))
+    return out
+
+
+def gsteps(defs_by, ps, holes, buffers, k, global_view):
+    """The sorted, duplicate-free (action, holes', buffers') steps of a
+    configuration of equation systems, one defs map per participant."""
+    index = {ch: i for i, ch in enumerate(
+        (a, b) for a in ps for b in ps if a != b)}
+    out = set()
+    for i, p in enumerate(ps):
+        defs = defs_by[p]
+        for elem in gclosure(defs, holes[i], p if global_view else None):
+            for act, hi, cont in gfire(defs, elem, p):
+                ci = index[(act[0], act[1])]
+                b = buffers[ci]
+                if act[2] == "!":
+                    if k is not None and len(b) >= k:
+                        continue
+                    b = b + (act[3],)
+                elif b and b[0] == act[3]:
+                    b = b[1:]
+                else:
+                    continue
+                hs = list(holes)
+                hs[i] = _put(elem, hi, cont)
+                bs = list(buffers)
+                bs[ci] = b
+                out.add((act, tuple(hs), tuple(bs)))
+    return sorted(out)
+
+
+def gmachine(defs, entry, owner):
+    """The subset construction of a local equation system as
+    (state, action, state) triples, state s<i> the i-th set found in
+    breadth-first order with actions taken in sorted order."""
+
+    def close(states):
+        acc = set()
+        for ps in states:
+            acc.update(gclosure(defs, ps, None))
+        return frozenset(acc)
+
+    order = [close({(entry,)})]
+    index = {order[0]: 0}
+    edges = set()
+    for i, cur in enumerate(order):
+        moves = {}
+        for ps in cur:
+            for act, hi, cont in gfire(defs, ps, owner):
+                moves.setdefault(act, set()).add(_put(ps, hi, cont))
+        for act in sorted(moves):
+            nxt = close(moves[act])
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+            edges.add((f"s{i}", act, f"s{index[nxt]}"))
+    return edges
+
+
+def petri(equations, entry, owner=None):
+    """The labelled net of an equation system: (places, transitions,
+    initial), a transition being (name, label or None, inputs, outputs)."""
+    places = tuple(sorted(eq_defs(equations)))
+    ts = []
+
+    def add(label, ins, outs):
+        ts.append((f"t{len(ts)}", label, ins, outs))
+
+    for eq in equations:
+        form = _form(eq)
+        if form == "GLSend":
+            add(f"{owner}{eq.peer}!{eq.label}" if owner
+                else f"{eq.peer}!{eq.label}", (eq.lhs,), (eq.cont,))
+        elif form == "GLRecv":
+            add(f"{eq.peer}{owner}?{eq.label}" if owner
+                else f"{eq.peer}?{eq.label}", (eq.lhs,), (eq.cont,))
+        elif form == "GGMsg":
+            add(f"{eq.src}->{eq.dst}:{eq.label}", (eq.lhs,), (eq.cont,))
+        elif form == "Fork":
+            add(None, (eq.lhs,), (eq.left, eq.right))
+        elif form == "Join":
+            add(None, (eq.l1, eq.l2), (eq.rhs,))
+        elif form in ("GGChoice", "GLIChoice", "GLEChoice"):
+            add(None, (eq.lhs,), (eq.left,))
+            add(None, (eq.lhs,), (eq.right,))
+        elif form == "Merge":
+            add(None, (eq.l1,), (eq.rhs,))
+            add(None, (eq.l2,), (eq.rhs,))
+        elif form == "Indir":
+            add(None, (eq.lhs,), (eq.rhs,))
+    return places, tuple(ts), entry
+
+
+def is_safe(transitions, initial, cap=200000):
+    """(True, None) when no reachable marking puts two tokens on a place,
+    else (False, the first such marking found breadth-first as
+    {place: tokens})."""
+    init = frozenset({(initial, 1)})
+    seen = {init}
+    todo = deque([init])
+    while todo:
+        marking = dict(todo.popleft())
+        for _, _, ins, outs in transitions:
+            if any(marking.get(x, 0) < 1 for x in ins):
+                continue
+            m2 = dict(marking)
+            for x in ins:
+                m2[x] -= 1
+            for x in outs:
+                m2[x] = m2.get(x, 0) + 1
+            if any(v > 1 for v in m2.values()):
+                return False, {p: v for p, v in sorted(m2.items()) if v}
+            key = frozenset((p, v) for p, v in m2.items() if v)
+            if key not in seen:
+                seen.add(key)
+                if len(seen) > cap:
+                    raise RuntimeError("oracle cap exceeded")
+                todo.append(key)
+    return True, None
+
+
 def product_states(sys_enc, names):
     """Full product state space over the named machines (associated CFSM)."""
     sets = []
