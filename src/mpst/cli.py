@@ -20,15 +20,16 @@ from .compat import multiparty_compatible
 from .errors import (ChoiceOwnership, MergeFailure, MPSTError, NotBasic,
                      NotCompatible, NotSessionCompatible, ParseError,
                      ResourceLimit, SynthesisFailure)
-from .generalized import (GeneralGlobal, GeneralLocal, dot_net, gproject,
-                          gsynthesize, is_safe, parse_gglobal, parse_glocal,
-                          print_gglobal, print_glocal, session_compatible,
-                          to_petri)
+from .generalized import (GeneralGlobal, GeneralLocal, dot_net,
+                          gg_participants, gproject, gsynthesize, is_safe,
+                          parse_gglobal, parse_glocal, print_gglobal,
+                          print_glocal, session_compatible, to_petri)
 from .projection import project, well_formed
 from .semantics import step_global
 from .synthesis import synthesize, verify_roundtrip
-from .syntax import (Global, Local, System, make_system, parse_global,
-                     parse_local, parse_system, print_system, print_type)
+from .syntax import (Global, Local, System, gparticipants, make_system,
+                     parse_global, parse_local, parse_system, print_system,
+                     print_type)
 from .translate import to_local, to_machine
 
 
@@ -81,6 +82,8 @@ def _cmd_project(args) -> int:
     g = _load(args.file)
     if not isinstance(g, Global):
         raise ParseError("project expects a global type (.gt)")
+    if args.participant not in gparticipants(g):
+        raise ParseError(f"no participant {args.participant} in the type")
     _emit(print_type(project(g, args.participant)) + "\n", args.output)
     return 0
 
@@ -195,6 +198,8 @@ def _cmd_gproject(args) -> int:
     g = _load(args.file)
     if not isinstance(g, GeneralGlobal):
         raise ParseError("gproject expects a global equation system (.ggt)")
+    if args.participant not in gg_participants(g):
+        raise ParseError(f"no participant {args.participant} in the system")
     _emit(print_glocal(gproject(g, args.participant)), args.output)
     return 0
 

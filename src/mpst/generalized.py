@@ -6,10 +6,15 @@ fork/join pairs for parallel regions and merges that let branches share a
 continuation.  Global systems describe every participant at once; local
 systems describe one endpoint, with internal (+) and external (&) choice.
 
-Execution places per-participant holes on the variables: structural
-equations are crossed silently, sends append to FIFO buffers, receives
-consume them.  The same mechanics drive projection to endpoints, subset
-translation to machines, and emission of a labelled Petri net.
+Each equation form means one thing, stated once in `_transitions`: its
+transitions in a labelled net whose places are the variables, each with
+its inputs, outputs and the message equation that labels it (None for a
+silent move).  Execution places per-participant holes on the variables
+as tokens: silent transitions are crossed freely, sends append to FIFO
+buffers, receives consume them.  The same transitions, compiled per
+system and participant by `_net`, drive projection's choice of deciding
+senders, stepping, subset translation to machines and the emitted
+Petri net with its safety check.
 """
 
 from __future__ import annotations
@@ -116,30 +121,26 @@ LOCAL_EQS = (Fork, Join, Merge, Indir, EndEq, GLSend, GLRecv, GLIChoice,
              GLEChoice)
 
 
+# the concrete syntax of each form, filled in from its fields
+_SYNTAX = {
+    GGMsg: "{lhs} = {src} -> {dst} : {label} ; {cont};",
+    GGChoice: "{lhs} = {left} + {right};",
+    Fork: "{lhs} = {left} | {right};",
+    Join: "{l1} | {l2} = {rhs};",
+    Merge: "{l1} + {l2} = {rhs};",
+    Indir: "{lhs} = {rhs};",
+    EndEq: "{lhs} = end;",
+    GLSend: "{lhs} = {peer} ! {label} ; {cont};",
+    GLRecv: "{lhs} = {peer} ? {label} ; {cont};",
+    GLIChoice: "{lhs} = {left} (+) {right};",
+    GLEChoice: "{lhs} = {left} & {right};",
+}
+
+
 def _eq_str(eq) -> str:
-    if isinstance(eq, GGMsg):
-        return f"{eq.lhs} = {eq.src} -> {eq.dst} : {eq.label} ; {eq.cont};"
-    if isinstance(eq, GGChoice):
-        return f"{eq.lhs} = {eq.left} + {eq.right};"
-    if isinstance(eq, Fork):
-        return f"{eq.lhs} = {eq.left} | {eq.right};"
-    if isinstance(eq, Join):
-        return f"{eq.l1} | {eq.l2} = {eq.rhs};"
-    if isinstance(eq, Merge):
-        return f"{eq.l1} + {eq.l2} = {eq.rhs};"
-    if isinstance(eq, Indir):
-        return f"{eq.lhs} = {eq.rhs};"
-    if isinstance(eq, EndEq):
-        return f"{eq.lhs} = end;"
-    if isinstance(eq, GLSend):
-        return f"{eq.lhs} = {eq.peer} ! {eq.label} ; {eq.cont};"
-    if isinstance(eq, GLRecv):
-        return f"{eq.lhs} = {eq.peer} ? {eq.label} ; {eq.cont};"
-    if isinstance(eq, GLIChoice):
-        return f"{eq.lhs} = {eq.left} (+) {eq.right};"
-    if isinstance(eq, GLEChoice):
-        return f"{eq.lhs} = {eq.left} & {eq.right};"
-    raise TypeError(type(eq).__name__)
+    if type(eq) not in _SYNTAX:
+        raise TypeError(type(eq).__name__)
+    return _SYNTAX[type(eq)].format_map(vars(eq))
 
 
 def _defined_vars(eq) -> tuple[Var, ...]:
@@ -148,14 +149,41 @@ def _defined_vars(eq) -> tuple[Var, ...]:
     return (eq.lhs,)
 
 
-def _used_vars(eq) -> tuple[Var, ...]:
+def _transitions(eq) -> tuple:
+    """The one statement of what each equation form means: its transitions
+    in the labelled net over the variables, as (inputs, outputs, message)
+    triples, where message is the exchange, send or receive equation that
+    labels the transition and None marks a silent move.  Stepping, the
+    subset construction, projection's deciding senders, the emitted net
+    and validation all read the forms through it."""
     if isinstance(eq, (GGMsg, GLSend, GLRecv)):
-        return (eq.cont,)
-    if isinstance(eq, (GGChoice, Fork, GLIChoice, GLEChoice)):
-        return (eq.left, eq.right)
-    if isinstance(eq, (Join, Merge, Indir)):
-        return (eq.rhs,)
-    return ()
+        return (((eq.lhs,), (eq.cont,), eq),)
+    if isinstance(eq, (GGChoice, GLIChoice, GLEChoice)):
+        return (((eq.lhs,), (eq.left,), None), ((eq.lhs,), (eq.right,), None))
+    if isinstance(eq, Fork):
+        return (((eq.lhs,), (eq.left, eq.right), None),)
+    if isinstance(eq, Join):
+        return (((eq.l1, eq.l2), (eq.rhs,), None),)
+    if isinstance(eq, Merge):
+        return (((eq.l1,), (eq.rhs,), None), ((eq.l2,), (eq.rhs,), None))
+    if isinstance(eq, Indir):
+        return (((eq.lhs,), (eq.rhs,), None),)
+    return ()  # EndEq
+
+
+def _action(msg, p: Participant) -> Action | None:
+    """What p does when the message equation msg fires: a local send or
+    receive is p's own; a global exchange is p's send or receive, or None
+    when it does not involve p."""
+    if isinstance(msg, GLSend):
+        return Action(p, msg.peer, "!", msg.label)
+    if isinstance(msg, GLRecv):
+        return Action(msg.peer, p, "?", msg.label)
+    if p == msg.src:
+        return Action(p, msg.dst, "!", msg.label)
+    if p == msg.dst:
+        return Action(msg.src, p, "?", msg.label)
+    return None
 
 
 def _validate(entry: Var, equations, allowed) -> None:
@@ -173,45 +201,54 @@ def _validate(entry: Var, equations, allowed) -> None:
     if entry not in defined:
         raise ParseError(f"entry variable {entry} has no defining equation")
     for eq in equations:
-        for v in _used_vars(eq):
-            if v not in defined:
-                raise ParseError(f"variable {v} is used but never defined")
+        for _, outs, _ in _transitions(eq):
+            for v in outs:
+                if v not in defined:
+                    raise ParseError(f"variable {v} is used but never defined")
 
 
 @dataclass(frozen=True)
-class GeneralGlobal:
+class _EquationSystem:
+    """Equations and the variable `entry` where execution starts; the
+    equations are kept sorted by their printed form."""
+
+    entry: Var
+    equations: tuple
+
+    def __post_init__(self):
+        eqs = tuple(sorted(self.equations, key=_eq_str))
+        object.__setattr__(self, "equations", eqs)
+        _validate(self.entry, eqs, self._forms)
+
+
+class GeneralGlobal(_EquationSystem):
     """A global protocol given by equations; `entry` is where it starts."""
 
-    entry: Var
-    equations: tuple
-
-    def __post_init__(self):
-        eqs = tuple(sorted(self.equations, key=_eq_str))
-        object.__setattr__(self, "equations", eqs)
-        _validate(self.entry, eqs, GLOBAL_EQS)
+    _forms = GLOBAL_EQS
 
 
-@dataclass(frozen=True)
-class GeneralLocal:
+class GeneralLocal(_EquationSystem):
     """One endpoint of a global protocol, same equation style."""
 
-    entry: Var
-    equations: tuple
-
-    def __post_init__(self):
-        eqs = tuple(sorted(self.equations, key=_eq_str))
-        object.__setattr__(self, "equations", eqs)
-        _validate(self.entry, eqs, LOCAL_EQS)
+    _forms = LOCAL_EQS
 
 
-def _defs(g: GeneralGlobal | GeneralLocal) -> dict:
-    """The equation defining each variable of g, built on first use and kept
-    on the instance the way System's cached properties are."""
-    out = g.__dict__.get("_defs")
-    if out is None:
-        out = g.__dict__["_defs"] = {v: eq for eq in g.equations
-                                     for v in _defined_vars(eq)}
-    return out
+def _net(t: GeneralGlobal | GeneralLocal, p: Participant) -> dict:
+    """The transitions of t indexed by each of their input places, as
+    (inputs, outputs, action) triples with p's action, None where the move
+    is silent for p.  Compiled once per system and participant and kept on
+    the instance, the way System's cached properties are, so a system
+    nothing refers to any more is freed with its nets."""
+    nets = t.__dict__.setdefault("_nets", {})
+    net = nets.get(p)
+    if net is None:
+        net = nets[p] = {}
+        for eq in t.equations:
+            for ins, outs, msg in _transitions(eq):
+                move = (ins, outs, None if msg is None else _action(msg, p))
+                for x in ins:
+                    net.setdefault(x, []).append(move)
+    return net
 
 
 def gg_participants(g: GeneralGlobal) -> tuple[Participant, ...]:
@@ -226,12 +263,18 @@ def gg_participants(g: GeneralGlobal) -> tuple[Participant, ...]:
 # --------------------------------------------------------------------------
 # Concrete syntax
 
-def print_gglobal(g: GeneralGlobal) -> str:
+def print_gglobal(g: GeneralGlobal | GeneralLocal) -> str:
     return f"init {g.entry};\n" + "".join(_eq_str(e) + "\n" for e in g.equations)
 
 
 def print_glocal(t: GeneralLocal) -> str:
-    return f"init {t.entry};\n" + "".join(_eq_str(e) + "\n" for e in t.equations)
+    return print_gglobal(t)
+
+
+# the forms with two variables around an operator: "v1 + v2 = rhs;" and
+# "v1 | v2 = rhs;" on the left, "lhs = left OP right;" on the right
+_JOINS = {"+": Merge, "|": Join}
+_SPLITS = {"|": Fork, "+": GGChoice, "(+)": GLIChoice, "&": GLEChoice}
 
 
 def _parse_equations(text: str, local: bool):
@@ -242,23 +285,17 @@ def _parse_equations(text: str, local: bool):
                          kw.line, kw.col)
     entry = p.ident("entry variable").text
     p.expect(";")
+    forms = LOCAL_EQS if local else GLOBAL_EQS
     eqs = []
     while not p.at_end():
         v1 = p.ident("variable").text
         tok = p.next()
-        if tok.text == "+":
+        if tok.text in _JOINS:
             v2 = p.ident("variable").text
             p.expect("=")
             rhs = p.ident("variable").text
             p.expect(";")
-            eqs.append(Merge(v1, v2, rhs))
-            continue
-        if tok.text == "|":
-            v2 = p.ident("variable").text
-            p.expect("=")
-            rhs = p.ident("variable").text
-            p.expect(";")
-            eqs.append(Join(v1, v2, rhs))
+            eqs.append(_JOINS[tok.text](v1, v2, rhs))
             continue
         if tok.text != "=":
             raise ParseError(f"expected '=', '+' or '|', found {tok.text!r}",
@@ -270,12 +307,13 @@ def _parse_equations(text: str, local: bool):
             continue
         u = p.ident("variable or participant").text
         tok = p.next()
+        split = _SPLITS.get(tok.text)
         if tok.text == ";":
             eqs.append(Indir(v1, u))
-        elif tok.text == "|":
+        elif split in forms:
             r = p.ident("variable").text
             p.expect(";")
-            eqs.append(Fork(v1, u, r))
+            eqs.append(split(v1, u, r))
         elif tok.text == "->" and not local:
             dst = p.ident("participant").text
             p.expect(":")
@@ -284,18 +322,6 @@ def _parse_equations(text: str, local: bool):
             cont = p.ident("variable").text
             p.expect(";")
             eqs.append(GGMsg(v1, u, dst, label, cont))
-        elif tok.text == "+" and not local:
-            r = p.ident("variable").text
-            p.expect(";")
-            eqs.append(GGChoice(v1, u, r))
-        elif tok.text == "(+)" and local:
-            r = p.ident("variable").text
-            p.expect(";")
-            eqs.append(GLIChoice(v1, u, r))
-        elif tok.text == "&" and local:
-            r = p.ident("variable").text
-            p.expect(";")
-            eqs.append(GLEChoice(v1, u, r))
         elif tok.text in ("!", "?") and local:
             label = p.ident("label").text
             p.expect(";")
@@ -324,9 +350,9 @@ def parse_glocal(text: str) -> GeneralLocal:
 
 def _asend(g: GeneralGlobal, x: Var) -> frozenset[Participant]:
     """Participants whose first own action reachable from x is a send."""
-    defs = _defs(g)
     out = set()
     for p in gg_participants(g):
+        net = _net(g, p)
         seen: set[Var] = set()
         stack = [x]
         while stack:
@@ -334,16 +360,11 @@ def _asend(g: GeneralGlobal, x: Var) -> frozenset[Participant]:
             if v in seen:
                 continue
             seen.add(v)
-            eq = defs[v]
-            if isinstance(eq, GGMsg):
-                if eq.src == p:
+            for _, outs, act in net.get(v, ()):
+                if act is None:
+                    stack.extend(outs)
+                elif act.op == "!":
                     out.add(p)
-                elif eq.dst != p:
-                    stack.append(eq.cont)
-            elif isinstance(eq, (GGChoice, Fork)):
-                stack.extend((eq.left, eq.right))
-            elif isinstance(eq, (Join, Merge, Indir)):
-                stack.append(eq.rhs)
     return frozenset(out)
 
 
@@ -384,19 +405,28 @@ class GConfig:
     buffers: tuple[tuple[Label, ...], ...]
 
 
-def _put(ps: ParState, i: int, *new: Var) -> ParState:
-    return tuple(sorted(ps[:i] + ps[i + 1:] + new))
+def _fire(ps: ParState, ins: tuple[Var, ...],
+          outs: tuple[Var, ...]) -> ParState | None:
+    """The multiset ps after a transition takes a hole (or token) from each
+    of its inputs and puts one on each output; None unless every input
+    holds one."""
+    rest = list(ps)
+    for x in ins:
+        if x not in rest:
+            return None
+        rest.remove(x)
+    rest.extend(outs)
+    rest.sort()
+    return tuple(rest)
 
 
-def _gclosure(defs: dict, ps: ParState,
-              p: Participant | None) -> tuple[ParState, ...]:
-    """Hole positions silently reachable from ps.
-
-    Structural equations are crossed freely; with a participant given (the
-    global reading) message equations that do not involve it are crossed
-    too.  Choices branch the closure rather than the hole multiset.  It
-    keeps its own loop: it returns a sorted set, not a graph, and stops at
-    the first multiset of more than DEFAULT_FORK_CAP holes.
+def _gclosure(net: dict, ps: ParState) -> tuple[ParState, ...]:
+    """Hole positions reachable from ps by moves silent for the
+    participant of net (see `_net`): structural equations, and in the
+    global reading the exchanges that do not involve it.  Choices branch
+    the closure rather than the hole multiset.  It keeps its own loop: it
+    returns a sorted set, not a graph, and stops at the first multiset of
+    more than DEFAULT_FORK_CAP holes.
     """
     seen = {ps}
     dq = deque([ps])
@@ -405,54 +435,28 @@ def _gclosure(defs: dict, ps: ParState,
         if len(cur) > DEFAULT_FORK_CAP:
             raise ResourceLimit(f"more than {DEFAULT_FORK_CAP} parallel "
                                 f"branches for one participant")
-        nxt: list[ParState] = []
         for i, x in enumerate(cur):
             if i and cur[i - 1] == x:
                 continue  # identical hole, identical moves
-            eq = defs[x]
-            if isinstance(eq, Indir):
-                nxt.append(_put(cur, i, eq.rhs))
-            elif isinstance(eq, Fork) and x == eq.lhs:
-                nxt.append(_put(cur, i, eq.left, eq.right))
-            elif isinstance(eq, (GGChoice, GLIChoice, GLEChoice)):
-                nxt.append(_put(cur, i, eq.left))
-                nxt.append(_put(cur, i, eq.right))
-            elif isinstance(eq, Merge):
-                nxt.append(_put(cur, i, eq.rhs))
-            elif isinstance(eq, Join):
-                other = eq.l2 if x == eq.l1 else eq.l1
-                rest = cur[:i] + cur[i + 1:]
-                if other in rest:
-                    j = rest.index(other)
-                    nxt.append(tuple(sorted(rest[:j] + rest[j + 1:]
-                                            + (eq.rhs,))))
-            elif isinstance(eq, GGMsg) and p is not None \
-                    and p not in (eq.src, eq.dst):
-                nxt.append(_put(cur, i, eq.cont))
-        for cand in nxt:
-            if cand not in seen:
-                seen.add(cand)
-                dq.append(cand)
+            for ins, outs, act in net.get(x, ()):
+                if act is None:
+                    nxt = _fire(cur, ins, outs)
+                    if nxt is not None and nxt not in seen:
+                        seen.add(nxt)
+                        dq.append(nxt)
     return tuple(sorted(seen))
 
 
-def _gfire(defs: dict, ps: ParState, p: Participant):
-    """Send/receive firings available in ps for participant p, as
-    (action, hole-index, continuation) triples."""
+def _gfire(net: dict, ps: ParState) -> list[tuple[Action, ParState]]:
+    """The sends and receives of net's participant enabled in ps, as
+    (action, holes') pairs."""
     out = []
     for i, x in enumerate(ps):
         if i and ps[i - 1] == x:
             continue
-        eq = defs[x]
-        if isinstance(eq, GGMsg):
-            if eq.src == p:
-                out.append((Action(p, eq.dst, "!", eq.label), i, eq.cont))
-            elif eq.dst == p:
-                out.append((Action(eq.src, p, "?", eq.label), i, eq.cont))
-        elif isinstance(eq, GLSend):
-            out.append((Action(p, eq.peer, "!", eq.label), i, eq.cont))
-        elif isinstance(eq, GLRecv):
-            out.append((Action(eq.peer, p, "?", eq.label), i, eq.cont))
+        for ins, outs, act in net.get(x, ()):
+            if act is not None:
+                out.append((act, _fire(ps, ins, outs)))
     return out
 
 
@@ -466,7 +470,7 @@ def gstep_global(g: GeneralGlobal, c: GConfig,
                  k: int | None = None) -> tuple[tuple[Action, GConfig], ...]:
     """Enabled steps of a global equation system (k-bounded sends)."""
     ps = gg_participants(g)
-    return _gsteps({p: _defs(g) for p in ps}, ps, c, k, global_view=True)
+    return _gsteps([_net(g, p) for p in ps], ps, c, k)
 
 
 def ginitial_local(family: dict[Participant, GeneralLocal]) -> GConfig:
@@ -479,24 +483,22 @@ def gstep_local(family: dict[Participant, GeneralLocal], c: GConfig,
                 k: int | None = None) -> tuple[tuple[Action, GConfig], ...]:
     """Enabled steps of a family of local equation systems."""
     ps = tuple(sorted(family))
-    return _gsteps({p: _defs(family[p]) for p in ps}, ps, c, k,
-                   global_view=False)
+    return _gsteps([_net(family[p], p) for p in ps], ps, c, k)
 
 
-def _gsteps(defs_by: dict, ps: tuple[Participant, ...], c: GConfig,
-            k: int | None, global_view: bool):
+def _gsteps(nets: list, ps: tuple[Participant, ...], c: GConfig,
+            k: int | None):
     index = {ch: i for i, ch in enumerate(channels(ps))}
     out = set()
-    for i, p in enumerate(ps):
-        defs = defs_by[p]
-        for elem in _gclosure(defs, c.holes[i], p if global_view else None):
-            for act, hi, cont in _gfire(defs, elem, p):
+    for i, net in enumerate(nets):
+        for elem in _gclosure(net, c.holes[i]):
+            for act, holes in _gfire(net, elem):
                 bufs = _fifo(c.buffers, index[act.channel], act, k)
                 if bufs is None:
                     continue
-                holes = list(c.holes)
-                holes[i] = _put(elem, hi, cont)
-                out.add((act, GConfig(tuple(holes), bufs)))
+                hs = list(c.holes)
+                hs[i] = holes
+                out.add((act, GConfig(tuple(hs), bufs)))
     return tuple(sorted(out, key=lambda t: (t[0], t[1].holes, t[1].buffers)))
 
 
@@ -520,19 +522,19 @@ def gto_machine(t: GeneralLocal, owner: Participant) -> Machine:
     """The machine of t: `_bfs` over closed sets of hole positions, state
     s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
     states."""
-    defs = _defs(t)
+    net = _net(t, owner)
 
     def close(states) -> frozenset[ParState]:
         acc: set[ParState] = set()
         for ps in states:
-            acc.update(_gclosure(defs, ps, None))
+            acc.update(_gclosure(net, ps))
         return frozenset(acc)
 
     def step(cur: frozenset[ParState]) -> list:
         moves: dict[Action, set[ParState]] = {}
         for ps in cur:
-            for act, hi, cont in _gfire(defs, ps, owner):
-                moves.setdefault(act, set()).add(_put(ps, hi, cont))
+            for act, holes in _gfire(net, ps):
+                moves.setdefault(act, set()).add(holes)
         return [(act, close(moves[act])) for act in sorted(moves)]
 
     _, rows, _ = _bfs(close({(t.entry,)}), step, None, "subset construction")
@@ -555,69 +557,49 @@ class LabelledNet:
 
 
 def to_petri(t, owner: Participant | None = None) -> LabelledNet:
-    """Emit the labelled net of an equation system (local or global)."""
-    places = []
-    for eq in t.equations:
-        places.extend(_defined_vars(eq))
-    places = tuple(sorted(places))
+    """Emit the labelled net of an equation system (local or global): the
+    `_transitions` of its equations in order, named t0, t1, ..."""
+    places = tuple(sorted(v for eq in t.equations for v in _defined_vars(eq)))
     transitions = []
-    fresh = iter(f"t{i}" for i in range(10 * len(t.equations) + 10))
     for eq in t.equations:
-        if isinstance(eq, GLSend):
-            lbl = (str(Action(owner, eq.peer, "!", eq.label)) if owner
-                   else f"{eq.peer}!{eq.label}")
-            transitions.append((next(fresh), lbl, (eq.lhs,), (eq.cont,)))
-        elif isinstance(eq, GLRecv):
-            lbl = (str(Action(eq.peer, owner, "?", eq.label)) if owner
-                   else f"{eq.peer}?{eq.label}")
-            transitions.append((next(fresh), lbl, (eq.lhs,), (eq.cont,)))
-        elif isinstance(eq, GGMsg):
-            lbl = f"{eq.src}->{eq.dst}:{eq.label}"
-            transitions.append((next(fresh), lbl, (eq.lhs,), (eq.cont,)))
-        elif isinstance(eq, Fork):
-            transitions.append((next(fresh), None, (eq.lhs,),
-                                (eq.left, eq.right)))
-        elif isinstance(eq, Join):
-            transitions.append((next(fresh), None, (eq.l1, eq.l2),
-                                (eq.rhs,)))
-        elif isinstance(eq, (GGChoice, GLIChoice, GLEChoice)):
-            transitions.append((next(fresh), None, (eq.lhs,), (eq.left,)))
-            transitions.append((next(fresh), None, (eq.lhs,), (eq.right,)))
-        elif isinstance(eq, Merge):
-            transitions.append((next(fresh), None, (eq.l1,), (eq.rhs,)))
-            transitions.append((next(fresh), None, (eq.l2,), (eq.rhs,)))
-        elif isinstance(eq, Indir):
-            transitions.append((next(fresh), None, (eq.lhs,), (eq.rhs,)))
+        for ins, outs, msg in _transitions(eq):
+            transitions.append((f"t{len(transitions)}", _transition_label(msg, owner),
+                                ins, outs))
     return LabelledNet(places, tuple(transitions), t.entry)
+
+
+def _transition_label(msg, owner: Participant | None) -> str | None:
+    if msg is None:
+        return None
+    if isinstance(msg, GGMsg):
+        return f"{msg.src}->{msg.dst}:{msg.label}"
+    # without an owner the acting side is left blank: "B!data", "A?log"
+    return str(_action(msg, owner or ""))
 
 
 def is_safe(net: LabelledNet, cap: int | None = None) -> tuple[bool, dict | None]:
     """Exhaustively check that no reachable marking puts two tokens on a
-    place; returns the offending marking otherwise.  It keeps its own loop,
-    which stops at the first unsafe marking."""
+    place; returns the offending marking otherwise.  A marking is the
+    sorted tuple of its tokens' places, fired by `_fire` as `_gclosure`
+    fires hole multisets, transitions taken in the net's order.  It keeps
+    its own loop, which stops at the first unsafe marking."""
     cap = cap if cap is not None else node_cap()
-    init = frozenset({(net.initial, 1)})
+    init = (net.initial,)
     seen = {init}
     dq = deque([init])
     while dq:
-        marking = dict(dq.popleft())
-        for name, _, ins, outs in net.transitions:
-            if any(marking.get(x, 0) < 1 for x in ins):
+        marking = dq.popleft()
+        for _, _, ins, outs in net.transitions:
+            m2 = _fire(marking, ins, outs)
+            if m2 is None or m2 in seen:
                 continue
-            m2 = dict(marking)
-            for x in ins:
-                m2[x] -= 1
-            for x in outs:
-                m2[x] = m2.get(x, 0) + 1
-            if any(v > 1 for v in m2.values()):
-                return False, {k: v for k, v in sorted(m2.items()) if v}
-            key = frozenset((k, v) for k, v in m2.items() if v)
-            if key not in seen:
-                seen.add(key)
-                if len(seen) > cap:
-                    raise ResourceLimit(
-                        f"marking graph exceeded the node cap of {cap}")
-                dq.append(key)
+            if len(set(m2)) < len(m2):
+                return False, {x: m2.count(x) for x in sorted(set(m2))}
+            seen.add(m2)
+            if len(seen) > cap:
+                raise ResourceLimit(
+                    f"marking graph exceeded the node cap of {cap}")
+            dq.append(m2)
     return True, None
 
 

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from .cfsm import _fifo, _trie, traces as system_traces
 from .generalized import GeneralGlobal, gtraces_global, gtraces_local
-from .projection import project
-from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, LRec, LRecv,
-                     LSend, Local, Participant, System, channels,
-                     gparticipants, unfold)
+from .projection import _head, project
+from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, LRecv, LSend,
+                     Local, Participant, System, channels, gparticipants,
+                     unfold)
 
 
 def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global], ...]:
@@ -120,12 +120,6 @@ class LocalConfig:
     def channels(self) -> tuple[tuple[Participant, Participant], ...]:
         return channels(self.participants)
 
-    def type_of(self, p: Participant) -> Local:
-        for q, t in self.types:
-            if q == p:
-                return t
-        raise KeyError(p)
-
 
 def local_config(types: dict[Participant, Local]) -> LocalConfig:
     items = tuple(sorted(types.items()))
@@ -145,18 +139,12 @@ def project_config(g: Global) -> LocalConfig:
                        tuple(bufs.get(ch, ()) for ch in chans))
 
 
-def _norm(t: Local) -> Local:
-    while isinstance(t, LRec):
-        t = unfold(t)
-    return t
-
-
 def step_local(c: LocalConfig, k: int | None = None) -> tuple[tuple[Action, LocalConfig], ...]:
     """All enabled steps of a local-type collection (k-bounded sends)."""
     index = {ch: i for i, ch in enumerate(c.channels)}
     out = []
     for i, (p, t) in enumerate(c.types):
-        t = _norm(t)
+        t = _head(t)
         # p uses one channel here: check its buffer before building moves
         if isinstance(t, LSend):
             j = index[(p, t.peer)]

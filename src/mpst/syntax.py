@@ -13,6 +13,12 @@ label-keyed; printing sorts labels for canonical output.  The in-flight
 marker (a branching whose message has been sent but not received) is
 runtime-only: it prints in debug form `A ~> B : [a] {...}` and is rejected
 by the parser.
+
+Global and local types share one core.  Their node classes share printing
+(`_Type`) and branch lookup (`_Branching`); one parser, `_parse_type`,
+reads both grammars, which differ only in the exchange after a
+participant name; `_guarded`, `_subst`, `print_type` and `glabels` each
+serve both languages.
 """
 
 from __future__ import annotations
@@ -50,40 +56,51 @@ class Action:
 
 
 # --------------------------------------------------------------------------
-# Global types
+# Global and local types
 
 
-@dataclass(frozen=True)
-class GEnd:
-    """Terminated protocol."""
+class _Type:
+    """A global or local type node; it prints as `print_type` renders it."""
 
     def __str__(self):
         return print_type(self)
 
 
+class _Branching(_Type):
+    """A node with labelled continuations: GBranch, LSend or LRecv."""
+
+    def labels(self) -> tuple[Label, ...]:
+        return tuple(l for l, _ in self.branches)
+
+    def branch(self, label: Label):
+        for l, t in self.branches:
+            if l == label:
+                return t
+        raise KeyError(label)
+
+
 @dataclass(frozen=True)
-class GVar:
+class GEnd(_Type):
+    """Terminated protocol."""
+
+
+@dataclass(frozen=True)
+class GVar(_Type):
     """Recursion variable occurrence."""
 
     var: str
 
-    def __str__(self):
-        return print_type(self)
-
 
 @dataclass(frozen=True)
-class GRec:
+class GRec(_Type):
     """rec t. body"""
 
     var: str
     body: "Global"
 
-    def __str__(self):
-        return print_type(self)
-
 
 @dataclass(frozen=True)
-class GBranch:
+class GBranch(_Branching):
     """Branched exchange src->dst:{a_i. G_i}; mid marks the in-flight branch."""
 
     src: Participant
@@ -91,87 +108,40 @@ class GBranch:
     branches: tuple[tuple[Label, "Global"], ...]
     mid: int | None = None
 
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(l for l, _ in self.branches)
-
-    def branch(self, label: Label) -> "Global":
-        for l, g in self.branches:
-            if l == label:
-                return g
-        raise KeyError(label)
-
-    def __str__(self):
-        return print_type(self)
-
 
 Global = GEnd | GVar | GRec | GBranch
 
 
-# --------------------------------------------------------------------------
-# Local types
+@dataclass(frozen=True)
+class LEnd(_Type):
+    """Terminated endpoint."""
 
 
 @dataclass(frozen=True)
-class LEnd:
-    def __str__(self):
-        return print_type(self)
-
-
-@dataclass(frozen=True)
-class LVar:
+class LVar(_Type):
     var: str
 
-    def __str__(self):
-        return print_type(self)
-
 
 @dataclass(frozen=True)
-class LRec:
+class LRec(_Type):
     var: str
     body: "Local"
 
-    def __str__(self):
-        return print_type(self)
-
 
 @dataclass(frozen=True)
-class LSend:
+class _LBranching(_Branching):
+    """A local branching, LSend or LRecv: the class tells which."""
+
+    peer: Participant
+    branches: tuple[tuple[Label, "Local"], ...]
+
+
+class LSend(_LBranching):
     """Selection: peer!{a_i. T_i}"""
 
-    peer: Participant
-    branches: tuple[tuple[Label, "Local"], ...]
 
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(l for l, _ in self.branches)
-
-    def branch(self, label: Label) -> "Local":
-        for l, t in self.branches:
-            if l == label:
-                return t
-        raise KeyError(label)
-
-    def __str__(self):
-        return print_type(self)
-
-
-@dataclass(frozen=True)
-class LRecv:
+class LRecv(_LBranching):
     """Branching: peer?{a_i. T_i}"""
-
-    peer: Participant
-    branches: tuple[tuple[Label, "Local"], ...]
-
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(l for l, _ in self.branches)
-
-    def branch(self, label: Label) -> "Local":
-        for l, t in self.branches:
-            if l == label:
-                return t
-        raise KeyError(label)
-
-    def __str__(self):
-        return print_type(self)
 
 
 Local = LEnd | LVar | LRec | LSend | LRecv
@@ -282,10 +252,6 @@ class System:
     def channels(self) -> tuple[tuple[Participant, Participant], ...]:
         return channels(self.participants)
 
-    @cached_property
-    def alphabet(self) -> frozenset[Label]:
-        return frozenset(e[1].label for _, m in self.machines for e in m.transitions)
-
     def machine(self, p: Participant) -> Machine:
         return self.by_owner[p]
 
@@ -375,9 +341,6 @@ class _Parser:
 # --------------------------------------------------------------------------
 # Type parsing
 
-_KEYWORDS = {"end", "rec", "machine", "init"}
-
-
 def _parse_branches(p: _Parser, sub):
     if p.peek().text == "{":
         p.next()
@@ -402,11 +365,18 @@ def _parse_one_branch(p: _Parser, sub):
     return (lbl.text, sub(p))
 
 
-def _parse_global(p: _Parser, env: tuple[str, ...]) -> Global:
+# the node classes and the name of each type language, by `local`
+_NODES = {False: ("global", GEnd, GVar, GRec), True: ("local", LEnd, LVar, LRec)}
+
+
+def _parse_type(p: _Parser, env: tuple[str, ...], local: bool):
+    """A global type, or with local set a local type: the two grammars
+    differ only in the exchange after a participant name."""
+    what, end, var_, rec = _NODES[local]
     t = p.peek()
     if t.text == "end":
         p.next()
-        return GEnd()
+        return end()
     if t.text == "rec":
         p.next()
         var = p.ident("recursion variable")
@@ -414,96 +384,59 @@ def _parse_global(p: _Parser, env: tuple[str, ...]) -> Global:
             raise ParseError(f"recursion variable {var.text!r} shadows an outer binding",
                              var.line, var.col)
         p.expect(".")
-        body = _parse_global(p, env + (var.text,))
-        if not _guarded_global(body, var.text):
+        body = _parse_type(p, env + (var.text,), local)
+        if not _guarded(body, var.text):
             raise ParseError(f"unguarded recursion on {var.text!r}", var.line, var.col)
-        return GRec(var.text, body)
+        return rec(var.text, body)
     if t.kind != "ident":
-        raise ParseError(f"expected a global type, found {t.text or 'end of input'!r}",
+        raise ParseError(f"expected a {what} type, found {t.text or 'end of input'!r}",
                          t.line, t.col)
     name = p.next()
     nxt = p.peek()
-    if nxt.text == "->" or nxt.text == "~>":
-        if nxt.text == "~>":
-            raise ParseError("the in-flight marker ~> is runtime-only",
-                             nxt.line, nxt.col)
+    sub = lambda q: _parse_type(q, env, local)
+    if local and nxt.text in ("!", "?"):
+        p.next()
+        cls = LSend if nxt.text == "!" else LRecv
+        return cls(name.text, _parse_branches(p, sub))
+    if not local and nxt.text == "~>":
+        raise ParseError("the in-flight marker ~> is runtime-only",
+                         nxt.line, nxt.col)
+    if not local and nxt.text == "->":
         p.next()
         dst = p.ident("participant")
         if dst.text == name.text:
             raise ParseError(f"self-message {name.text}->{dst.text}",
                              dst.line, dst.col)
         p.expect(":")
-        branches = _parse_branches(p, lambda q: _parse_global(q, env))
-        return GBranch(name.text, dst.text, branches)
+        return GBranch(name.text, dst.text, _parse_branches(p, sub))
     if name.text in env:
-        return GVar(name.text)
+        return var_(name.text)
     raise ParseError(f"unbound recursion variable {name.text!r}", name.line, name.col)
 
 
-def _parse_local(p: _Parser, env: tuple[str, ...]) -> Local:
-    t = p.peek()
-    if t.text == "end":
-        p.next()
-        return LEnd()
-    if t.text == "rec":
-        p.next()
-        var = p.ident("recursion variable")
-        if var.text in env:
-            raise ParseError(f"recursion variable {var.text!r} shadows an outer binding",
-                             var.line, var.col)
-        p.expect(".")
-        body = _parse_local(p, env + (var.text,))
-        if not _guarded_local(body, var.text):
-            raise ParseError(f"unguarded recursion on {var.text!r}", var.line, var.col)
-        return LRec(var.text, body)
-    if t.kind != "ident":
-        raise ParseError(f"expected a local type, found {t.text or 'end of input'!r}",
-                         t.line, t.col)
-    name = p.next()
-    nxt = p.peek()
-    if nxt.text in ("!", "?"):
-        p.next()
-        branches = _parse_branches(p, lambda q: _parse_local(q, env))
-        cls = LSend if nxt.text == "!" else LRecv
-        return cls(name.text, branches)
-    if name.text in env:
-        return LVar(name.text)
-    raise ParseError(f"unbound recursion variable {name.text!r}", name.line, name.col)
+def _guarded(t, var: str) -> bool:
+    """var occurs in the global or local type t only under a branching
+    prefix: t is not var itself, nor var under recursion binders."""
+    while isinstance(t, (GRec, LRec)):
+        t = t.body
+    return not (isinstance(t, (GVar, LVar)) and t.var == var)
 
 
-def _guarded_global(g: Global, var: str) -> bool:
-    """var only occurs under a branching prefix within g."""
-    if isinstance(g, GVar):
-        return g.var != var
-    if isinstance(g, GRec):
-        return _guarded_global(g.body, var)
-    return True  # GEnd, or GBranch: everything below is guarded
-
-
-def _guarded_local(t: Local, var: str) -> bool:
-    if isinstance(t, LVar):
-        return t.var != var
-    if isinstance(t, LRec):
-        return _guarded_local(t.body, var)
-    return True
-
-
-def parse_global(text: str) -> Global:
+def _parse_whole(text: str, local: bool):
     p = _Parser(text)
-    g = _parse_global(p, ())
-    if not p.at_end():
-        t = p.peek()
-        raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-    return g
-
-
-def parse_local(text: str) -> Local:
-    p = _Parser(text)
-    t = _parse_local(p, ())
+    t = _parse_type(p, (), local)
     if not p.at_end():
         tok = p.peek()
         raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
     return t
+
+
+def parse_global(text: str) -> Global:
+    return _parse_whole(text, local=False)
+
+
+def parse_local(text: str) -> Local:
+    return _parse_whole(text, local=True)
 
 
 # --------------------------------------------------------------------------
@@ -578,39 +511,36 @@ def parse_system(text: str) -> System:
 # --------------------------------------------------------------------------
 # Unfolding and substitution
 
-def _subst_global(g: Global, var: str, repl: Global) -> Global:
-    if isinstance(g, GVar):
-        return repl if g.var == var else g
-    if isinstance(g, GRec):
-        if g.var == var:  # shadowed (rejected at parse time, kept for safety)
-            return g
-        return GRec(g.var, _subst_global(g.body, var, repl))
-    if isinstance(g, GBranch):
-        return GBranch(g.src, g.dst,
-                       tuple((l, _subst_global(b, var, repl)) for l, b in g.branches),
-                       g.mid)
-    return g
+def _with_branches(t: _Branching, branches) -> _Branching:
+    """The branching node t, global or local, with other branches."""
+    if isinstance(t, GBranch):
+        return GBranch(t.src, t.dst, branches, t.mid)
+    return type(t)(t.peer, branches)
 
 
-def _subst_local(t: Local, var: str, repl: Local) -> Local:
-    if isinstance(t, LVar):
+def _subst(t, var: str, repl):
+    """t, global or local, with repl for the free occurrences of var."""
+    if isinstance(t, (GVar, LVar)):
         return repl if t.var == var else t
-    if isinstance(t, LRec):
-        if t.var == var:
+    if isinstance(t, (GRec, LRec)):
+        if t.var == var:  # shadowed (rejected at parse time, kept for safety)
             return t
-        return LRec(t.var, _subst_local(t.body, var, repl))
-    if isinstance(t, (LSend, LRecv)):
+        return type(t)(t.var, _subst(t.body, var, repl))
+    # the branchings are rebuilt inline: unfolding is on the stepping path
+    if isinstance(t, GBranch):
+        return GBranch(t.src, t.dst,
+                       tuple((l, _subst(b, var, repl)) for l, b in t.branches),
+                       t.mid)
+    if isinstance(t, _LBranching):
         return type(t)(t.peer,
-                       tuple((l, _subst_local(b, var, repl)) for l, b in t.branches))
+                       tuple((l, _subst(b, var, repl)) for l, b in t.branches))
     return t
 
 
 def unfold(t):
     """One-step unfolding of a recursive type; identity on anything else."""
-    if isinstance(t, GRec):
-        return _subst_global(t.body, t.var, t)
-    if isinstance(t, LRec):
-        return _subst_local(t.body, t.var, t)
+    if isinstance(t, (GRec, LRec)):
+        return _subst(t.body, t.var, t)
     return t
 
 
@@ -674,45 +604,32 @@ def gparticipants(g: Global) -> frozenset[Participant]:
 
 
 def glabels(g: Global) -> frozenset[Label]:
-    if isinstance(g, GBranch):
+    """The labels of every exchange in a global or local type."""
+    if isinstance(g, _Branching):
         out = set(g.labels())
         for _, b in g.branches:
             out |= glabels(b)
         return frozenset(out)
-    if isinstance(g, GRec):
+    if isinstance(g, (GRec, LRec)):
         return glabels(g.body)
     return frozenset()
 
 
 def llabels(t: Local) -> frozenset[Label]:
-    if isinstance(t, (LSend, LRecv)):
-        out = set(t.labels())
-        for _, b in t.branches:
-            out |= llabels(b)
-        return frozenset(out)
-    if isinstance(t, LRec):
-        return llabels(t.body)
-    return frozenset()
+    return glabels(t)
 
 
 def _sort_branches(t):
-    if isinstance(t, GBranch):
-        if t.mid is not None:
-            # keep mid pointing at the same label after sorting
-            mid_label = t.branches[t.mid][0]
-            bs = tuple(sorted((l, _sort_branches(b)) for l, b in t.branches))
-            mid = next(i for i, (l, _) in enumerate(bs) if l == mid_label)
-            return GBranch(t.src, t.dst, bs, mid)
-        return GBranch(t.src, t.dst,
-                       tuple(sorted((l, _sort_branches(b)) for l, b in t.branches)))
-    if isinstance(t, (LSend, LRecv)):
-        return type(t)(t.peer,
-                       tuple(sorted((l, _sort_branches(b)) for l, b in t.branches)))
-    if isinstance(t, GRec):
-        return GRec(t.var, _sort_branches(t.body))
-    if isinstance(t, LRec):
-        return LRec(t.var, _sort_branches(t.body))
-    return t
+    if isinstance(t, (GRec, LRec)):
+        return type(t)(t.var, _sort_branches(t.body))
+    if not isinstance(t, _Branching):
+        return t
+    bs = tuple(sorted((l, _sort_branches(b)) for l, b in t.branches))
+    if isinstance(t, GBranch) and t.mid is not None:
+        # keep mid pointing at the same label after sorting
+        mid = [l for l, _ in bs].index(t.branches[t.mid][0])
+        return GBranch(t.src, t.dst, bs, mid)
+    return _with_branches(t, bs)
 
 
 def alpha_canonical(t):
@@ -725,13 +642,9 @@ def alpha_canonical(t):
             fresh = f"t{counter[0]}"
             counter[0] += 1
             return type(u)(fresh, walk(u.body, {**env, u.var: fresh}, counter))
-        if isinstance(u, GBranch):
-            return GBranch(u.src, u.dst,
-                           tuple((l, walk(b, env, counter)) for l, b in u.branches),
-                           u.mid)
-        if isinstance(u, (LSend, LRecv)):
-            return type(u)(u.peer,
-                           tuple((l, walk(b, env, counter)) for l, b in u.branches))
+        if isinstance(u, _Branching):
+            return _with_branches(
+                u, tuple((l, walk(b, env, counter)) for l, b in u.branches))
         return u
 
     return walk(_sort_branches(t), {}, [0])

@@ -203,3 +203,13 @@ def test_synth_verify_bounds_must_be_positive(spec):
     rc, out, err = run("synth", DATA / "commit.cfsm", "--verify", spec)
     assert rc == 2 and out == ""
     assert "N and K must be at least 1" in err
+
+
+@pytest.mark.parametrize("cmd,name,message", [
+    ("project", "commit.gt", "no participant Z in the type"),
+    ("gproject", "data_transfer.ggt", "no participant Z in the system"),
+])
+def test_unknown_participant_is_a_usage_error(cmd, name, message):
+    # not a negative verdict (exit 1), nor a projection onto no one (exit 0)
+    rc, out, err = run(cmd, DATA / name, "-p", "Z")
+    assert (rc, out, err) == (2, "", f"mpst: {message}\n")
