@@ -443,6 +443,248 @@ def is_safe(transitions, initial, cap=200000):
     return True, None
 
 
+# ---------------------------------------------------------------------------
+# "Can it still reach" questions over RS_k, asked the way the session checks
+# first asked them: liveness by a forward search from every configuration,
+# the receiver sets of each branch by a search and a fixpoint of their own,
+# the order of two receives by forward searches, and subtyping as a
+# simulation fixpoint.  Actions are 4-tuples as above.
+
+def rs_graph(sys_enc, k):
+    """RS_k laid out breadth-first: the configurations in order of first
+    sight, the (action, index) successors of each in `successors` order,
+    and the BFS parent (index, action) of each, None for the first."""
+    nodes = [initial_config(sys_enc)]
+    index = {nodes[0]: 0}
+    succ, parents = [], [None]
+    for i, c in enumerate(nodes):
+        row = []
+        for act, c2 in successors(sys_enc, c, k):
+            if c2 not in index:
+                index[c2] = len(nodes)
+                nodes.append(c2)
+                parents.append((i, act))
+            row.append((act, index[c2]))
+        succ.append(row)
+    return nodes, succ, parents
+
+
+def _forward(succ, i):
+    """The indices reachable from i, i included."""
+    seen = {i}
+    todo = [i]
+    while todo:
+        for _, j in succ[todo.pop()]:
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    return seen
+
+
+def liveness(sys_enc, k):
+    """(liveness, counterexample): (None, None) when RS_k holds no final
+    configuration; otherwise whether every configuration can reach a final
+    one, and the first in breadth-first order that cannot."""
+    nodes, succ, _ = rs_graph(sys_enc, k)
+    finals = {i for i, c in enumerate(nodes)
+              if "final" in classify(sys_enc, c)}
+    if not finals:
+        return None, None
+    for i, c in enumerate(nodes):
+        if not _forward(succ, i) & finals:
+            return False, c
+    return True, None
+
+
+def _moves(sys_enc, p, q, op):
+    """p's sends or receives at q as (action, target) pairs, sorted."""
+    return [((e[1], e[2], e[3], e[4]), e[5])
+            for e in sorted(sys_enc[p][1]) if e[0] == q and e[3] == op]
+
+
+def complete_receiver_sets(succ, c0):
+    """The receiver sets that cannot grow any further from some point
+    reachable after configuration c0: a search over (configuration,
+    receivers so far), then a fixpoint that marks every node that can
+    still reach a larger set through nodes holding its own."""
+    nodes = [(c0, frozenset())]
+    index = {nodes[0]: 0}
+    nexts = []
+    for i, r in nodes:
+        row = []
+        for act, j in succ[i]:
+            n = (j, r | {act[1]} if act[2] == "?" else r)
+            if n not in index:
+                index[n] = len(nodes)
+                nodes.append(n)
+            row.append(index[n])
+        nexts.append(row)
+    sets = [r for _, r in nodes]
+    can_grow = [any(sets[m] > r for m in ms) for r, ms in zip(sets, nexts)]
+    changed = True
+    while changed:
+        changed = False
+        for n, ms in enumerate(nexts):
+            if not can_grow[n] and any(
+                    can_grow[m] for m in ms if sets[m] == sets[n]):
+                can_grow[n] = True
+                changed = True
+    return frozenset(r for r, grow in zip(sets, can_grow) if not grow)
+
+
+def receiver_property(sys_enc, k):
+    """At every configuration where a participant can take each of its two
+    or more sends, the branches share a complete receiver set."""
+    ps = participants(sys_enc)
+    nodes, succ, _ = rs_graph(sys_enc, k)
+    for c, moves in zip(nodes, succ):
+        for p, q in zip(ps, c[0]):
+            acts = [a for a, _ in _moves(sys_enc, p, q, "!")]
+            if len(acts) < 2:
+                continue
+            succs = dict(moves)
+            if any(a not in succs for a in acts):
+                continue
+            families = [complete_receiver_sets(succ, succs[a]) for a in acts]
+            if not frozenset.intersection(*families):
+                return False
+    return True
+
+
+def _path(parents, i):
+    acc = []
+    while parents[i] is not None:
+        i, act = parents[i]
+        acc.append(act)
+    return tuple(reversed(acc))
+
+
+def _subject(a):
+    return a[0] if a[2] == "!" else a[1]
+
+
+def _decider(phi):
+    """Senders in the causal chain of phi's last action with no earlier
+    receive of their own in it."""
+    if not phi:
+        return frozenset()
+    chain = [phi[-1]]
+    for u in reversed(phi[:-1]):
+        dual = (u[0], u[1], "?" if u[2] == "!" else "!", u[3])
+        if any(dual == v or _subject(u) == _subject(v) for v in chain):
+            chain.insert(0, u)
+    return frozenset(
+        _subject(t) for i, t in enumerate(chain) if t[2] == "!" and not any(
+            v[2] == "?" and _subject(v) == _subject(t) for v in chain[:i]))
+
+
+def unique_sender(sys_enc, k):
+    """Two receives of one participant at one state that do not commute,
+    neither able to follow the other, are decided by one participant: the
+    same single decider after the longest common prefix of their shortest
+    executions."""
+    ps = participants(sys_enc)
+    nodes, succ, parents = rs_graph(sys_enc, k)
+    by_act = {}
+    for c, moves in enumerate(succ):
+        for act, c2 in moves:
+            by_act.setdefault(act, []).append((c, c2))
+    for i, p in enumerate(ps):
+        init, edges = sys_enc[p]
+        states = {init} | {e[0] for e in edges} | {e[5] for e in edges}
+
+        def targets(q, a):
+            return {d for b, d in _moves(sys_enc, p, q, a[2]) if b == a}
+
+        for q in sorted(states):
+            recvs = _moves(sys_enc, p, q, "?")
+            for x, (a1, d1) in enumerate(recvs):
+                for a2, d2 in recvs[x + 1:]:
+                    if a1 == a2 or targets(d1, a2) & targets(d2, a1):
+                        continue
+                    inst1 = [(c, c2) for c, c2 in by_act.get(a1, ())
+                             if nodes[c][0][i] == q]
+                    inst2 = [(c, c2) for c, c2 in by_act.get(a2, ())
+                             if nodes[c][0][i] == q]
+                    if not inst1 or not inst2:
+                        continue
+                    starts1 = {c for c, _ in inst1}
+                    starts2 = {c for c, _ in inst2}
+                    if any(_forward(succ, c2) & starts2 for _, c2 in inst1) \
+                            or any(_forward(succ, c2) & starts1
+                                   for _, c2 in inst2):
+                        continue
+                    best = None
+                    for w1 in sorted(_path(parents, c) + (a1,)
+                                     for c, _ in inst1):
+                        for w2 in sorted(_path(parents, c) + (a2,)
+                                         for c, _ in inst2):
+                            d = 0
+                            while d < min(len(w1), len(w2)) \
+                                    and w1[d] == w2[d]:
+                                d += 1
+                            if best is None or d > best[2]:
+                                best = (w1, w2, d)
+                    w1, w2, d = best
+                    s1, s2 = _decider(w1[d:]), _decider(w2[d:])
+                    if not (len(s1) == 1 and s1 == s2):
+                        return False
+    return True
+
+
+def subtype(t1, t2):
+    """Local-type subtyping as a greatest simulation: sends with the same
+    peer and label set, receives with the same peer and fewer labels, end
+    with end.  Types are read by class name; recursion is unfolded by
+    closures, a term paired with the binders in scope, not by
+    substitution."""
+
+    def head(t, env):
+        while True:
+            form = type(t).__name__
+            if form == "LRec":
+                env = env + ((t.var, (t, env)),)
+                t = t.body
+            elif form == "LVar" and t.var in dict(env):
+                t, env = dict(env)[t.var]
+            else:
+                return t, env
+
+    def requires(a, b):
+        """Whether the heads a and b can match, with the pairs they then
+        depend on."""
+        (ta, ea), (tb, eb) = a, b
+        form = type(ta).__name__
+        if form != type(tb).__name__:
+            return False, []
+        if form == "LEnd":
+            return True, []
+        if form not in ("LSend", "LRecv") or ta.peer != tb.peer:
+            return False, []
+        la, lb = dict(ta.branches), dict(tb.branches)
+        if set(la) != set(lb) if form == "LSend" else not set(la) <= set(lb):
+            return False, []
+        return True, [(head(la[l], ea), head(lb[l], eb)) for l in la]
+
+    start = (head(t1, ()), head(t2, ()))
+    shape_ok, succ = {}, {}
+    pending = [start]
+    while pending:
+        pair = pending.pop()
+        if pair not in succ:
+            shape_ok[pair], succ[pair] = requires(*pair)
+            pending.extend(succ[pair])
+    ok = {pair for pair, good in shape_ok.items() if good}
+    changed = True
+    while changed:
+        changed = False
+        for pair in list(ok):
+            if any(n not in ok for n in succ[pair]):
+                ok.discard(pair)
+                changed = True
+    return start in ok
+
+
 def product_states(sys_enc, names):
     """Full product state space over the named machines (associated CFSM)."""
     sets = []
