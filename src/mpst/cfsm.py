@@ -87,6 +87,31 @@ def _bfs(start, step, cap: int | None, what: str) -> tuple[list, list, list]:
     return nodes, rows, parents
 
 
+def _preds(rows: list) -> list[list[int]]:
+    """The predecessors of each `_bfs` node, read off its successor rows."""
+    preds: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row[1::2]:
+            preds[j].append(i)
+    return preds
+
+
+def _can_reach(preds: list, targets) -> bytearray:
+    """The one backward search: byte i is 1 when `_bfs` node i can reach
+    one of targets (targets included), along the predecessors preds of
+    `_preds`."""
+    seen = bytearray(len(preds))
+    todo = list(targets)
+    for i in todo:
+        seen[i] = 1
+    while todo:
+        for j in preds[todo.pop()]:
+            if not seen[j]:
+                seen[j] = 1
+                todo.append(j)
+    return seen
+
+
 def _path(parents: list, i: int) -> tuple:
     """The labels along `_bfs` parents from the start to node i."""
     acc = []
@@ -392,21 +417,7 @@ def check_safety(s: System, k: int, check_liveness: bool = True,
     liveness: bool | None = None
     counterexample = None
     if check_liveness and finals:
-        # backward search from the final configurations
-        preds: list[list[int]] = [[] for _ in keys]
-        for i, row in enumerate(rows):
-            for j in row[1::2]:
-                preds[j].append(i)
-        live = bytearray(len(keys))
-        for i in finals:
-            live[i] = 1
-        todo = finals
-        while todo:
-            for j in preds[todo.pop()]:
-                if not live[j]:
-                    live[j] = 1
-                    todo.append(j)
-        dead = live.find(0)
+        dead = _can_reach(_preds(rows), finals).find(0)
         liveness = dead < 0
         if not liveness:
             counterexample = _config(t, keys[dead])

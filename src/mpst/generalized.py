@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .cfsm import _bfs, _explore, _fifo, _path, _trie, is_basic, node_cap
+from .cfsm import (_bfs, _can_reach, _explore, _fifo, _path, _preds, _trie,
+                   is_basic, node_cap)
 from .compat import (_exchanges, _multiparty_compatible, dual,
                      multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
@@ -349,22 +350,17 @@ def parse_glocal(text: str) -> GeneralLocal:
 # Projection
 
 def _asend(g: GeneralGlobal, x: Var) -> frozenset[Participant]:
-    """Participants whose first own action reachable from x is a send."""
+    """Participants whose first own action reachable from x is a send,
+    after `_bfs` over the moves silent for each."""
     out = set()
     for p in gg_participants(g):
         net = _net(g, p)
-        seen: set[Var] = set()
-        stack = [x]
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            for _, outs, act in net.get(v, ()):
-                if act is None:
-                    stack.extend(outs)
-                elif act.op == "!":
-                    out.add(p)
+        vs = _bfs(x, lambda v: [(None, w) for _, outs, act in net.get(v, ())
+                                if act is None for w in outs],
+                  None, "deciding-sender search")[0]
+        if any(act is not None and act.op == "!"
+               for v in vs for _, _, act in net.get(v, ())):
+            out.add(p)
     return frozenset(out)
 
 
@@ -677,51 +673,54 @@ def _receiver_property(s: System, keys: list, rows: list) -> bool:
     """`receiver_property` over the keys and rows of RS_k (see
     `_explore`).  It reads only the local states of a key, its first
     entries in participant order, never its buffers."""
-    succ = [list(zip(row[::2], row[1::2])) for row in rows]
     # each participant's sends from each of its states, one per target
     sends = [{q: [a for a, _ in _moves(m, q, "!")] for q in m.states}
              for _, m in s.machines]
-    for key, moves in zip(keys, succ):
+    choices = []  # the branch successors of every choice point
+    for key, row in zip(keys, rows):
         for sends_at, q in zip(sends, key):
             acts = sends_at[q]
             if len(acts) < 2:
                 continue
-            succs = dict(moves)
+            succs = dict(zip(row[::2], row[1::2]))
             if any(a not in succs for a in acts):
                 continue  # the choice is blocked here, judged elsewhere
-            families = [_complete_receiver_sets(succ, succs[a])
-                        for a in acts]
-            common = families[0]
-            for fam in families[1:]:
-                common = common & fam
-            if not common:
-                return False
-    return True
+            choices.append([succs[a] for a in acts])
+    families = _complete_receiver_sets(
+        rows, sorted({c for branches in choices for c in branches}))
+    return all(frozenset.intersection(*(families[c] for c in branches))
+               for branches in choices)
 
 
-def _complete_receiver_sets(succ: list, c0: int) -> frozenset[frozenset]:
-    """Receiver sets that cannot grow any further from some reachable
-    point after configuration c0, along the RS_k edges succ lists by BFS
-    index (see `_explore`): `_bfs` over (configuration, receivers so far)."""
+def _complete_receiver_sets(rs_rows: list, starts: list) -> dict:
+    """For each configuration c of starts, the receiver sets that cannot
+    grow any further from some reachable point after c, along the RS_k
+    successor rows rs_rows (see `_explore`).  One `_bfs` over
+    (configuration, receivers so far), from a root None that leads to
+    each (c, {}), serves every start.  Sets only grow along edges, so a
+    node can grow exactly when it can reach an edge that grows its set."""
 
     def step(node):
+        if node is None:
+            return [(None, (c, frozenset())) for c in starts]
         i, r = node
+        row = rs_rows[i]
         return [(act, (j, r | {act.receiver} if act.op == "?" else r))
-                for act, j in succ[i]]
+                for act, j in zip(row[::2], row[1::2])]
 
-    nodes, rows, _ = _bfs((c0, frozenset()), step, None, "receiver-set search")
-    sets = [r for _, r in nodes]
-    nexts = [row[1::2] for row in rows]
-    can_grow = [any(sets[m] > r for m in ms) for r, ms in zip(sets, nexts)]
-    changed = True
-    while changed:
-        changed = False
-        for n, ms in enumerate(nexts):
-            if not can_grow[n] and any(
-                    can_grow[m] for m in ms if sets[m] == sets[n]):
-                can_grow[n] = True
-                changed = True
-    return frozenset(r for r, grow in zip(sets, can_grow) if not grow)
+    nodes, rows, _ = _bfs(None, step, None, "receiver-set search")
+    preds = _preds(rows)
+    # the root counts as growing: its None differs from each start's set
+    sets = [None] + [r for _, r in nodes[1:]]
+    grows = _can_reach(preds, [n for n, row in enumerate(rows)
+                               if any(sets[m] != sets[n] for m in row[1::2])])
+    complete: dict[frozenset, list[int]] = {}  # the nodes holding each set
+    for n, r in enumerate(sets):
+        if not grows[n]:
+            complete.setdefault(r, []).append(n)
+    reaches = [(r, _can_reach(preds, held)) for r, held in complete.items()]
+    return {c: frozenset(r for r, marks in reaches if marks[n])
+            for c, n in zip(starts, rows[0][1::2])}
 
 
 def unique_sender(s: System, k: int = 1,
@@ -737,18 +736,11 @@ def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
     """`unique_sender` over the keys, rows and parents of RS_k (see
     `_explore`).  It reads only the local states of a key, its first
     entries in participant order, never its buffers."""
-    succ = [list(zip(row[::2], row[1::2])) for row in rows]
     by_act: dict[Action, list[tuple[int, int]]] = {}  # edges in BFS order
-    for c, moves in enumerate(succ):
-        for act, c2 in moves:
+    for c, row in enumerate(rows):
+        for act, c2 in zip(row[::2], row[1::2]):
             by_act.setdefault(act, []).append((c, c2))
-    reachable_cache: dict[int, set[int]] = {}
-
-    def reachable_from(c: int) -> set[int]:
-        if c not in reachable_cache:
-            nodes = _bfs(c, lambda i: succ[i], None, "reachability set")[0]
-            reachable_cache[c] = set(nodes)
-        return reachable_cache[c]
+    preds = _preds(rows)
 
     for i, (_, m) in enumerate(s.machines):
         for q in sorted(m.states):
@@ -767,15 +759,13 @@ def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
                         continue
                     # receives one of which can still follow the other are
                     # ordered, not raced
-                    starts2 = {c for c, _ in inst2}
-                    starts1 = {c for c, _ in inst1}
-                    if any(reachable_from(c2) & starts2 for _, c2 in inst1) \
-                            or any(reachable_from(c2) & starts1 for _, c2 in inst2):
+                    reach2 = _can_reach(preds, {c for c, _ in inst2})
+                    reach1 = _can_reach(preds, {c for c, _ in inst1})
+                    if any(reach2[c2] for _, c2 in inst1) \
+                            or any(reach1[c2] for _, c2 in inst2):
                         continue
-                    w1 = _best_witnesses(parents, inst1, inst2, a1, a2)
-                    if w1 is None:
-                        continue
-                    phi1, phi2, div = w1
+                    phi1, phi2, div = _best_witnesses(parents, inst1, inst2,
+                                                      a1, a2)
                     s1 = _decider(phi1[div:])
                     s2 = _decider(phi2[div:])
                     if not (len(s1) == 1 and s1 == s2):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .cfsm import _bfs
 from .errors import MergeFailure
 from .syntax import (
     GBranch, GEnd, GRec, GVar, Global,
@@ -119,8 +120,9 @@ def well_formed(g: Global) -> WellFormedReport:
 
 # --------------------------------------------------------------------------
 # Subtyping: send branches covariant with identical label sets, receive
-# branches widen (I ⊆ J).  Decided by unfolding both sides into their finite
-# state graphs and running a simulation fixpoint.
+# branches widen (I ⊆ J).  The greatest simulation holds at a pair exactly
+# when every pair of unfolded heads reachable from it has a matching shape,
+# so it is decided by `_bfs` over those pairs.
 
 def _head(t: Local) -> Local:
     while isinstance(t, LRec):
@@ -128,39 +130,26 @@ def _head(t: Local) -> Local:
     return t
 
 
+def _matches(a: Local, b: Local) -> bool:
+    """The heads a and b have shapes that a ≤ b allows: both end, or both
+    send to one peer with the same labels, or both receive from one peer
+    and b accepts every label of a."""
+    if isinstance(a, LEnd):
+        return isinstance(b, LEnd)
+    if isinstance(a, LSend):
+        return isinstance(b, LSend) and a.peer == b.peer \
+            and set(a.labels()) == set(b.labels())
+    return isinstance(a, LRecv) and isinstance(b, LRecv) \
+        and a.peer == b.peer and set(a.labels()) <= set(b.labels())
+
+
 def subtype(t1: Local, t2: Local) -> bool:
-    pending = [(_head(t1), _head(t2))]
-    shape_ok: dict[tuple, bool] = {}
-    succ: dict[tuple, list[tuple]] = {}
-    seen = set()
-    while pending:
-        a, b = pending.pop()
-        if (a, b) in seen:
-            continue
-        seen.add((a, b))
-        key = (a, b)
-        if isinstance(a, LEnd) and isinstance(b, LEnd):
-            shape_ok[key] = True
-            succ[key] = []
-        elif isinstance(a, LSend) and isinstance(b, LSend) and a.peer == b.peer \
-                and set(a.labels()) == set(b.labels()):
-            shape_ok[key] = True
-            succ[key] = [(_head(a.branch(l)), _head(b.branch(l))) for l in a.labels()]
-        elif isinstance(a, LRecv) and isinstance(b, LRecv) and a.peer == b.peer \
-                and set(a.labels()) <= set(b.labels()):
-            shape_ok[key] = True
-            succ[key] = [(_head(a.branch(l)), _head(b.branch(l))) for l in a.labels()]
-        else:
-            shape_ok[key] = False
-            succ[key] = []
-        pending.extend(succ[key])
-    # greatest fixpoint: knock out pairs whose requirements fail
-    ok = {k for k, v in shape_ok.items() if v}
-    changed = True
-    while changed:
-        changed = False
-        for k in list(ok):
-            if any(s not in ok for s in succ[k]):
-                ok.discard(k)
-                changed = True
-    return (_head(t1), _head(t2)) in ok
+    def step(pair):
+        a, b = pair
+        if not _matches(a, b) or isinstance(a, LEnd):
+            return []
+        return [(l, (_head(a.branch(l)), _head(b.branch(l))))
+                for l in a.labels()]
+
+    pairs = _bfs((_head(t1), _head(t2)), step, None, "subtyping search")[0]
+    return all(_matches(a, b) for a, b in pairs)

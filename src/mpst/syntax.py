@@ -369,6 +369,15 @@ def _parse_one_branch(p: _Parser, sub):
 _NODES = {False: ("global", GEnd, GVar, GRec), True: ("local", LEnd, LVar, LRec)}
 
 
+def _name(p: _Parser, what: str) -> Token:
+    """An identifier that is not a keyword, so the type prints back."""
+    t = p.ident(what)
+    if t.text in ("end", "rec"):
+        raise ParseError(f"expected {what}, found keyword {t.text!r}",
+                         t.line, t.col)
+    return t
+
+
 def _parse_type(p: _Parser, env: tuple[str, ...], local: bool):
     """A global type, or with local set a local type: the two grammars
     differ only in the exchange after a participant name."""
@@ -379,7 +388,7 @@ def _parse_type(p: _Parser, env: tuple[str, ...], local: bool):
         return end()
     if t.text == "rec":
         p.next()
-        var = p.ident("recursion variable")
+        var = _name(p, "recursion variable")
         if var.text in env:
             raise ParseError(f"recursion variable {var.text!r} shadows an outer binding",
                              var.line, var.col)
@@ -403,7 +412,7 @@ def _parse_type(p: _Parser, env: tuple[str, ...], local: bool):
                          nxt.line, nxt.col)
     if not local and nxt.text == "->":
         p.next()
-        dst = p.ident("participant")
+        dst = _name(p, "participant")
         if dst.text == name.text:
             raise ParseError(f"self-message {name.text}->{dst.text}",
                              dst.line, dst.col)

@@ -300,6 +300,26 @@ def test_session_compatible_explores_rs1_once(monkeypatch):
     assert calls == [1]
 
 
+def test_receiver_property_searches_receiver_sets_once(monkeypatch):
+    calls = []
+
+    def counting(start, step, cap, what):
+        calls.append(what)
+        return cfsm._bfs(start, step, cap, what)
+
+    monkeypatch.setattr(generalized, "_bfs", counting)
+    # three independent pairs: Ai sends Bi x (a loop), or y and then z, and
+    # Bi mirrors it; RS_1 has a choice point wherever some Ai is at q0
+    text = "".join(
+        f"machine A{i} {{ init q0; q0 -- A{i} B{i} ! x --> q0;"
+        f" q0 -- A{i} B{i} ! y --> q1; q1 -- A{i} B{i} ! z --> q0; }}\n"
+        f"machine B{i} {{ init q0; q0 -- A{i} B{i} ? x --> q0;"
+        f" q0 -- A{i} B{i} ? y --> q1; q1 -- A{i} B{i} ? z --> q0; }}\n"
+        for i in range(3))
+    assert receiver_property(parse_system(text))
+    assert calls.count("receiver-set search") == 1
+
+
 def test_general_synthesis_of_one_exchange():
     s = parse_system("machine A { init q0; q0 -- A B ! a --> q1; }\n"
                      "machine B { init q0; q0 -- A B ? a --> q1; }")

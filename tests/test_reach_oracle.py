@@ -28,8 +28,8 @@ def encodings(draw):
     drawn, and the send and the receive of each are kept or dropped at
     random, each with a random target.  So q3 is final, and two moves may
     share a source and an action: machines may be nondeterministic.  Half
-    of the three-party systems also get a race at q0, where A receives
-    from B and from C."""
+    of the three-party systems are also offered, twice each, the moves of
+    a race at q0: A receiving from B and from C, which both send to it."""
     ps = PARTS[:draw(st.integers(2, 3))]
     pair = st.sampled_from([(p, r) for p in ps for r in ps if p != r])
     kinds = draw(st.lists(st.tuples(pair, st.sampled_from("ab")),

@@ -226,6 +226,24 @@ PARSE_ERRORS = {
     "global-keyword-as-participant": (
         "end -> B : x. end", "trailing input '->'", 1, 5),
     "local-keyword-as-participant": ("end ! x. end", "trailing input '!'", 1, 5),
+    "global-keyword-end-as-receiver": (
+        "A -> end : x. end", "expected participant, found keyword 'end'",
+        1, 6),
+    "global-keyword-rec-as-receiver": (
+        "rec t. A -> B : x.\n  B -> rec : y. t",
+        "expected participant, found keyword 'rec'", 2, 8),
+    "global-keyword-end-as-binder": (
+        "rec end. A -> B : x. end",
+        "expected recursion variable, found keyword 'end'", 1, 5),
+    "global-keyword-rec-as-binder": (
+        "rec rec. A -> B : x. rec",
+        "expected recursion variable, found keyword 'rec'", 1, 5),
+    "local-keyword-end-as-binder": (
+        "rec end. B ! x. end",
+        "expected recursion variable, found keyword 'end'", 1, 5),
+    "local-keyword-rec-as-binder": (
+        "B ? x. rec rec. B ! y. rec",
+        "expected recursion variable, found keyword 'rec'", 1, 12),
     "global-empty-input": (
         "", "expected a global type, found 'end of input'", 1, 1),
     "global-comment-only-input": (
