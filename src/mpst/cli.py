@@ -9,28 +9,19 @@ byte-identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
+# Each command imports the modules it runs inside its own body: a process
+# starts for one command, and loading the others (above all `generalized`)
+# would cost more than most commands spend on their input.
 from . import __version__
-from .cfsm import (check_safety, classify, dot_machine, dot_reach,
-                   dot_system, initial, fire, reach)
-from .compat import multiparty_compatible
 from .errors import (ChoiceOwnership, MergeFailure, MPSTError, NotBasic,
                      NotCompatible, NotSessionCompatible, ParseError,
                      ResourceLimit, SynthesisFailure)
-from .generalized import (GeneralGlobal, GeneralLocal, dot_net,
-                          gg_participants, gproject, gsynthesize, is_safe,
-                          parse_gglobal, parse_glocal, print_gglobal,
-                          print_glocal, session_compatible, to_petri)
-from .projection import project, well_formed
-from .semantics import step_global
-from .synthesis import synthesize, verify_roundtrip
 from .syntax import (Global, Local, System, gparticipants, make_system,
                      parse_global, parse_local, parse_system, print_system,
                      print_type)
-from .translate import to_local, to_machine
 
 
 def _load(path: str):
@@ -45,8 +36,10 @@ def _load(path: str):
     if path.endswith(".cfsm"):
         return parse_system(text)
     if path.endswith(".ggt"):
+        from .generalized import parse_gglobal
         return parse_gglobal(text)
     if path.endswith(".glt"):
+        from .generalized import parse_glocal
         return parse_glocal(text)
     raise ParseError(f"cannot tell what {path} holds: expected a .gt, .lt, "
                      f".cfsm, .ggt or .glt suffix")
@@ -55,21 +48,26 @@ def _load(path: str):
 def _render(obj) -> str:
     if isinstance(obj, System):
         return print_system(obj)
+    if isinstance(obj, Global | Local):
+        return print_type(obj) + "\n"
+    from .generalized import GeneralGlobal, print_gglobal, print_glocal
     if isinstance(obj, GeneralGlobal):
         return print_gglobal(obj)
-    if isinstance(obj, GeneralLocal):
-        return print_glocal(obj)
-    return print_type(obj) + "\n"
+    return print_glocal(obj)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as e:
+            raise ParseError(f"cannot write {out}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
 
 def _json(data) -> None:
+    import json
     sys.stdout.write(json.dumps(data, sort_keys=True, indent=2) + "\n")
 
 
@@ -79,6 +77,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .projection import project
     g = _load(args.file)
     if not isinstance(g, Global):
         raise ParseError("project expects a global type (.gt)")
@@ -89,6 +88,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_wf(args) -> int:
+    from .projection import well_formed
     g = _load(args.file)
     if not isinstance(g, Global):
         raise ParseError("wf expects a global type (.gt)")
@@ -100,6 +100,7 @@ def _cmd_wf(args) -> int:
 
 
 def _cmd_translate(args) -> int:
+    from .translate import to_local, to_machine
     obj = _load(args.file)
     if isinstance(obj, Local):
         if not args.participant:
@@ -123,6 +124,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_compat(args) -> int:
+    from .compat import multiparty_compatible
     s = _load(args.file)
     if not isinstance(s, System):
         raise ParseError("compat expects machines (.cfsm)")
@@ -135,6 +137,7 @@ def _cmd_compat(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .synthesis import synthesize, verify_roundtrip
     s = _load(args.file)
     if not isinstance(s, System):
         raise ParseError("synth expects machines (.cfsm)")
@@ -157,6 +160,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .cfsm import check_safety
     s = _load(args.file)
     if not isinstance(s, System):
         raise ParseError("check expects machines (.cfsm)")
@@ -172,6 +176,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError("steps must be >= 0")
     obj = _load(args.file)
     if isinstance(obj, Global):
+        from .semantics import step_global
         state = obj
         for _ in range(args.steps):
             steps = sorted(step_global(state, args.bound), key=lambda t: t[0])
@@ -181,6 +186,7 @@ def _cmd_simulate(args) -> int:
             sys.stdout.write(str(act) + "\n")
         return 0
     if isinstance(obj, System):
+        from .cfsm import classify, fire, initial
         c = initial(obj)
         for _ in range(args.steps):
             steps = sorted(fire(c, obj, args.bound), key=lambda t: t[0])
@@ -195,6 +201,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_gproject(args) -> int:
+    from .generalized import (GeneralGlobal, gg_participants, gproject,
+                              print_glocal)
     g = _load(args.file)
     if not isinstance(g, GeneralGlobal):
         raise ParseError("gproject expects a global equation system (.ggt)")
@@ -205,6 +213,7 @@ def _cmd_gproject(args) -> int:
 
 
 def _cmd_gsynth(args) -> int:
+    from .generalized import gsynthesize, print_gglobal
     s = _load(args.file)
     if not isinstance(s, System):
         raise ParseError("gsynth expects machines (.cfsm)")
@@ -213,6 +222,7 @@ def _cmd_gsynth(args) -> int:
 
 
 def _cmd_session(args) -> int:
+    from .generalized import session_compatible
     s = _load(args.file)
     if not isinstance(s, System):
         raise ParseError("session expects machines (.cfsm)")
@@ -222,6 +232,8 @@ def _cmd_session(args) -> int:
 
 
 def _cmd_petri(args) -> int:
+    from .generalized import (GeneralGlobal, GeneralLocal, dot_net, is_safe,
+                              to_petri)
     t = _load(args.file)
     if not isinstance(t, (GeneralLocal, GeneralGlobal)):
         raise ParseError("petri expects an equation system (.glt or .ggt)")
@@ -243,6 +255,7 @@ def _cmd_petri(args) -> int:
 def _cmd_dot(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, System):
+        from .cfsm import dot_reach, dot_system, reach
         if args.bound is not None:
             sys.stdout.write(dot_reach(reach(obj, args.bound)))
         else:
@@ -251,8 +264,11 @@ def _cmd_dot(args) -> int:
     if isinstance(obj, Local):
         if not args.participant:
             raise ParseError("drawing a local type needs -p OWNER")
+        from .cfsm import dot_machine
+        from .translate import to_machine
         sys.stdout.write(dot_machine(to_machine(obj, args.participant)))
         return 0
+    from .generalized import GeneralGlobal, GeneralLocal, dot_net, to_petri
     if isinstance(obj, (GeneralLocal, GeneralGlobal)):
         sys.stdout.write(dot_net(to_petri(obj, owner=args.participant)))
         return 0

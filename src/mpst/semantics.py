@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cfsm import _fifo, _trie, traces as system_traces
-from .generalized import GeneralGlobal, gtraces_global, gtraces_local
 from .projection import _head, project
 from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, LRecv, LSend,
                      Local, Participant, System, channels, gparticipants,
@@ -187,6 +186,11 @@ def _as_trie(x, max_len: int, k: int) -> dict:
         return traces_local(x, max_len, k)
     if isinstance(x, System):
         return system_traces(x, max_len, k)
+    # Imported here, not at the top, and not for a cycle (generalized does
+    # not import this module): generalized is the largest module, and
+    # `mpst synth --verify` and `mpst simulate`, which load this one, never
+    # see an equation system.
+    from .generalized import GeneralGlobal, gtraces_global, gtraces_local
     if isinstance(x, GeneralGlobal):
         return gtraces_global(x, max_len, k)
     if isinstance(x, dict):

@@ -1,5 +1,7 @@
 """Command line interface: output text and exit codes."""
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -41,6 +43,13 @@ def test_parse_handles_machines():
 def test_missing_file_is_reported():
     rc, _, err = run("parse", DATA / "no_such_file.gt")
     assert rc == 2 and "cannot read" in err
+
+
+def test_unwritable_output_is_reported(tmp_path):
+    target = tmp_path / "no_such_dir" / "x.gt"
+    rc, out, err = run("parse", DATA / "commit.gt", "-o", target)
+    assert (rc, out, err) == (
+        2, "", f"mpst: cannot write {target}: {os.strerror(errno.ENOENT)}\n")
 
 
 def test_project():
