@@ -34,17 +34,15 @@ _EXPORTS = {
     "translate": ("isomorphic", "to_local", "to_machine"),
     "semantics": (
         "LocalConfig", "gbuffers", "local_config", "project_config",
-        "step_global", "step_local", "trace_equiv", "traces_global",
-        "traces_local"),
+        "step_global", "trace_equiv", "traces_global", "traces_local"),
     "compat": ("CompatFailure", "CompatReport", "dual",
                "multiparty_compatible"),
     "synthesis": ("synthesize", "verify_roundtrip"),
     "generalized": (
-        "EndEq", "Fork", "GConfig", "GGChoice", "GGMsg", "GLEChoice",
-        "GLIChoice", "GLRecv", "GLSend", "GeneralGlobal", "GeneralLocal",
-        "Indir", "Join", "LabelledNet", "Merge", "SessionReport", "dot_net",
-        "gg_participants", "ginitial_global", "ginitial_local", "gproject",
-        "gstep_global", "gstep_local", "gsynthesize", "gto_machine",
+        "EndEq", "Fork", "GGChoice", "GGMsg", "GLEChoice", "GLIChoice",
+        "GLRecv", "GLSend", "GeneralGlobal", "GeneralLocal", "Indir", "Join",
+        "LabelledNet", "Merge", "SessionReport", "dot_net",
+        "gg_participants", "gproject", "gsynthesize", "gto_machine",
         "gtraces_global", "gtraces_local", "is_safe", "mixed_parallel",
         "parse_gglobal", "parse_glocal", "print_gglobal", "print_glocal",
         "receiver_property", "session_compatible", "to_petri",

@@ -140,9 +140,10 @@ def initial(s: System) -> Config:
 
 # --------------------------------------------------------------------------
 # The exploration kernel.  A system is compiled once into a table; every
-# analysis here steps through it with `_steps`, the FIFO step of machine
-# systems (`_fifo` is that of the other views), on flat keys (see
-# `_explore`); `Config` objects are built only for callers.
+# analysis here steps through it with `_steps`, the one FIFO step of the
+# toolkit, on flat keys (see `_explore`); `Config` objects are built only
+# for callers.  Local-type collections and equation systems run on it too,
+# as the machine systems of `to_machine` and `gto_machine`.
 
 class _Table:
     """A system compiled for exploration.  For each participant, in sorted
@@ -151,7 +152,8 @@ class _Table:
     (no moves) and its receiving states.  `n` is the number of participants,
     `chans` the positions in `System.channels` of the channels some move
     uses, in that order, `width` the number of channels and `start` the key
-    of the initial configuration."""
+    of the initial configuration.  Raises ValueError when a move uses a
+    channel to a participant that has no machine."""
 
     __slots__ = ("n", "chans", "width", "start", "moves", "final",
                  "receiving")
@@ -160,6 +162,13 @@ class _Table:
         machines = [s.machine(p) for p in s.participants]
         self.n = n = len(machines)
         used = {a.channel for m in machines for _, a, _ in m.transitions}
+        stray = {q for ch in used for q in ch}.difference(s.participants)
+        if stray:
+            q = min(stray)
+            owner = next(m.owner for m in machines
+                         for _, a, _ in m.transitions if q in a.channel)
+            raise ValueError(f"machine {owner} talks to {q}, which has no "
+                             f"machine in the system")
         self.chans = tuple(i for i, ch in enumerate(s.channels) if ch in used)
         self.width = len(s.channels)
         self.start = _key(self, initial(s))
@@ -204,8 +213,7 @@ def _steps(t: _Table, key: tuple, k: int | None) -> list:
     """Every enabled move from key, as (action, key'), in participant order
     and then `Machine.outgoing` order; a send is enabled only while its
     channel holds fewer than k messages (when k is given).  The buffer rule
-    is `_fifo`'s, inlined: calling it per move cost 6-7% on
-    `check_safety`."""
+    is written inline: a call per move cost 6-7% on `check_safety`."""
     out = []
     for i, moves in enumerate(t.moves):
         for send, slot, label, dst, act in moves.get(key[i], ()):
@@ -223,22 +231,6 @@ def _steps(t: _Table, key: tuple, k: int | None) -> list:
             nxt[slot] = b
             out.append((act, tuple(nxt)))
     return out
-
-
-def _fifo(buffers: tuple, i: int, act: Action, k: int | None) -> tuple | None:
-    """The buffers after act on channel i, None when act is not enabled, by
-    the rule of `_steps`, which keeps its own inlined copy for speed: the
-    FIFO step of local-type collections and equation systems."""
-    b = buffers[i]
-    if act.op == "!":
-        if k is not None and len(b) >= k:
-            return None
-        b = b + (act.label,)
-    elif b and b[0] == act.label:
-        b = b[1:]
-    else:
-        return None
-    return buffers[:i] + (b,) + buffers[i + 1:]
 
 
 def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:

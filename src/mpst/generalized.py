@@ -9,11 +9,14 @@ systems describe one endpoint, with internal (+) and external (&) choice.
 Each equation form means one thing, stated once in `_transitions`: its
 transitions in a labelled net whose places are the variables, each with
 its inputs, outputs and the message equation that labels it (None for a
-silent move).  Execution places per-participant holes on the variables
-as tokens: silent transitions are crossed freely, sends append to FIFO
-buffers, receives consume them.  The same transitions, compiled per
-system and participant by `_net`, drive projection's choice of deciding
-senders, stepping, subset translation to machines and the emitted
+silent move).  A participant's view places holes on the variables as
+tokens: it crosses its silent transitions freely, and its sends and
+receives are the moves of a machine built by subset construction over
+the closures of hole positions (`gto_machine`).  A system, global or a
+family of local ones, runs as the machine system of its participants'
+views, on the one FIFO step of `cfsm`.  The same transitions, compiled
+per system and participant by `_net`, drive projection's choice of
+deciding senders, the subset translation to machines and the emitted
 Petri net with its safety check.
 """
 
@@ -22,15 +25,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .cfsm import (_bfs, _can_reach, _explore, _fifo, _path, _preds, _trie,
-                   is_basic, node_cap)
+from .cfsm import (_bfs, _can_reach, _explore, _path, _preds, is_basic,
+                   node_cap, traces)
 from .compat import (_exchanges, _multiparty_compatible, dual,
                      multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
                      SynthesisFailure)
 from .syntax import (Action, Label, Machine, Participant, System, Var,
-                     _Parser, channels)
+                     _Parser, make_system)
 
 DEFAULT_FORK_CAP = 8
 
@@ -154,9 +157,9 @@ def _transitions(eq) -> tuple:
     """The one statement of what each equation form means: its transitions
     in the labelled net over the variables, as (inputs, outputs, message)
     triples, where message is the exchange, send or receive equation that
-    labels the transition and None marks a silent move.  Stepping, the
-    subset construction, projection's deciding senders, the emitted net
-    and validation all read the forms through it."""
+    labels the transition and None marks a silent move.  The subset
+    construction, projection's deciding senders, the emitted net and
+    validation all read the forms through it."""
     if isinstance(eq, (GGMsg, GLSend, GLRecv)):
         return (((eq.lhs,), (eq.cont,), eq),)
     if isinstance(eq, (GGChoice, GLIChoice, GLEChoice)):
@@ -389,16 +392,11 @@ def gproject(g: GeneralGlobal, p: Participant) -> GeneralLocal:
 
 
 # --------------------------------------------------------------------------
-# Execution.  A configuration places one multiset of holes per participant
-# (its position in the graph, forks making it plural) next to the buffers.
+# Execution.  A participant's position in the graph is a multiset of holes,
+# forks making it plural; its machine is built over the closures of these
+# multisets under its silent moves.
 
 ParState = tuple[Var, ...]  # sorted multiset of hole variables
-
-
-@dataclass(frozen=True)
-class GConfig:
-    holes: tuple[ParState, ...]
-    buffers: tuple[tuple[Label, ...], ...]
 
 
 def _fire(ps: ParState, ins: tuple[Var, ...],
@@ -456,68 +454,16 @@ def _gfire(net: dict, ps: ParState) -> list[tuple[Action, ParState]]:
     return out
 
 
-def ginitial_global(g: GeneralGlobal) -> GConfig:
-    ps = gg_participants(g)
-    return GConfig(tuple((g.entry,) for _ in ps),
-                   tuple(() for _ in channels(ps)))
-
-
-def gstep_global(g: GeneralGlobal, c: GConfig,
-                 k: int | None = None) -> tuple[tuple[Action, GConfig], ...]:
-    """Enabled steps of a global equation system (k-bounded sends)."""
-    ps = gg_participants(g)
-    return _gsteps([_net(g, p) for p in ps], ps, c, k)
-
-
-def ginitial_local(family: dict[Participant, GeneralLocal]) -> GConfig:
-    ps = tuple(sorted(family))
-    return GConfig(tuple((family[p].entry,) for p in ps),
-                   tuple(() for _ in channels(ps)))
-
-
-def gstep_local(family: dict[Participant, GeneralLocal], c: GConfig,
-                k: int | None = None) -> tuple[tuple[Action, GConfig], ...]:
-    """Enabled steps of a family of local equation systems."""
-    ps = tuple(sorted(family))
-    return _gsteps([_net(family[p], p) for p in ps], ps, c, k)
-
-
-def _gsteps(nets: list, ps: tuple[Participant, ...], c: GConfig,
-            k: int | None):
-    index = {ch: i for i, ch in enumerate(channels(ps))}
-    out = set()
-    for i, net in enumerate(nets):
-        for elem in _gclosure(net, c.holes[i]):
-            for act, holes in _gfire(net, elem):
-                bufs = _fifo(c.buffers, index[act.channel], act, k)
-                if bufs is None:
-                    continue
-                hs = list(c.holes)
-                hs[i] = holes
-                out.add((act, GConfig(tuple(hs), bufs)))
-    return tuple(sorted(out, key=lambda t: (t[0], t[1].holes, t[1].buffers)))
-
-
-def gtraces_global(g: GeneralGlobal, max_len: int, k: int,
-                   cap: int | None = None) -> dict:
-    return _trie(ginitial_global(g),
-                 lambda c, kk: gstep_global(g, c, kk), max_len, k, cap)
-
-
-def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
-                  k: int, cap: int | None = None) -> dict:
-    return _trie(ginitial_local(family),
-                 lambda c, kk: gstep_local(family, c, kk), max_len, k, cap)
-
-
 # --------------------------------------------------------------------------
-# Machines from local equation systems: subset construction over hole
-# positions, actions resolved against the owner.
+# Machines from equation systems: subset construction over hole positions,
+# actions resolved against the owner.
 
-def gto_machine(t: GeneralLocal, owner: Participant) -> Machine:
-    """The machine of t: `_bfs` over closed sets of hole positions, state
-    s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
-    states."""
+def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
+    """The machine of owner's view of t, a local system or a global one
+    read from owner's side, where the exchanges that do not involve owner
+    are silent (see `_net`): `_bfs` over closed sets of hole positions,
+    state s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
+    states, or when a closure holds more than DEFAULT_FORK_CAP holes."""
     net = _net(t, owner)
 
     def close(states) -> frozenset[ParState]:
@@ -537,6 +483,22 @@ def gto_machine(t: GeneralLocal, owner: Participant) -> Machine:
     return Machine(owner, "s0", tuple(
         (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
         for act, j in zip(row[::2], row[1::2])))
+
+
+def gtraces_global(g: GeneralGlobal, max_len: int, k: int,
+                   cap: int | None = None) -> dict:
+    """The traces of g run as the system of its participants' machines
+    (`gto_machine` of g read from each side)."""
+    s = make_system([gto_machine(g, p) for p in gg_participants(g)])
+    return traces(s, max_len, k, cap)
+
+
+def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
+                  k: int, cap: int | None = None) -> dict:
+    """The traces of a family of local systems run as the system of their
+    machines."""
+    s = make_system([gto_machine(t, p) for p, t in family.items()])
+    return traces(s, max_len, k, cap)
 
 
 # --------------------------------------------------------------------------

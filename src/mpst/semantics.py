@@ -7,20 +7,22 @@ uniformly across uncommitted branches for participants not involved in it,
 and inside a committed branch for everyone but its receiver.  Buffer contents
 are recoverable from the markers, which is how send bounding works.
 
-A collection of local types executes against explicit FIFO buffers with the
-same bounding discipline, so trace sets of the two sides can be compared,
-as well as against the trace sets of machine systems.
+A collection of local types runs as the system of its types' machines
+(`to_machine`), from its buffers, on the FIFO step and bounding discipline
+of `cfsm`, so trace sets of the two sides can be compared, as well as
+against the trace sets of machine systems.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cfsm import _fifo, _trie, traces as system_traces
-from .projection import _head, project
-from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, LRecv, LSend,
-                     Local, Participant, System, channels, gparticipants,
-                     unfold)
+from .cfsm import (Config, _key, _steps, _table, _trie, initial,
+                   traces as system_traces)
+from .projection import project
+from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, Local,
+                     Participant, System, channels, gparticipants,
+                     make_system, unfold)
 
 
 def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global], ...]:
@@ -138,33 +140,6 @@ def project_config(g: Global) -> LocalConfig:
                        tuple(bufs.get(ch, ()) for ch in chans))
 
 
-def step_local(c: LocalConfig, k: int | None = None) -> tuple[tuple[Action, LocalConfig], ...]:
-    """All enabled steps of a local-type collection (k-bounded sends)."""
-    index = {ch: i for i, ch in enumerate(c.channels)}
-    out = []
-    for i, (p, t) in enumerate(c.types):
-        t = _head(t)
-        # p uses one channel here: check its buffer before building moves
-        if isinstance(t, LSend):
-            j = index[(p, t.peer)]
-            if k is not None and len(c.buffers[j]) >= k:
-                continue
-            moves = [(Action(p, t.peer, "!", a), u) for a, u in t.branches]
-        elif isinstance(t, LRecv):
-            j = index[(t.peer, p)]
-            b = c.buffers[j]
-            moves = [(Action(t.peer, p, "?", a), u) for a, u in t.branches
-                     if b and b[0] == a]
-        else:
-            continue
-        for act, cont in moves:
-            types = list(c.types)
-            types[i] = (p, cont)
-            out.append((act, LocalConfig(tuple(types),
-                                         _fifo(c.buffers, j, act, k))))
-    return tuple(out)
-
-
 # --------------------------------------------------------------------------
 # Trace tries and trace equivalence
 
@@ -173,7 +148,15 @@ def traces_global(g: Global, max_len: int, k: int, cap: int | None = None) -> di
 
 
 def traces_local(c: LocalConfig, max_len: int, k: int, cap: int | None = None) -> dict:
-    return _trie(c, step_local, max_len, k, cap)
+    """The traces of c's types run as the system of their machines, from
+    c's buffers."""
+    # imported here: `mpst synth --verify` and `mpst simulate` load this
+    # module but never translate a local type
+    from .translate import to_machine
+    s = make_system([to_machine(t, p) for p, t in c.types])
+    t = _table(s)
+    start = _key(t, Config(initial(s).states, c.buffers))
+    return _trie(start, lambda key, k: _steps(t, key, k), max_len, k, cap)
 
 
 def _as_trie(x, max_len: int, k: int) -> dict:

@@ -236,6 +236,72 @@ DATA_TRANSFER = {
 
 
 # ---------------------------------------------------------------------------
+# Collections of local types stepped as terms: the reference for running
+# them as machine systems.  A type is read by class name and unfolded by
+# substitution.  A configuration is (types, buffers): the (participant,
+# type) pairs in sorted order and one word per channel in `channels` order.
+
+def _subst(t, var, repl):
+    """t with repl for the free occurrences of the recursion variable var;
+    repl is closed, so nothing is captured."""
+    form = type(t).__name__
+    if form == "LVar":
+        return repl if t.var == var else t
+    if form == "LRec":
+        return t if t.var == var else type(t)(t.var,
+                                              _subst(t.body, var, repl))
+    if form in ("LSend", "LRecv"):
+        return type(t)(t.peer, tuple((label, _subst(u, var, repl))
+                                     for label, u in t.branches))
+    return t
+
+
+def plain_trie(trie):
+    """A trace trie of the package with its actions as 4-tuples."""
+    return {(a.sender, a.receiver, a.op, a.label): plain_trie(sub)
+            for a, sub in trie.items()}
+
+
+def local_steps(config, k):
+    """The (action, config') steps of a collection of local types: each
+    type, its recursion unfolded, sends any of its labels while the channel
+    to its peer holds fewer than k words (any number when k is None), or
+    receives the label at the head of the channel from its peer."""
+    types, buffers = config
+    ps = tuple(p for p, _ in types)
+    index = {ch: i for i, ch in enumerate(
+        (a, b) for a in ps for b in ps if a != b)}
+    out = []
+    for i, (p, t) in enumerate(types):
+        while type(t).__name__ == "LRec":
+            t = _subst(t.body, t.var, t)
+        form = type(t).__name__
+        if form == "LSend":
+            ch, op = (p, t.peer), "!"
+        elif form == "LRecv":
+            ch, op = (t.peer, p), "?"
+        else:
+            continue
+        j = index[ch]
+        b = buffers[j]
+        for label, cont in t.branches:
+            if op == "!":
+                if k is not None and len(b) >= k:
+                    continue
+                word = b + (label,)
+            elif b and b[0] == label:
+                word = b[1:]
+            else:
+                continue
+            ts = list(types)
+            ts[i] = (p, cont)
+            bs = list(buffers)
+            bs[j] = word
+            out.append(((*ch, op, label), (tuple(ts), tuple(bs))))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Equation systems (graph-shaped types): the reference for stepping, subset
 # construction and labelled nets, written one form at a time.  An equation
 # is any object with the fields of its form, told apart by class name, so

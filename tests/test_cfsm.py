@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   SafetyReport, check_safety, classify, dot_machine,
-                  dot_reach, dot_system, fire, initial, is_basic, make_system,
-                  reach, traces, trie_flatten)
+                  dot_reach, dot_system, fire, initial, is_basic,
+                  local_config, make_system, parse_local, reach, to_machine,
+                  traces, traces_local, trie_flatten)
 from mpst.cfsm import _explore
 import oracles
 
@@ -222,6 +223,17 @@ def test_check_safety_rejects_bound_below_one(commit_system, k):
         check_safety(commit_system, k)
     with pytest.raises(ValueError, match="bound k must be >= 1"):
         reach(commit_system, k)
+
+
+def test_a_peer_without_a_machine_is_a_value_error():
+    # `mpst translate` prints such one-machine systems; exploring one is a
+    # usage error, not a crash
+    t = parse_local("B!x. end")
+    msg = "machine A talks to B, which has no machine in the system"
+    with pytest.raises(ValueError, match=msg):
+        traces(make_system([to_machine(t, "A")]), 3, 1)
+    with pytest.raises(ValueError, match=msg):
+        traces_local(local_config({"A": t}), 3, 1)
 
 
 def test_dot_outputs_are_stable(commit_system):

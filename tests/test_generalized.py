@@ -1,13 +1,13 @@
 """Graph-shaped session types: equation systems, nets, and synthesis."""
 import gc
+import time
 import weakref
 
 import pytest
 
 from mpst import (Action, ChoiceOwnership, LabelledNet, Machine, ParseError,
-                  ResourceLimit, dot_net, gg_participants, ginitial_global,
-                  ginitial_local, gparticipants, gproject, gstep_global,
-                  gstep_local, gsynthesize, gto_machine, gtraces_global,
+                  ResourceLimit, dot_net, gg_participants, gparticipants,
+                  gproject, gsynthesize, gto_machine, gtraces_global,
                   gtraces_local, is_safe, make_system, mixed_parallel,
                   multiparty_compatible, parse_gglobal, parse_global,
                   parse_glocal, parse_system, print_gglobal, print_glocal,
@@ -130,22 +130,18 @@ def test_unsafe_net_yields_a_marking():
 
 
 def test_global_stepping(data_transfer_type):
-    c0 = ginitial_global(data_transfer_type)
-    assert c0.holes == (("x0",), ("x0",), ("x0",))
-    steps = gstep_global(data_transfer_type, c0, 1)
-    assert sorted(str(a) for a, _ in steps) == ["AB!data", "AC!log", "AC!log"]
-    after = dict((str(a), c) for a, c in steps)
-    c1 = after["AB!data"]
-    assert c1.holes[0] == ("x2", "x4")     # A forked, sent, and moved on
-    assert c1.buffers[0] == ("data",)      # channel (A, B) holds the message
+    trie = gtraces_global(data_transfer_type, 2, 1)
+    assert sorted(str(a) for a in trie) == ["AB!data", "AC!log"]
+    after = {str(a): sub for a, sub in trie.items()}
+    # A forked and can still log; channel (A, B) holds the data
+    assert sorted(str(a) for a in after["AB!data"]) == ["AB?data", "AC!log"]
 
 
 def test_local_family_stepping(data_transfer_type):
     fam = {p: gproject(data_transfer_type, p)
            for p in gg_participants(data_transfer_type)}
-    c0 = ginitial_local(fam)
-    steps = gstep_local(fam, c0, 1)
-    assert {str(a) for a, _ in steps} == {"AB!data", "AC!log"}
+    assert {str(a) for a in gtraces_local(fam, 1, 1)} == {"AB!data",
+                                                          "AC!log"}
 
 
 def test_global_and_local_traces_agree(data_transfer_type):
@@ -173,12 +169,54 @@ def test_stepping_keeps_no_equation_system_alive():
     # nothing refers to any more is freed with it
     g = parse_gglobal(DIAMOND)
     fam = {p: gproject(g, p) for p in gg_participants(g)}
-    assert gstep_global(g, ginitial_global(g), 1)
-    assert gstep_local(fam, ginitial_local(fam), 1)
+    assert gtraces_global(g, 2, 1)
+    assert gtraces_local(fam, 2, 1)
     refs = [weakref.ref(t) for t in (g, *fam.values())]
     del g, fam
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+
+
+def fork_join(n: int) -> str:
+    """The text of fj(n): n data*.eof loops in parallel under binary forks
+    and joins, then end; loop i is sent by A<i> to B<i>."""
+    eqs = []
+    names = (f"x{i}" for i in range(10 * n))
+
+    def region(lo, hi):
+        if hi - lo == 1:
+            entry, head, dec, back, eof, out = (next(names) for _ in range(6))
+            eqs.extend([f"{entry} + {back} = {head};",
+                        f"{head} = A{lo} -> B{lo} : data ; {dec};",
+                        f"{dec} = {back} + {eof};",
+                        f"{eof} = A{lo} -> B{lo} : eof ; {out};"])
+            return entry, out
+        mid = (lo + hi) // 2
+        (l_in, l_out), (r_in, r_out) = region(lo, mid), region(mid, hi)
+        entry, out = next(names), next(names)
+        eqs.extend([f"{entry} = {l_in} | {r_in};",
+                    f"{l_out} | {r_out} = {out};"])
+        return entry, out
+
+    entry, out = region(0, n)
+    return f"init {entry};\n" + "\n".join(eqs) + f"\n{out} = end;\n"
+
+
+def test_fork_join_traces_grow_with_the_actions_only():
+    # each participant's closures are determinised into one machine state,
+    # so a step is one successor per action, not one per hole multiset
+    g2, g3 = (parse_gglobal(fork_join(n)) for n in (2, 3))
+    for g in (g2, g3):
+        ps = gg_participants(g)
+        assert {p: len(gto_machine(gproject(g, p), p).states)
+                for p in ps} == dict.fromkeys(ps, 3)
+    assert len(trie_flatten(gtraces_global(g2, 6, 1))) - 1 == 274
+    start = time.perf_counter()
+    gtraces_global(g3, 4, 1)
+    assert time.perf_counter() - start < 5
+    s = make_system([gto_machine(gproject(g3, p), p)
+                     for p in gg_participants(g3)])
+    assert trace_equiv(gsynthesize(s), s, 6, 1) == (True, None)
 
 
 def test_mixed_parallel_rejects_noncommuting_actions():

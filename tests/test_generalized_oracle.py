@@ -1,19 +1,20 @@
-"""Equation systems against the form-by-form reference in oracles.py:
-stepping of global systems and of their projections, subset construction,
+"""Equation systems against the form-by-form reference in oracles.py: the
+traces of global systems and of their projections, subset construction,
 and the labelled net with its safety verdict, on random small global
 systems with forks, joins, choices and merges."""
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mpst import (ChoiceOwnership, GConfig, ResourceLimit, gg_participants,
-                  ginitial_global, ginitial_local, gproject, gstep_global,
-                  gstep_local, gto_machine, is_safe, parse_gglobal, to_petri)
+from mpst import (ChoiceOwnership, ResourceLimit, gg_participants, gproject,
+                  gto_machine, gtraces_global, gtraces_local, is_safe,
+                  parse_gglobal, to_petri)
+from mpst.cfsm import _trie
 
 PARTS = ("A", "B", "C")
 FORMS = ("end", "msg", "msg", "msg", "choice", "fork", "join", "merge",
          "indir")
-EXPLORE = 60  # configurations stepped per system and reading
+MAX_LEN = 5  # trace length compared per system and reading
 
 # A fork inside a silent loop: the net is unsafe, and the closure of the
 # first holes passes the fork cap.
@@ -33,6 +34,13 @@ x5 = x6 + x7;
 x6 = A -> B : c ; x8;
 x7 = A -> B : d ; x8;
 x8 = end;
+"""
+# A fork in a loop that only an exchange closes: the net is unsafe, and
+# A's view passes the fork cap after more rounds than five steps take.
+SEND_LOOP = """init x0;
+x0 = x1 | x2;
+x1 = A -> B : a ; x0;
+x2 = end;
 """
 
 
@@ -77,27 +85,39 @@ def _outcome(run, limit):
         return "limit"
 
 
-def _explore(c0, step, reference):
-    """Step at most EXPLORE configurations breadth-first from c0 and check
-    that every one has the steps of the reference, or that both pass the
-    fork cap; returns the number of configurations that hit it."""
-    seen, todo, limits = {c0}, [c0], 0
-    while todo and len(seen) < EXPLORE:
-        c = todo.pop(0)
-        got = _outcome(lambda: [(_act(a), c2.holes, c2.buffers)
-                                for a, c2 in step(c)], ResourceLimit)
-        want = _outcome(lambda: reference(c.holes, c.buffers),
-                        oracles.ForkCap)
-        assert got == want, c
-        if got == "limit":
-            limits += 1
-            continue
-        for _, holes, buffers in got:
-            c2 = GConfig(holes, buffers)
-            if c2 not in seen:
-                seen.add(c2)
-                todo.append(c2)
-    return limits
+def _reference_traces(defs_by, ps, entry, k, global_view):
+    """The trace trie of the reference stepping, hole multisets kept apart
+    per closure element."""
+    start = (tuple((entry,) for _ in ps),
+             tuple(() for a in ps for b in ps if a != b))
+
+    def step(c, k):
+        return [(act, (holes, bufs)) for act, holes, bufs in oracles.gsteps(
+            defs_by, ps, c[0], c[1], k, global_view)]
+
+    return _trie(start, step, MAX_LEN, k, None)
+
+
+def _same_traces(g, got, want):
+    """got runs the machines of every view in full, want steps only as far
+    as MAX_LEN: both are the same trie, or both pass the fork cap, or only
+    got does, which a safe net rules out."""
+    got = _outcome(lambda: oracles.plain_trie(got()), ResourceLimit)
+    want = _outcome(want, oracles.ForkCap)
+    if got == "limit" and want != "limit":
+        assert not is_safe(to_petri(g))[0]
+        return "limit"
+    assert got == want
+    return got
+
+
+def _global_traces(g, k):
+    """`_same_traces` for the global reading of g."""
+    defs = oracles.eq_defs(g.equations)
+    ps = gg_participants(g)
+    return _same_traces(g, lambda: gtraces_global(g, MAX_LEN, k),
+                        lambda: _reference_traces({p: defs for p in ps}, ps,
+                                                  g.entry, k, True))
 
 
 def _net(net):
@@ -109,6 +129,7 @@ def _net(net):
 @given(systems(), st.sampled_from([1, 2]))
 @example(FORK_LOOP, 1)
 @example(DIAMOND, 1)
+@example(SEND_LOOP, 1)
 def test_equation_systems_agree_with_the_reference(text, k):
     g = parse_gglobal(text)
     ps = gg_participants(g)
@@ -117,14 +138,11 @@ def test_equation_systems_agree_with_the_reference(text, k):
     except ChoiceOwnership:
         assume(False)
     assume(ps)
-    defs = oracles.eq_defs(g.equations)
-    _explore(ginitial_global(g), lambda c: gstep_global(g, c, k),
-             lambda holes, bufs: oracles.gsteps(
-                 {p: defs for p in ps}, ps, holes, bufs, k, True))
+    _global_traces(g, k)
     local_defs = {p: oracles.eq_defs(t.equations) for p, t in fam.items()}
-    _explore(ginitial_local(fam), lambda c: gstep_local(fam, c, k),
-             lambda holes, bufs: oracles.gsteps(
-                 local_defs, ps, holes, bufs, k, False))
+    _same_traces(g, lambda: gtraces_local(fam, MAX_LEN, k),
+                 lambda: _reference_traces(local_defs, ps, g.entry, k,
+                                           False))
     for p, t in fam.items():
         got = _outcome(lambda: {(s, _act(a), d) for s, a, d
                                 in gto_machine(t, p).transitions},
@@ -144,9 +162,12 @@ def test_the_examples_cover_unsafe_nets_and_the_fork_cap():
     assert not ok and marking == {"x1": 1, "x2": 2}
     assert (ok, marking) == oracles.is_safe(*oracles.petri(
         g.equations, g.entry)[1:])
+    assert _global_traces(g, 2) == "limit"
+    # only the machines pass the fork cap: the reference stops within
+    # MAX_LEN steps
+    g = parse_gglobal(SEND_LOOP)
     defs = oracles.eq_defs(g.equations)
-    ps = gg_participants(g)
-    assert _explore(ginitial_global(g), lambda c: gstep_global(g, c, 2),
-                    lambda holes, bufs: oracles.gsteps(
-                        {p: defs for p in ps}, ps, holes, bufs, 2, True)) > 0
+    assert _reference_traces({"A": defs, "B": defs}, ("A", "B"), g.entry, 1,
+                             True)
+    assert _global_traces(g, 1) == "limit"
     assert is_safe(to_petri(parse_gglobal(DIAMOND))) == (True, None)

@@ -1,9 +1,10 @@
 """Execution of global types and local-type collections, trace equivalence."""
-from mpst import (Action, GBranch, gparticipants, local_config, make_system,
-                  parse_global, parse_local, parse_system, print_type,
-                  project, project_config, gbuffers, step_global, step_local,
-                  to_machine, trace_equiv, traces, traces_global,
+import oracles
+from mpst import (Action, GBranch, local_config, parse_global, parse_local,
+                  parse_system, print_type, project_config, gbuffers,
+                  step_global, trace_equiv, traces, traces_global,
                   traces_local, trie_flatten, unfold, well_formed)
+from mpst.cfsm import _trie
 from conftest import DATA
 
 LOOP = """
@@ -91,13 +92,13 @@ def test_local_collection_stepping_is_fifo():
         "A": parse_local("B!x. B!y. end"),
         "B": parse_local("A?x. A?y. end"),
     })
-    s1 = dict((str(a), c) for a, c in step_local(fam, 2))
-    assert sorted(s1) == ["AB!x"]
-    s2 = dict((str(a), c) for a, c in step_local(s1["AB!x"], 2))
-    assert sorted(s2) == ["AB!x".replace("x", "y"), "AB?x"]
-    # receives pop the head, never a later element
-    s3 = dict((str(a), c) for a, c in step_local(s2["AB!y"], 2))
-    assert sorted(s3) == ["AB?x"]
+    trie = traces_local(fam, 3, 2)
+    assert acts(trie.items()) == ["AB!x"]
+    after_x = dict((str(a), sub) for a, sub in trie.items())["AB!x"]
+    assert acts(after_x.items()) == ["AB!y", "AB?x"]
+    # receives take the head, never a later word
+    after_xy = dict((str(a), sub) for a, sub in after_x.items())["AB!y"]
+    assert acts(after_xy.items()) == ["AB?x"]
 
 
 def test_local_collection_unfolds_recursion_on_the_fly():
@@ -151,22 +152,39 @@ def test_trie_flatten_handles_deep_tries():
     assert len(flat) == 1201 and max(map(len, flat)) == 1200
 
 
+# Types whose marked states reach several participants' buffers at once:
+# a ring of four, three independent pairs, and two pairs whose loops
+# interleave.
+RING4 = ("rec t. P0 -> P1 : { go. P1 -> P2 : go. P2 -> P3 : go. "
+         "P3 -> P0 : ack. t, stop. P1 -> P2 : stop. P2 -> P3 : stop. end }")
+INDEP3 = "A0 -> B0 : m. A1 -> B1 : m. A2 -> B2 : m. end"
+PAIRS2 = ("rec t. A0 -> B0 : { x. A1 -> B1 : { x. t, y. A1 -> B1 : z. t }, "
+          "y. A0 -> B0 : z. A1 -> B1 : { x. t, y. A1 -> B1 : z. t } }")
+
+
 def test_local_types_and_their_machines_have_the_same_traces():
-    # the buffer rule of stepped local types against the compiled one of
-    # machine systems, on every projectable global type of the corpus
+    # local-type collections run as machine systems, against the term
+    # stepper of the oracles, from every marked state within four steps of
+    # each projectable type: in-flight words included
+    texts = [p.read_text() for p in sorted(DATA.glob("*.gt"))]
     checked = 0
-    for path in sorted(DATA.glob("*.gt")):
-        g = parse_global(path.read_text())
+    for text in texts + [RING4, INDEP3, PAIRS2]:
+        g = parse_global(text)
         if not well_formed(g):
             continue
-        ps = sorted(gparticipants(g))
-        fam = local_config({p: project(g, p) for p in ps})
-        s = make_system([to_machine(project(g, p), p) for p in ps])
-        for k in (1, 2, 3):
-            assert (trie_flatten(traces_local(fam, 6, k))
-                    == trie_flatten(traces(s, 6, k))), (path.name, k)
-        checked += 1
-    assert checked == 3
+        marked, frontier = {g}, [g]
+        for _ in range(4):
+            frontier = {g2 for g1 in frontier
+                        for _, g2 in step_global(g1)} - marked
+            marked |= frontier
+        for m in marked:
+            c = project_config(m)
+            for k in (1, 2, 3):
+                want = _trie((c.types, c.buffers), oracles.local_steps, 3, k,
+                             None)
+                assert oracles.plain_trie(traces_local(c, 3, k)) == want, (m, k)
+            checked += 1
+    assert checked == 380
 
 
 def test_marked_global_type_prints_the_in_transit_label(commit_type):
