@@ -10,10 +10,8 @@ are deterministic so reports and golden tests are stable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-
 from .errors import ResourceLimit
-from .syntax import Action, Machine, System
+from .syntax import Action, Machine, System, _Record, _getter
 
 DEFAULT_NODE_CAP = 1_000_000
 
@@ -121,13 +119,12 @@ def _path(parents: list, i: int) -> tuple:
     return tuple(reversed(acc))
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(_Record):
     """Joint control state + buffer contents, aligned with the system's
-    sorted participant and channel tuples."""
+    sorted participant and channel tuples: states is a tuple of local
+    states, buffers a tuple of words, each a tuple of labels."""
 
-    states: tuple[str, ...]
-    buffers: tuple[tuple[str, ...], ...]
+    __slots__ = ("states", "buffers")
 
     def is_stable(self) -> bool:
         return all(not b for b in self.buffers)
@@ -255,15 +252,15 @@ def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Conf
                  for act, key in _steps(t, _key(t, c), k))
 
 
-@dataclass(frozen=True)
-class ReachSet:
-    """k-bounded reachability set with its transition edges and BFS parents."""
+class ReachSet(_Record):
+    """k-bounded reachability set with its transition edges, (Config,
+    Action, Config) triples, and BFS parents, a dict from each Config to
+    its (Config, Action) parent or None; parents, None by default, is
+    left out of equality and hashing."""
 
-    k: int
-    initial: Config
-    configs: tuple[Config, ...]
-    edges: tuple[tuple[Config, Action, Config], ...]
-    parents: dict[Config, tuple[Config, Action] | None] = field(hash=False, compare=False, default=None)
+    __slots__ = ("k", "initial", "configs", "edges", "parents")
+    _defaults = {"parents": None}
+    _values = property(_getter(("k", "initial", "configs", "edges")))
 
     def path_to(self, c: Config) -> tuple[Action, ...]:
         """Shortest action path from the initial configuration to c."""
@@ -350,12 +347,13 @@ def classify(c: Config, s: System) -> frozenset[str]:
 BAD_FLAGS = frozenset({"deadlock", "orphan", "unspecified_reception"})
 
 
-@dataclass(frozen=True)
-class SafetyReport:
-    k: int
-    violations: tuple[tuple[str, tuple[Action, ...], Config], ...]
-    liveness: bool | None  # None when no final configuration exists in RS_k
-    liveness_counterexample: Config | None = None
+class SafetyReport(_Record):
+    """Violations are (kind, path, Config) triples; liveness is None when
+    no final configuration exists in RS_k; liveness_counterexample is a
+    Config, None by default."""
+
+    __slots__ = ("k", "violations", "liveness", "liveness_counterexample")
+    _defaults = {"liveness_counterexample": None}
 
     @property
     def ok(self) -> bool:

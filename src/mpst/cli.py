@@ -26,9 +26,11 @@ from .syntax import (Global, Local, System, gparticipants, make_system,
 
 def _load(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
     if path.endswith(".gt"):
         return parse_global(text)
     if path.endswith(".lt"):

@@ -14,11 +14,10 @@ compatibility in finite time.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .cfsm import _explore, is_basic
 from .errors import NotBasic
-from .syntax import Action, Machine, Participant, System
+from .syntax import Action, Machine, Participant, System, _Record
 
 
 def dual(a: Action) -> Action:
@@ -26,14 +25,12 @@ def dual(a: Action) -> Action:
     return Action(a.sender, a.receiver, "?" if a.op == "!" else "!", a.label)
 
 
-@dataclass(frozen=True)
-class CompatFailure:
-    participant: Participant
-    state: str
-    kind: str  # "unhandled" | "uncovered" | "no_dual"
-    message: str
-    witness: Action | None
-    path: tuple[Action, ...]
+class CompatFailure(_Record):
+    """kind is "unhandled", "uncovered" or "no_dual"; witness is an Action
+    or None, path a tuple of Actions."""
+
+    __slots__ = ("participant", "state", "kind", "message", "witness",
+                 "path")
 
     def to_json(self) -> dict:
         return {"participant": self.participant, "state": self.state,
@@ -42,10 +39,8 @@ class CompatFailure:
                 "path": [str(a) for a in self.path]}
 
 
-@dataclass(frozen=True)
-class CompatReport:
-    compatible: bool
-    failures: tuple[CompatFailure, ...]
+class CompatReport(_Record):
+    __slots__ = ("compatible", "failures")
 
     def __bool__(self) -> bool:
         return self.compatible

@@ -23,7 +23,6 @@ Petri net with its safety check.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .cfsm import (_bfs, _can_reach, _explore, _path, _preds, is_basic,
                    node_cap, traces)
@@ -32,8 +31,8 @@ from .compat import (_exchanges, _multiparty_compatible, dual,
 from .errors import (ChoiceOwnership, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
                      SynthesisFailure)
-from .syntax import (Action, Label, Machine, Participant, System, Var,
-                     _Parser, make_system)
+from .syntax import (Action, Machine, Participant, System, Var,
+                     _Parser, _Record, make_system)
 
 DEFAULT_FORK_CAP = 8
 
@@ -42,82 +41,48 @@ DEFAULT_FORK_CAP = 8
 # Equation forms.  Merge and Join define both their left-hand variables;
 # every other form defines its single lhs.
 
-@dataclass(frozen=True)
-class Fork:
-    lhs: Var
-    left: Var
-    right: Var
+class Fork(_Record):
+    __slots__ = ("lhs", "left", "right")
 
 
-@dataclass(frozen=True)
-class Join:
-    l1: Var
-    l2: Var
-    rhs: Var
+class Join(_Record):
+    __slots__ = ("l1", "l2", "rhs")
 
 
-@dataclass(frozen=True)
-class Merge:
-    l1: Var
-    l2: Var
-    rhs: Var
+class Merge(_Record):
+    __slots__ = ("l1", "l2", "rhs")
 
 
-@dataclass(frozen=True)
-class Indir:
-    lhs: Var
-    rhs: Var
+class Indir(_Record):
+    __slots__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class EndEq:
-    lhs: Var
+class EndEq(_Record):
+    __slots__ = ("lhs",)
 
 
-@dataclass(frozen=True)
-class GGMsg:
-    lhs: Var
-    src: Participant
-    dst: Participant
-    label: Label
-    cont: Var
+class GGMsg(_Record):
+    __slots__ = ("lhs", "src", "dst", "label", "cont")
 
 
-@dataclass(frozen=True)
-class GGChoice:
-    lhs: Var
-    left: Var
-    right: Var
+class GGChoice(_Record):
+    __slots__ = ("lhs", "left", "right")
 
 
-@dataclass(frozen=True)
-class GLSend:
-    lhs: Var
-    peer: Participant
-    label: Label
-    cont: Var
+class GLSend(_Record):
+    __slots__ = ("lhs", "peer", "label", "cont")
 
 
-@dataclass(frozen=True)
-class GLRecv:
-    lhs: Var
-    peer: Participant
-    label: Label
-    cont: Var
+class GLRecv(_Record):
+    __slots__ = ("lhs", "peer", "label", "cont")
 
 
-@dataclass(frozen=True)
-class GLIChoice:
-    lhs: Var
-    left: Var
-    right: Var
+class GLIChoice(_Record):
+    __slots__ = ("lhs", "left", "right")
 
 
-@dataclass(frozen=True)
-class GLEChoice:
-    lhs: Var
-    left: Var
-    right: Var
+class GLEChoice(_Record):
+    __slots__ = ("lhs", "left", "right")
 
 
 GLOBAL_EQS = (Fork, Join, Merge, Indir, EndEq, GGMsg, GGChoice)
@@ -144,7 +109,7 @@ _SYNTAX = {
 def _eq_str(eq) -> str:
     if type(eq) not in _SYNTAX:
         raise TypeError(type(eq).__name__)
-    return _SYNTAX[type(eq)].format_map(vars(eq))
+    return _SYNTAX[type(eq)].format_map(dict(zip(eq._fields, eq._values)))
 
 
 def _defined_vars(eq) -> tuple[Var, ...]:
@@ -211,29 +176,30 @@ def _validate(entry: Var, equations, allowed) -> None:
                     raise ParseError(f"variable {v} is used but never defined")
 
 
-@dataclass(frozen=True)
-class _EquationSystem:
+class _EquationSystem(_Record):
     """Equations and the variable `entry` where execution starts; the
-    equations are kept sorted by their printed form."""
+    equations are kept sorted by their printed form.  The `__dict__`
+    holds the compiled nets of `_net`."""
 
-    entry: Var
-    equations: tuple
+    __slots__ = ("entry", "equations", "__dict__")
 
-    def __post_init__(self):
-        eqs = tuple(sorted(self.equations, key=_eq_str))
-        object.__setattr__(self, "equations", eqs)
-        _validate(self.entry, eqs, self._forms)
+    def __init__(self, entry: Var, equations: tuple):
+        equations = tuple(sorted(equations, key=_eq_str))
+        _validate(entry, equations, self._forms)
+        super().__init__(entry, equations)
 
 
 class GeneralGlobal(_EquationSystem):
     """A global protocol given by equations; `entry` is where it starts."""
 
+    __slots__ = ()
     _forms = GLOBAL_EQS
 
 
 class GeneralLocal(_EquationSystem):
     """One endpoint of a global protocol, same equation style."""
 
+    __slots__ = ()
     _forms = LOCAL_EQS
 
 
@@ -504,14 +470,12 @@ def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
 # --------------------------------------------------------------------------
 # Petri nets
 
-@dataclass(frozen=True)
-class LabelledNet:
+class LabelledNet(_Record):
     """Places are the equation variables; transitions carry an optional
-    action label and their input/output places."""
+    action label and their input/output places, as (name, label or None,
+    inputs, outputs)."""
 
-    places: tuple[str, ...]
-    transitions: tuple[tuple[str, str | None, tuple[str, ...], tuple[str, ...]], ...]
-    initial: str
+    __slots__ = ("places", "transitions", "initial")
 
 
 def to_petri(t, owner: Participant | None = None) -> LabelledNet:
@@ -769,10 +733,10 @@ def _decider(phi: tuple[Action, ...]) -> frozenset[Participant]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SessionReport:
-    ok: bool
-    items: tuple[tuple[str, bool, str], ...]
+class SessionReport(_Record):
+    """items is a tuple of (check name, verdict, detail) triples."""
+
+    __slots__ = ("ok", "items")
 
     def __bool__(self) -> bool:
         return self.ok

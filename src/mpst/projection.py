@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cfsm import _bfs
 from .errors import MergeFailure
 from .syntax import (
     GBranch, GEnd, GRec, GVar, Global,
     LEnd, LRec, LRecv, LSend, LVar, Local,
-    Participant, gparticipants, unfold,
+    Participant, _Record, gparticipants, unfold,
 )
 
 
@@ -98,10 +96,10 @@ def _project(g: Global, p: Participant, memo) -> Local:
     return acc
 
 
-@dataclass(frozen=True)
-class WellFormedReport:
-    ok: bool
-    failures: tuple[tuple[Participant, str], ...]
+class WellFormedReport(_Record):
+    """failures is a tuple of (participant, reason) pairs."""
+
+    __slots__ = ("ok", "failures")
 
     def __bool__(self):
         return self.ok

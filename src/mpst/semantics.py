@@ -15,14 +15,12 @@ against the trace sets of machine systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cfsm import (Config, _key, _steps, _table, _trie, initial,
                    traces as system_traces)
 from .projection import project
 from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, Local,
                      Participant, System, channels, gparticipants,
-                     make_system, unfold)
+                     _Record, make_system, unfold)
 
 
 def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global], ...]:
@@ -53,7 +51,7 @@ def _step(g: Global, blocked: frozenset = frozenset()) -> tuple[tuple[Action, Gl
         if g.src not in blocked:
             for j, (label, _) in enumerate(g.branches):
                 act = Action(g.src, g.dst, "!", label)
-                out.append((act, GBranch(g.src, g.dst, g.branches, mid=j)))
+                out.append((act, GBranch(g.src, g.dst, g.branches, j)))
         # step uniformly under every branch for uninvolved participants
         inner = blocked | {g.src, g.dst}
         for act, g0 in _step(g.branches[0][1], inner):
@@ -80,7 +78,7 @@ def _step(g: Global, blocked: frozenset = frozenset()) -> tuple[tuple[Action, Gl
                 continue
             newbranches = list(g.branches)
             newbranches[g.mid] = (label, c2)
-            out.append((a2, GBranch(g.src, g.dst, tuple(newbranches), mid=g.mid)))
+            out.append((a2, GBranch(g.src, g.dst, tuple(newbranches), g.mid)))
     return tuple(out)
 
 
@@ -106,12 +104,11 @@ def gbuffers(g: Global) -> dict[tuple[Participant, Participant], tuple[str, ...]
 # --------------------------------------------------------------------------
 # Collections of local types with explicit buffers
 
-@dataclass(frozen=True)
-class LocalConfig:
-    """A sorted family of local types plus FIFO buffers for every channel."""
+class LocalConfig(_Record):
+    """A sorted family of local types, (participant, Local) pairs, plus
+    FIFO buffers for every channel."""
 
-    types: tuple[tuple[Participant, Local], ...]
-    buffers: tuple[tuple[str, ...], ...]
+    __slots__ = ("types", "buffers")
 
     @property
     def participants(self) -> tuple[Participant, ...]:

@@ -24,8 +24,8 @@ serve both languages.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from .errors import ParseError
 
@@ -34,14 +34,122 @@ Label = str
 Var = str
 
 
-@dataclass(frozen=True, order=True)
-class Action:
-    """A send or receive pq!a / pq?a; subject is the acting participant."""
+class _Record:
+    """The base of every value type of the toolkit: an immutable record
+    whose fields are the public names of the `__slots__` of its classes,
+    base first.
 
-    sender: Participant
-    receiver: Participant
-    op: str  # "!" or "?"
-    label: Label
+    It is built by position or by keyword, with the defaults in
+    `_defaults`.  It equals only a record of the same class with equal
+    fields, and hashes as the tuple of its fields, a hash computed once;
+    both read `_values`, that tuple, which a class may narrow to some of
+    its fields.  A class that normalises its fields does so in its own
+    `__init__` before calling this one.  Assigning to a record raises
+    AttributeError."""
+
+    __slots__ = ("_hash", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _setters: tuple = ()  # the slot setter of each field
+    _defaults: dict = {}
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for c in reversed(cls.__mro__)
+                            for f in c.__dict__.get("__slots__", ())
+                            if not f.startswith("_"))
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
+        if "_values" not in cls.__dict__:
+            cls._values = property(_getter(cls._fields))
+
+    def __init__(self, *args, **kw):
+        if kw or len(args) != len(self._fields):
+            args = self._bind(args, kw)
+        _set_hash(self, None)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kw: dict) -> tuple:
+        """The field values of a call with keywords or defaults."""
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} "
+                            f"arguments but {len(args)} were given")
+        values = list(args)
+        for f in cls._fields[len(args):]:
+            if f in kw:
+                values.append(kw.pop(f))
+            elif f in cls._defaults:
+                values.append(cls._defaults[f])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {f!r}")
+        if kw:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                            f"argument {min(kw)!r}")
+        return tuple(values)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self._values)
+            _set_hash(self, h)
+        return h
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (self.__class__, tuple(getattr(self, f) for f in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+_set_hash = _Record._hash.__set__
+
+
+def _getter(fields: tuple[str, ...]):
+    """The function from a record to the tuple of its fields named."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    if fields:  # an attrgetter of one name returns the bare value
+        get = attrgetter(*fields)
+        return lambda r: (get(r),)
+    return lambda r: ()
+
+
+class Action(_Record):
+    """A send or receive pq!a / pq?a; subject is the acting participant.
+    Actions are ordered as the tuples of their fields."""
+
+    __slots__ = ("sender", "receiver", "op", "label")  # op is "!" or "?"
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values <= other._values
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values > other._values
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values >= other._values
+        return NotImplemented
 
     @property
     def subject(self) -> Participant:
@@ -59,8 +167,10 @@ class Action:
 # Global and local types
 
 
-class _Type:
+class _Type(_Record):
     """A global or local type node; it prints as `print_type` renders it."""
+
+    __slots__ = ()
 
     def __str__(self):
         return print_type(self)
@@ -68,6 +178,8 @@ class _Type:
 
 class _Branching(_Type):
     """A node with labelled continuations: GBranch, LSend or LRecv."""
+
+    __slots__ = ()
 
     def labels(self) -> tuple[Label, ...]:
         return tuple(l for l, _ in self.branches)
@@ -79,69 +191,67 @@ class _Branching(_Type):
         raise KeyError(label)
 
 
-@dataclass(frozen=True)
 class GEnd(_Type):
     """Terminated protocol."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class GVar(_Type):
     """Recursion variable occurrence."""
 
-    var: str
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
 class GRec(_Type):
     """rec t. body"""
 
-    var: str
-    body: "Global"
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class GBranch(_Branching):
-    """Branched exchange src->dst:{a_i. G_i}; mid marks the in-flight branch."""
+    """Branched exchange src->dst:{a_i. G_i}, the branches a tuple of
+    (label, Global) pairs; mid, None by default, is the index of the
+    in-flight branch."""
 
-    src: Participant
-    dst: Participant
-    branches: tuple[tuple[Label, "Global"], ...]
-    mid: int | None = None
+    __slots__ = ("src", "dst", "branches", "mid")
+    _defaults = {"mid": None}
 
 
 Global = GEnd | GVar | GRec | GBranch
 
 
-@dataclass(frozen=True)
 class LEnd(_Type):
     """Terminated endpoint."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class LVar(_Type):
-    var: str
+    __slots__ = ("var",)
 
 
-@dataclass(frozen=True)
 class LRec(_Type):
-    var: str
-    body: "Local"
+    __slots__ = ("var", "body")
 
 
-@dataclass(frozen=True)
 class _LBranching(_Branching):
-    """A local branching, LSend or LRecv: the class tells which."""
+    """A local branching, LSend or LRecv: the class tells which.  The
+    branches are a tuple of (label, Local) pairs."""
 
-    peer: Participant
-    branches: tuple[tuple[Label, "Local"], ...]
+    __slots__ = ("peer", "branches")
 
 
 class LSend(_LBranching):
     """Selection: peer!{a_i. T_i}"""
 
+    __slots__ = ()
+
 
 class LRecv(_LBranching):
     """Branching: peer?{a_i. T_i}"""
+
+    __slots__ = ()
 
 
 Local = LEnd | LVar | LRec | LSend | LRecv
@@ -154,25 +264,26 @@ Local = LEnd | LVar | LRec | LSend | LRecv
 _NO_MOVES: tuple[dict, dict] = ({}, {})  # a state that is not in the machine
 
 
-@dataclass(frozen=True)
-class Machine:
-    """CFSM: finite control, transitions labelled with send/receive actions."""
+class Machine(_Record):
+    """CFSM: finite control, transitions labelled with send/receive actions.
+    The transitions, (source, Action, target) triples, are kept sorted;
+    states defaults to the initial state and every endpoint of a
+    transition.  The `__dict__` holds the cached properties."""
 
-    owner: Participant
-    initial: str
-    transitions: tuple[tuple[str, Action, str], ...]
-    states: frozenset[str] = field(default=frozenset())
+    __slots__ = ("owner", "initial", "transitions", "states", "__dict__")
 
-    def __post_init__(self):
-        if not self.states:
-            sts = {self.initial}
-            for s, _, d in self.transitions:
+    def __init__(self, owner: Participant, initial: str,
+                 transitions: tuple[tuple[str, Action, str], ...],
+                 states: frozenset[str] = frozenset()):
+        if not states:
+            sts = {initial}
+            for s, _, d in transitions:
                 sts.add(s)
                 sts.add(d)
-            object.__setattr__(self, "states", frozenset(sts))
-        object.__setattr__(
-            self, "transitions",
-            tuple(sorted(self.transitions, key=lambda e: (e[0], e[1], e[2]))))
+            states = frozenset(sts)
+        transitions = tuple(sorted(transitions,
+                                   key=lambda e: (e[0], e[1], e[2])))
+        super().__init__(owner, initial, transitions, states)
 
     @cached_property
     def _out(self) -> dict[str, tuple[tuple[str, Action, str], ...]]:
@@ -230,15 +341,16 @@ class Machine:
         return frozenset(q for q in self.states if self.is_final(q))
 
 
-@dataclass(frozen=True)
-class System:
-    """One machine per participant, sharing the channel set."""
+class System(_Record):
+    """One machine per participant, sharing the channel set: machines is
+    a tuple of (participant, Machine) pairs, kept sorted by participant.
+    The `__dict__` holds the cached properties and the compiled table of
+    `cfsm`."""
 
-    machines: tuple[tuple[Participant, Machine], ...]
+    __slots__ = ("machines", "__dict__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "machines",
-                           tuple(sorted(self.machines, key=lambda kv: kv[0])))
+    def __init__(self, machines: tuple[tuple[Participant, Machine], ...]):
+        super().__init__(tuple(sorted(machines, key=lambda kv: kv[0])))
 
     @cached_property
     def by_owner(self) -> dict[Participant, Machine]:
@@ -279,12 +391,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "op", "ident", "eof"
-    text: str
-    line: int
-    col: int
+class Token(_Record):
+    __slots__ = ("kind", "text", "line", "col")  # kind: "op", "ident", "eof"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -454,7 +562,7 @@ def parse_local(text: str) -> Local:
 def parse_system(text: str) -> System:
     p = _Parser(text)
     blocks = []
-    while not p.at_end():
+    while not blocks or not p.at_end():  # at least one machine block
         p.expect("machine")
         owner = p.ident("participant")
         p.expect("{")

@@ -45,6 +45,15 @@ def test_missing_file_is_reported():
     assert rc == 2 and "cannot read" in err
 
 
+def test_file_that_is_not_utf8_is_reported_with_its_path(tmp_path):
+    bad = tmp_path / "latin1.gt"
+    bad.write_bytes(b"A -> B : caf\xe9. end")
+    rc, out, err = run("parse", bad)
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"mpst: cannot read {bad}: 'utf-8' codec can't "
+                          f"decode byte 0xe9")
+
+
 def test_unwritable_output_is_reported(tmp_path):
     target = tmp_path / "no_such_dir" / "x.gt"
     rc, out, err = run("parse", DATA / "commit.gt", "-o", target)

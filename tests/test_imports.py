@@ -28,14 +28,14 @@ def fresh(code: str) -> str:
     return r.stdout.splitlines()[-1]
 
 
-def loaded_by(*argv) -> set[str]:
-    """The `mpst.*` submodules that one command loads, after checking
-    that it ran to a verdict."""
+def loaded_by(*argv, report: str = REPORT) -> set[str]:
+    """The `mpst.*` submodules that one command loads, or what else report
+    prints, after checking that it ran to a verdict."""
     code = ("import contextlib, io\n"
             "from mpst.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    rc = main({[str(a) for a in argv]!r})\n"
-            "assert rc in (0, 1), rc\n" + REPORT)
+            "assert rc in (0, 1), rc\n" + report)
     return set(fresh(code).split())
 
 
@@ -70,6 +70,32 @@ def test_check_loads_no_later_layer():
     loaded = loaded_by("check", DATA / "commit.cfsm", "--bound", "2")
     assert not loaded & {"compat", "semantics", "synthesis"}
     assert "cfsm" in loaded
+
+
+# the value types are `syntax._Record`s: no module loads `dataclasses`,
+# which brings `inspect` (and `ast`, `dis`, `tokenize`) with it
+HEAVY = ("dataclasses", "inspect")
+HEAVY_REPORT = ("import sys\n"
+                f"print(' '.join(m for m in {HEAVY!r} if m in sys.modules))\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "commit.gt"),
+    ("wf", "commit.gt"),
+    ("check", "commit.cfsm", "--bound", "2"),
+    ("compat", "commit.cfsm"),
+    ("session", "commit.cfsm"),
+], ids=lambda argv: argv[0])
+def test_commands_load_no_dataclasses(argv):
+    verb, name, *rest = argv
+    assert loaded_by(verb, DATA / name, *rest, report=HEAVY_REPORT) == set()
+
+
+def test_submodules_load_no_dataclasses():
+    code = "".join(f"import mpst.{m}\n" for m in SUBMODULES)
+    assert fresh(code + HEAVY_REPORT) == ""
+    # the control: the report sees the module when it is loaded
+    assert fresh("import dataclasses\n" + HEAVY_REPORT) == "dataclasses inspect"
 
 
 def test_session_loads_generalized():

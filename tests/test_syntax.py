@@ -251,13 +251,18 @@ PARSE_ERRORS = {
         2, 1),
     "local-empty-input": (
         "", "expected a local type, found 'end of input'", 1, 1),
+    "system-empty-input": (
+        "", "expected 'machine', found 'end of input'", 1, 1),
+    "system-comment-only-input": (
+        "// no machines\n", "expected 'machine', found 'end of input'", 2, 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
 def test_parse_error_table(case):
     text, message, line, col = PARSE_ERRORS[case]
-    parse = parse_global if case.startswith("global-") else parse_local
+    parse = {"global": parse_global, "local": parse_local,
+             "system": parse_system}[case.split("-")[0]]
     with pytest.raises(ParseError) as err:
         parse(text)
     assert (str(err.value), err.value.line, err.value.col) == (
