@@ -21,14 +21,15 @@ def node_cap() -> int:
     return int(var) if var else DEFAULT_NODE_CAP
 
 
-def _trie(start, step, max_len: int, k: int, cap: int | None) -> dict:
+def _trie(start, step, max_len: int, k: int) -> dict:
     """The trace trie of every view: a prefix-closed nested dict from Action
     to sub-trie of the runs of at most max_len steps from start, where
     step(state, k) lists the enabled (action, state') pairs.  The walk is
     level-synchronous over (state, trie node) pairs, deduplicated so that
     converging interleavings do not multiply the frontier.  It keeps its own
-    loop: `_bfs` interns each state once, whatever its depth."""
-    cap = cap if cap is not None else node_cap()
+    loop: `_bfs` interns each state once, whatever its depth.  Raises
+    ResourceLimit past `node_cap()` trie nodes."""
+    cap = node_cap()
     root: dict = {}
     frontier = {(start, id(root)): (start, root)}
     count = 0
@@ -51,7 +52,7 @@ def _trie(start, step, max_len: int, k: int, cap: int | None) -> dict:
     return root
 
 
-def _bfs(start, step, cap: int | None, what: str) -> tuple[list, list, list]:
+def _bfs(start, step, what: str) -> tuple[list, list, list]:
     """Breadth-first search from start, where step(node) lists the
     (label, node') pairs leaving node; each node is interned to its BFS
     index on first sight.
@@ -60,9 +61,8 @@ def _bfs(start, step, cap: int | None, what: str) -> tuple[list, list, list]:
     [label, j, label, j, ...] in step order; and the BFS parent (i, label)
     of each, None for start, so that `_path` from node j gives a shortest
     path to it.  Raises ResourceLimit ("<what> exceeded the node cap of
-    <cap>") as soon as there are more than cap (default `node_cap()`)
-    nodes."""
-    cap = cap if cap is not None else node_cap()
+    <cap>") as soon as there are more than `node_cap()` nodes."""
+    cap = node_cap()
     nodes = [start]
     index = {start: 0}
     parents: list[tuple[int, object] | None] = [None]
@@ -230,19 +230,17 @@ def _steps(t: _Table, key: tuple, k: int | None) -> list:
     return out
 
 
-def _explore(s: System, k: int, cap: int | None) -> tuple[list, list, list]:
+def _explore(s: System, k: int) -> tuple[list, list, list]:
     """`_bfs` over RS_k.  A key is one flat tuple: the local states,
     participants in sorted order, then the buffers of the channels some move
     uses, in `System.channels` order (`_Table.chans`).  The successor rows
     are in `_steps` order, which is the order of `fire` and of `reach`'s
-    edges.  Raises ValueError
-    for k < 1, and ResourceLimit as soon as there are more than cap
-    (default `node_cap()`) keys."""
+    edges.  Raises ValueError for k < 1, and ResourceLimit as soon as there
+    are more than `node_cap()` keys."""
     if k < 1:
         raise ValueError("bound k must be >= 1")
     t = _table(s)
-    return _bfs(t.start, lambda key: _steps(t, key, k), cap,
-                "reachability set")
+    return _bfs(t.start, lambda key: _steps(t, key, k), "reachability set")
 
 
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
@@ -273,7 +271,7 @@ class ReachSet(_Record):
             acc.append(act)
 
 
-def reach(s: System, k: int, cap: int | None = None) -> ReachSet:
+def reach(s: System, k: int) -> ReachSet:
     """BFS closure of k-bounded firing from the initial configuration.
 
     `configs` is in BFS order; `edges` lists each configuration's outgoing
@@ -281,9 +279,9 @@ def reach(s: System, k: int, cap: int | None = None) -> ReachSet:
     gives shortest paths.  Each configuration is one object, built from an
     `_explore` key (local states, then the buffers of the channels some
     move uses) and shared by `configs`, `edges` and `parents`.  Raises
-    ValueError for k < 1 and ResourceLimit when more than cap (default
-    `node_cap()`) configurations are found."""
-    keys, rows, parents = _explore(s, k, cap)
+    ValueError for k < 1 and ResourceLimit when more than `node_cap()`
+    configurations are found."""
+    keys, rows, parents = _explore(s, k)
     t = _table(s)
     configs = tuple(_config(t, key) for key in keys)
     edges = tuple((c, act, configs[j]) for c, row in zip(configs, rows)
@@ -377,8 +375,8 @@ def _config_json(c: Config) -> dict:
             "buffers": [list(b) for b in c.buffers]}
 
 
-def check_safety(s: System, k: int, check_liveness: bool = True,
-                 cap: int | None = None) -> SafetyReport:
+def check_safety(s: System, k: int,
+                 check_liveness: bool = True) -> SafetyReport:
     """Scan RS_k for deadlock/orphan/unspecified-reception configurations;
     k-bounded liveness = every configuration can reach a final one in RS_k.
 
@@ -386,12 +384,12 @@ def check_safety(s: System, k: int, check_liveness: bool = True,
     within one configuration, each with a shortest path to it (the path
     `reach(s, k).path_to` gives).  The liveness counterexample is the first
     configuration in BFS order that cannot reach a final one.  Raises
-    ValueError for k < 1 and ResourceLimit when more than cap (default
-    `node_cap()`) configurations are found, exactly as `reach` does.  Works
+    ValueError for k < 1 and ResourceLimit when more than `node_cap()`
+    configurations are found, exactly as `reach` does.  Works
     on the BFS indices of `_explore`'s flat keys (local states, then the
     buffers of the channels some move uses): a `Config` is built only for a
     configuration reported."""
-    keys, rows, parents = _explore(s, k, cap)
+    keys, rows, parents = _explore(s, k)
     t = _table(s)
     violations = []
     finals = []
@@ -414,8 +412,9 @@ def check_safety(s: System, k: int, check_liveness: bool = True,
     return SafetyReport(k, tuple(violations), liveness, counterexample)
 
 
-def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
-    """Deterministic + directed + no mixed states, with reasons when not."""
+def _nondeterminism(m: Machine) -> list[str]:
+    """Why m is nondeterministic, the reasons `is_basic` lists first; empty
+    when it is deterministic."""
     reasons = []
     seen: dict[tuple[str, Action], str] = {}
     for src, act, dst in m.transitions:
@@ -423,6 +422,12 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
             reasons.append(f"nondeterministic: {src} --{act}--> both "
                            f"{seen[(src, act)]} and {dst}")
         seen[(src, act)] = dst
+    return reasons
+
+
+def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
+    """Deterministic + directed + no mixed states, with reasons when not."""
+    reasons = _nondeterminism(m)
     for q in sorted(m.states):
         peers = m._sends(q).keys() | m._receives(q).keys()
         if len(peers) > 1:
@@ -435,10 +440,9 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
 # --------------------------------------------------------------------------
 # Trace tries (see `_trie`).
 
-def traces(s: System, max_len: int, k: int, cap: int | None = None) -> dict:
+def traces(s: System, max_len: int, k: int) -> dict:
     t = _table(s)
-    return _trie(t.start, lambda key, k: _steps(t, key, k), max_len, k,
-                 cap)
+    return _trie(t.start, lambda key, k: _steps(t, key, k), max_len, k)
 
 
 def trie_flatten(trie: dict, prefix: tuple = ()) -> set[tuple]:

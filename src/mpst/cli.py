@@ -179,27 +179,23 @@ def _cmd_simulate(args) -> int:
     obj = _load(args.file)
     if isinstance(obj, Global):
         from .semantics import step_global
-        state = obj
-        for _ in range(args.steps):
-            steps = sorted(step_global(state, args.bound), key=lambda t: t[0])
-            if not steps:
-                break
-            act, state = steps[0]
-            sys.stdout.write(str(act) + "\n")
-        return 0
-    if isinstance(obj, System):
+        state, step = obj, step_global
+    elif isinstance(obj, System):
         from .cfsm import classify, fire, initial
-        c = initial(obj)
-        for _ in range(args.steps):
-            steps = sorted(fire(c, obj, args.bound), key=lambda t: t[0])
-            if not steps:
-                break
-            act, c = steps[0]
-            sys.stdout.write(str(act) + "\n")
-        flags = ",".join(sorted(classify(c, obj)))
+        state, step = initial(obj), lambda c, k: fire(c, obj, k)
+    else:
+        raise ParseError(
+            "simulate expects a global type (.gt) or machines (.cfsm)")
+    for _ in range(args.steps):
+        steps = sorted(step(state, args.bound), key=lambda t: t[0])
+        if not steps:
+            break
+        act, state = steps[0]
+        sys.stdout.write(str(act) + "\n")
+    if isinstance(obj, System):
+        flags = ",".join(sorted(classify(state, obj)))
         sys.stdout.write(f"// {flags}\n")
-        return 0
-    raise ParseError("simulate expects a global type (.gt) or machines (.cfsm)")
+    return 0
 
 
 def _cmd_gproject(args) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cfsm import _explore, is_basic
+from .cfsm import _explore, _nondeterminism, is_basic
 from .errors import NotBasic
 from .syntax import Action, Machine, Participant, System, _Record
 
@@ -55,12 +55,10 @@ def multiparty_compatible(s: System, allow_nonbasic: bool = False) -> CompatRepo
     Raises NotBasic for a nondeterministic machine, and without
     allow_nonbasic for any machine that is not basic."""
     for p, m in s.machines:
-        ok, reasons = is_basic(m)
-        # is_basic lists the nondeterminism reasons first
-        if not ok and (not allow_nonbasic
-                       or reasons[0].startswith("nondeterministic")):
+        reasons = _nondeterminism(m) if allow_nonbasic else is_basic(m)[1]
+        if reasons:
             raise NotBasic(f"{p}: {reasons[0]}")
-    return _multiparty_compatible(s, _explore(s, 1, None)[0])
+    return _multiparty_compatible(s, _explore(s, 1)[0])
 
 
 def _multiparty_compatible(s: System, keys: list) -> CompatReport:

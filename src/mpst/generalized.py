@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cfsm import (_bfs, _can_reach, _explore, _path, _preds, is_basic,
-                   node_cap, traces)
+from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _path,
+                   _preds, node_cap, traces)
 from .compat import (_exchanges, _multiparty_compatible, dual,
                      multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
@@ -326,7 +326,7 @@ def _asend(g: GeneralGlobal, x: Var) -> frozenset[Participant]:
         net = _net(g, p)
         vs = _bfs(x, lambda v: [(None, w) for _, outs, act in net.get(v, ())
                                 if act is None for w in outs],
-                  None, "deciding-sender search")[0]
+                  "deciding-sender search")[0]
         if any(act is not None and act.op == "!"
                for v in vs for _, _, act in net.get(v, ())):
             out.add(p)
@@ -380,13 +380,13 @@ def _fire(ps: ParState, ins: tuple[Var, ...],
     return tuple(rest)
 
 
-def _gclosure(net: dict, ps: ParState) -> tuple[ParState, ...]:
+def _gclosure(net: dict, ps: ParState) -> set[ParState]:
     """Hole positions reachable from ps by moves silent for the
     participant of net (see `_net`): structural equations, and in the
     global reading the exchanges that do not involve it.  Choices branch
     the closure rather than the hole multiset.  It keeps its own loop: it
-    returns a sorted set, not a graph, and stops at the first multiset of
-    more than DEFAULT_FORK_CAP holes.
+    returns a set, not a graph, and stops at the first multiset of more
+    than DEFAULT_FORK_CAP holes.
     """
     seen = {ps}
     dq = deque([ps])
@@ -404,7 +404,7 @@ def _gclosure(net: dict, ps: ParState) -> tuple[ParState, ...]:
                     if nxt is not None and nxt not in seen:
                         seen.add(nxt)
                         dq.append(nxt)
-    return tuple(sorted(seen))
+    return seen
 
 
 def _gfire(net: dict, ps: ParState) -> list[tuple[Action, ParState]]:
@@ -445,26 +445,25 @@ def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
                 moves.setdefault(act, set()).add(holes)
         return [(act, close(moves[act])) for act in sorted(moves)]
 
-    _, rows, _ = _bfs(close({(t.entry,)}), step, None, "subset construction")
+    _, rows, _ = _bfs(close({(t.entry,)}), step, "subset construction")
     return Machine(owner, "s0", tuple(
         (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
         for act, j in zip(row[::2], row[1::2])))
 
 
-def gtraces_global(g: GeneralGlobal, max_len: int, k: int,
-                   cap: int | None = None) -> dict:
+def gtraces_global(g: GeneralGlobal, max_len: int, k: int) -> dict:
     """The traces of g run as the system of its participants' machines
     (`gto_machine` of g read from each side)."""
     s = make_system([gto_machine(g, p) for p in gg_participants(g)])
-    return traces(s, max_len, k, cap)
+    return traces(s, max_len, k)
 
 
 def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
-                  k: int, cap: int | None = None) -> dict:
+                  k: int) -> dict:
     """The traces of a family of local systems run as the system of their
     machines."""
     s = make_system([gto_machine(t, p) for p, t in family.items()])
-    return traces(s, max_len, k, cap)
+    return traces(s, max_len, k)
 
 
 # --------------------------------------------------------------------------
@@ -499,13 +498,14 @@ def _transition_label(msg, owner: Participant | None) -> str | None:
     return str(_action(msg, owner or ""))
 
 
-def is_safe(net: LabelledNet, cap: int | None = None) -> tuple[bool, dict | None]:
+def is_safe(net: LabelledNet) -> tuple[bool, dict | None]:
     """Exhaustively check that no reachable marking puts two tokens on a
     place; returns the offending marking otherwise.  A marking is the
     sorted tuple of its tokens' places, fired by `_fire` as `_gclosure`
     fires hole multisets, transitions taken in the net's order.  It keeps
-    its own loop, which stops at the first unsafe marking."""
-    cap = cap if cap is not None else node_cap()
+    its own loop, which stops at the first unsafe marking.  Raises
+    ResourceLimit past `node_cap()` markings."""
+    cap = node_cap()
     init = (net.initial,)
     seen = {init}
     dq = deque([init])
@@ -547,13 +547,7 @@ def dot_net(net: LabelledNet) -> str:
 def _moves(m: Machine, q: str, op: str) -> list[tuple[Action, str]]:
     """The sends (op "!") or receives (op "?") of m at q as (action,
     target) pairs, one per target, in `Machine.outgoing` order."""
-    if op == "!":
-        return [(Action(m.owner, r, op, label), d)
-                for r, labels in m._sends(q).items()
-                for label, targets in labels.items() for d in targets]
-    return [(Action(r, m.owner, op, label), d)
-            for r, labels in m._receives(q).items()
-            for label, targets in labels.items() for d in targets]
+    return [(a, d) for _, a, d in m.outgoing(q) if a.op == op]
 
 
 def _targets(m: Machine, q: str, a: Action) -> tuple[str, ...]:
@@ -591,7 +585,7 @@ def receiver_property(s: System, k: int = 1,
     informed of the chosen branch no matter how execution proceeds."""
     if require_compatible:
         _require_compat(s)
-    keys, rows, _ = _explore(s, k, None)
+    keys, rows, _ = _explore(s, k)
     return _receiver_property(s, keys, rows)
 
 
@@ -634,7 +628,7 @@ def _complete_receiver_sets(rs_rows: list, starts: list) -> dict:
         return [(act, (j, r | {act.receiver} if act.op == "?" else r))
                 for act, j in zip(row[::2], row[1::2])]
 
-    nodes, rows, _ = _bfs(None, step, None, "receiver-set search")
+    nodes, rows, _ = _bfs(None, step, "receiver-set search")
     preds = _preds(rows)
     # the root counts as growing: its None differs from each start's set
     sets = [None] + [r for _, r in nodes[1:]]
@@ -655,7 +649,7 @@ def unique_sender(s: System, k: int = 1,
     decided by a single participant."""
     if require_compatible:
         _require_compat(s)
-    return _unique_sender(s, *_explore(s, k, None))
+    return _unique_sender(s, *_explore(s, k))
 
 
 def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
@@ -752,11 +746,10 @@ def session_compatible(s: System) -> SessionReport:
     states, unique deciders for races, and informable receivers.  RS_1 is
     explored once, for all three checks that read it."""
     nondet = next((f"{p}: {r}" for p, m in s.machines
-                   for r in is_basic(m)[1] if r.startswith("nondeterministic")),
-                  None)
+                   for r in _nondeterminism(m)), None)
     if nondet:
         return SessionReport(False, (("deterministic", False, nondet),))
-    keys, rows, parents = _explore(s, 1, None)
+    keys, rows, parents = _explore(s, 1)
     report = _multiparty_compatible(s, keys)
     items = [("deterministic", True, ""),
              ("multiparty_compatible", report.compatible,
@@ -789,7 +782,7 @@ def gsynthesize(s: System) -> GeneralGlobal:
     # vertex x{i} is the i-th joint state found; edges are (i, action, j)
     nodes, rows, _ = _bfs(tuple(m.initial for m in machines),
                           lambda tup: sorted(_exchanges(ps, machines, tup)),
-                          None, "synchronous execution")
+                          "synchronous execution")
     outgoing = [[(u, a, v) for a, v in zip(row[::2], row[1::2])]
                 for u, row in enumerate(rows)]
     edges = [e for outs in outgoing for e in outs]

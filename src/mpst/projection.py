@@ -149,5 +149,5 @@ def subtype(t1: Local, t2: Local) -> bool:
         return [(l, (_head(a.branch(l)), _head(b.branch(l))))
                 for l in a.labels()]
 
-    pairs = _bfs((_head(t1), _head(t2)), step, None, "subtyping search")[0]
+    pairs = _bfs((_head(t1), _head(t2)), step, "subtyping search")[0]
     return all(_matches(a, b) for a, b in pairs)

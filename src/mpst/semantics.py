@@ -140,11 +140,11 @@ def project_config(g: Global) -> LocalConfig:
 # --------------------------------------------------------------------------
 # Trace tries and trace equivalence
 
-def traces_global(g: Global, max_len: int, k: int, cap: int | None = None) -> dict:
-    return _trie(g, step_global, max_len, k, cap)
+def traces_global(g: Global, max_len: int, k: int) -> dict:
+    return _trie(g, step_global, max_len, k)
 
 
-def traces_local(c: LocalConfig, max_len: int, k: int, cap: int | None = None) -> dict:
+def traces_local(c: LocalConfig, max_len: int, k: int) -> dict:
     """The traces of c's types run as the system of their machines, from
     c's buffers."""
     # imported here: `mpst synth --verify` and `mpst simulate` load this
@@ -153,7 +153,7 @@ def traces_local(c: LocalConfig, max_len: int, k: int, cap: int | None = None) -
     s = make_system([to_machine(t, p) for p, t in c.types])
     t = _table(s)
     start = _key(t, Config(initial(s).states, c.buffers))
-    return _trie(start, lambda key, k: _steps(t, key, k), max_len, k, cap)
+    return _trie(start, lambda key, k: _steps(t, key, k), max_len, k)
 
 
 def _as_trie(x, max_len: int, k: int) -> dict:

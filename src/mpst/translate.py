@@ -11,11 +11,12 @@ from __future__ import annotations
 from .errors import NotBasic
 from .syntax import (Action, LEnd, LRec, LRecv, LSend, LVar, Local, Machine,
                      Participant, alpha_canonical)
-from .cfsm import _bfs, is_basic
+from .cfsm import _bfs, _nondeterminism, is_basic
 
 
 def to_machine(t: Local, owner: Participant) -> Machine:
-    """Build the machine denoted by a closed, guarded local type."""
+    """Build the machine denoted by a closed, guarded local type; raises
+    ValueError when the type messages owner itself."""
     # Each send/receive/end occurrence becomes a state keyed by its path in
     # the syntax tree; recursion variables resolve to the state of their
     # binder's unfolding target, which guardedness places strictly below.
@@ -35,6 +36,8 @@ def to_machine(t: Local, owner: Participant) -> Machine:
         if isinstance(u, LEnd):
             succ[path] = ()
             return path
+        if u.peer == owner:
+            raise ValueError(f"participant {owner} cannot message itself")
         if isinstance(u, LSend):
             mk = lambda lbl: Action(owner, u.peer, "!", lbl)
         else:
@@ -47,7 +50,7 @@ def to_machine(t: Local, owner: Participant) -> Machine:
 
     init = denote(t, (), {})
     # Rename states q0, q1, ... in BFS order with action-sorted edges.
-    order = _bfs(init, lambda path: sorted(succ[path]), None,
+    order = _bfs(init, lambda path: sorted(succ[path]),
                  "local type translation")[0]
     names = {path: f"q{i}" for i, path in enumerate(order)}
     return Machine(owner, "q0", tuple(
@@ -97,15 +100,12 @@ def isomorphic(m1: Machine, m2: Machine) -> bool:
 
 
 def _canonical(m: Machine) -> tuple:
-    seen: dict[tuple[str, Action], str] = {}
-    for src, act, dst in m.transitions:
-        if (src, act) in seen and seen[(src, act)] != dst:
-            raise NotBasic("isomorphism requires deterministic machines")
-        seen[(src, act)] = dst
+    if _nondeterminism(m):
+        raise NotBasic("isomorphism requires deterministic machines")
     # the machine is deterministic, so (action, dst) pairs sort by action
     order = _bfs(m.initial,
                  lambda q: sorted((act, dst) for _, act, dst in m.outgoing(q)),
-                 None, "canonical renaming")[0]
+                 "canonical renaming")[0]
     names = {q: i for i, q in enumerate(order)}
     return (m.owner, tuple(sorted((names[q], act, names[dst]) for q in order
                                   for _, act, dst in m.outgoing(q))))

@@ -11,6 +11,8 @@ from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   local_config, make_system, parse_local, reach, to_machine,
                   traces, traces_local, trie_flatten)
 from mpst.cfsm import _explore
+from conftest import load
+import mpst
 import oracles
 
 
@@ -194,27 +196,59 @@ def test_reach_cap_raises(monkeypatch, commit_system):
         reach(commit_system, 1)
 
 
-def test_reach_explicit_cap(commit_system):
-    with pytest.raises(ResourceLimit):
-        reach(commit_system, 1, cap=10)
-
-
 def test_check_safety_cap_matches_reach(monkeypatch, commit_system):
-    # the same count trips the cap, with the same message, as in reach
-    for cap in (1, 10, 29):
+    # the same count trips the cap, with the same message, as in reach,
+    # with or without the liveness check
+    for cap in (1, 5, 10, 29):
+        monkeypatch.setenv("MPST_NODE_CAP", str(cap))
         with pytest.raises(ResourceLimit) as want:
-            reach(commit_system, 1, cap=cap)
-        with pytest.raises(ResourceLimit) as got:
-            check_safety(commit_system, 1, cap=cap)
-        assert str(got.value) == str(want.value) \
-            == f"reachability set exceeded the node cap of {cap}"
-    assert check_safety(commit_system, 1, cap=30).ok  # RS_1 has 30
-    monkeypatch.setenv("MPST_NODE_CAP", "5")
-    with pytest.raises(ResourceLimit) as want:
-        reach(commit_system, 1)
-    with pytest.raises(ResourceLimit) as got:
-        check_safety(commit_system, 1, check_liveness=False)
-    assert str(got.value) == str(want.value)
+            reach(commit_system, 1)
+        for liveness in (True, False):
+            with pytest.raises(ResourceLimit) as got:
+                check_safety(commit_system, 1, check_liveness=liveness)
+            assert str(got.value) == str(want.value) \
+                == f"reachability set exceeded the node cap of {cap}"
+    monkeypatch.setenv("MPST_NODE_CAP", "30")
+    assert check_safety(commit_system, 1).ok  # RS_1 has 30
+
+
+def _capped_searches():
+    """(search, public function, arguments) for every search the node cap
+    bounds, each with an input on which it finds more than two nodes."""
+    s = mpst.parse_system(load("commit.cfsm"))
+    g = mpst.parse_global(load("commit.gt"))
+    t = mpst.project(g, "A")
+    gg = mpst.parse_gglobal(load("data_transfer.ggt"))
+    rs, trie = "reachability set", "trace trie"
+    return [
+        (rs, "reach", (s, 1)), (rs, "check_safety", (s, 1)),
+        (rs, "multiparty_compatible", (s,)),
+        (rs, "session_compatible", (s,)), (rs, "receiver_property", (s,)),
+        (rs, "unique_sender", (s,)), (rs, "gsynthesize", (s,)),
+        (trie, "traces", (s, 4, 1)), (trie, "traces_global", (g, 4, 1)),
+        (trie, "trace_equiv", (g, s, 4, 1)),
+        (trie, "verify_roundtrip", (s, g)),
+        ("local type translation", "traces_local",
+         (mpst.local_config({"A": t}), 4, 1)),
+        ("local type translation", "to_machine", (t, "A")),
+        ("subset construction", "gto_machine",
+         (mpst.parse_glocal(load("data_transfer_a.glt")), "A")),
+        ("subset construction", "gtraces_global", (gg, 4, 1)),
+        ("subtyping search", "subtype", (t, t)),
+        ("deciding-sender search", "gproject", (gg, "A")),
+        ("marking graph", "is_safe", (mpst.to_petri(gg),)),
+        ("canonical renaming", "isomorphic",
+         (s.machine("A"), s.machine("A"))),
+    ]
+
+
+@pytest.mark.parametrize("search,fn,args", [
+    pytest.param(*row, id=row[1]) for row in _capped_searches()])
+def test_every_search_obeys_the_node_cap(monkeypatch, search, fn, args):
+    monkeypatch.setenv("MPST_NODE_CAP", "2")
+    with pytest.raises(ResourceLimit) as err:
+        getattr(mpst, fn)(*args)
+    assert str(err.value) == f"{search} exceeded the node cap of 2"
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -410,7 +444,7 @@ def ring(n):
 def explored_sizes(s, k):
     """Keys and successor entries of the kernel that check_safety runs on,
     which does not go through reach."""
-    keys, rows, parents = _explore(s, k, None)
+    keys, rows, parents = _explore(s, k)
     assert len(rows) == len(parents) == len(keys)
     return len(keys), sum(len(row) for row in rows) // 2
 
@@ -442,6 +476,6 @@ def test_explored_keys_carry_only_the_channels_moves_use(s, n, used, k,
                                                          sizes):
     # ring(n) uses n of its n(n-1) channels and pairs(4) 4 of 56: only those
     # can ever fill, so only those are in a key
-    keys = _explore(s, k, None)[0]
+    keys = _explore(s, k)[0]
     assert {len(key) for key in keys} == {n + used}
     assert explored_sizes(s, k) == sizes

@@ -216,6 +216,16 @@ def test_bad_arguments_are_one_line_usage_errors(args, message):
     assert (rc, out, err) == (2, "", f"mpst: {message}\n")
 
 
+@pytest.mark.parametrize("cmd", ["translate", "dot"])
+def test_a_self_message_in_a_local_type_is_a_usage_error(tmp_path, cmd):
+    # not a machine that `mpst parse` would then reject
+    path = tmp_path / "self.lt"
+    path.write_text("A!a. end\n")
+    rc, out, err = run(cmd, path, "-p", "A")
+    assert (rc, out) == (2, "")
+    assert err == "mpst: participant A cannot message itself\n"
+
+
 @pytest.mark.parametrize("spec", ["0,0", "0,2", "6,0", "6,-1"])
 def test_synth_verify_bounds_must_be_positive(spec):
     rc, out, err = run("synth", DATA / "commit.cfsm", "--verify", spec)

@@ -170,7 +170,7 @@ def test_local_family_and_its_machines_have_the_same_traces(
                 in oracles.gsteps(defs, ps, c[0], c[1], k, False)]
 
     for k in (1, 2):
-        want = _trie(start, step, 6, k, None)
+        want = _trie(start, step, 6, k)
         assert len(trie_flatten(want)) > 6
         assert oracles.plain_trie(gtraces_local(fam, 6, k)) == want
 
@@ -338,9 +338,9 @@ def test_session_report_agrees_with_the_public_checks(name):
 def test_session_compatible_explores_rs1_once(monkeypatch):
     calls = []
 
-    def counting(s, k, cap):
+    def counting(s, k):
         calls.append(k)
-        return cfsm._explore(s, k, cap)
+        return cfsm._explore(s, k)
 
     monkeypatch.setattr(compat, "_explore", counting)
     monkeypatch.setattr(generalized, "_explore", counting)
@@ -352,9 +352,9 @@ def test_session_compatible_explores_rs1_once(monkeypatch):
 def test_receiver_property_searches_receiver_sets_once(monkeypatch):
     calls = []
 
-    def counting(start, step, cap, what):
+    def counting(start, step, what):
         calls.append(what)
-        return cfsm._bfs(start, step, cap, what)
+        return cfsm._bfs(start, step, what)
 
     monkeypatch.setattr(generalized, "_bfs", counting)
     # three independent pairs: Ai sends Bi x (a loop), or y and then z, and

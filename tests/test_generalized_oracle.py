@@ -95,7 +95,7 @@ def _reference_traces(defs_by, ps, entry, k, global_view):
         return [(act, (holes, bufs)) for act, holes, bufs in oracles.gsteps(
             defs_by, ps, c[0], c[1], k, global_view)]
 
-    return _trie(start, step, MAX_LEN, k, None)
+    return _trie(start, step, MAX_LEN, k)
 
 
 def _same_traces(g, got, want):

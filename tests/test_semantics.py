@@ -180,8 +180,7 @@ def test_local_types_and_their_machines_have_the_same_traces():
         for m in marked:
             c = project_config(m)
             for k in (1, 2, 3):
-                want = _trie((c.types, c.buffers), oracles.local_steps, 3, k,
-                             None)
+                want = _trie((c.types, c.buffers), oracles.local_steps, 3, k)
                 assert oracles.plain_trie(traces_local(c, 3, k)) == want, (m, k)
             checked += 1
     assert checked == 380

@@ -2,7 +2,8 @@
 import pytest
 
 from mpst import (Action, Machine, NotBasic, alpha_equiv, isomorphic,
-                  parse_local, project, to_local, to_machine)
+                  local_config, parse_local, project, to_local, to_machine,
+                  traces_local)
 
 
 REFERENCE = {
@@ -96,6 +97,18 @@ def test_to_local_rejects_mixed_machine():
     ))
     with pytest.raises(NotBasic):
         to_local(m)
+
+
+@pytest.mark.parametrize("text", ["A!a. end", "A?a. end",
+                                  "rec t. B?{ok. end, again. A!a. t}"])
+def test_to_machine_rejects_a_type_that_messages_its_owner(text):
+    # the parsers reject self-messages; a local type names no owner, so
+    # to_machine checks its peers against the owner it is given
+    msg = "participant A cannot message itself"
+    with pytest.raises(ValueError, match=msg):
+        to_machine(parse_local(text), "A")
+    with pytest.raises(ValueError, match=msg):  # not a KeyError
+        traces_local(local_config({"A": parse_local(text)}), 3, 1)
 
 
 def test_isomorphic_distinguishes_structure():
