@@ -149,8 +149,9 @@ class _Table:
     (no moves) and its receiving states.  `n` is the number of participants,
     `chans` the positions in `System.channels` of the channels some move
     uses, in that order, `width` the number of channels and `start` the key
-    of the initial configuration.  Raises ValueError when a move uses a
-    channel to a participant that has no machine."""
+    of the initial configuration.  Raises ValueError when a move is on a
+    self-channel, is not its machine owner's own action, or uses a channel
+    to a participant that has no machine."""
 
     __slots__ = ("n", "chans", "width", "start", "moves", "final",
                  "receiving")
@@ -158,6 +159,14 @@ class _Table:
     def __init__(self, s: System):
         machines = [s.machine(p) for p in s.participants]
         self.n = n = len(machines)
+        for m in machines:
+            for _, a, _ in m.transitions:
+                if a.sender == a.receiver:
+                    raise ValueError(f"machine {m.owner} uses the self-channel "
+                                     f"{a.sender}{a.receiver}")
+                if a.subject != m.owner:
+                    raise ValueError(f"machine {m.owner} holds {a}, an action "
+                                     f"of {a.subject}")
         used = {a.channel for m in machines for _, a, _ in m.transitions}
         stray = {q for ch in used for q in ch}.difference(s.participants)
         if stray:

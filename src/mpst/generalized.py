@@ -203,21 +203,26 @@ class GeneralLocal(_EquationSystem):
     _forms = LOCAL_EQS
 
 
-def _net(t: GeneralGlobal | GeneralLocal, p: Participant) -> dict:
-    """The transitions of t indexed by each of their input places, as
-    (inputs, outputs, action) triples with p's action, None where the move
-    is silent for p.  Compiled once per system and participant and kept on
-    the instance, the way System's cached properties are, so a system
-    nothing refers to any more is freed with its nets."""
+def _net(t: GeneralGlobal | GeneralLocal, p: Participant) -> tuple:
+    """The transitions of t as two indexes by input place, of (inputs,
+    outputs, action) triples: the moves silent for p (action None) and p's
+    own sends and receives, the only code that tells the two apart.  Kept
+    on the instance per participant, so a system nothing refers to any
+    more is freed with its nets.  Raises ValueError when a local system
+    messages p itself."""
     nets = t.__dict__.setdefault("_nets", {})
     net = nets.get(p)
     if net is None:
-        net = nets[p] = {}
+        silent, acting = net = {}, {}
         for eq in t.equations:
             for ins, outs, msg in _transitions(eq):
-                move = (ins, outs, None if msg is None else _action(msg, p))
+                act = None if msg is None else _action(msg, p)
+                if act is not None and act.sender == act.receiver:
+                    raise ValueError(f"participant {p} cannot message itself")
+                index = silent if act is None else acting
                 for x in ins:
-                    net.setdefault(x, []).append(move)
+                    index.setdefault(x, []).append((ins, outs, act))
+        nets[p] = net
     return net
 
 
@@ -323,12 +328,11 @@ def _asend(g: GeneralGlobal, x: Var) -> frozenset[Participant]:
     after `_bfs` over the moves silent for each."""
     out = set()
     for p in gg_participants(g):
-        net = _net(g, p)
-        vs = _bfs(x, lambda v: [(None, w) for _, outs, act in net.get(v, ())
-                                if act is None for w in outs],
+        silent, acting = _net(g, p)
+        vs = _bfs(x, lambda v: [(None, w) for _, outs, _ in silent.get(v, ())
+                                for w in outs],
                   "deciding-sender search")[0]
-        if any(act is not None and act.op == "!"
-               for v in vs for _, _, act in net.get(v, ())):
+        if any(act.op == "!" for v in vs for _, _, act in acting.get(v, ())):
             out.add(p)
     return frozenset(out)
 
@@ -380,44 +384,40 @@ def _fire(ps: ParState, ins: tuple[Var, ...],
     return tuple(rest)
 
 
-def _gclosure(net: dict, ps: ParState) -> set[ParState]:
-    """Hole positions reachable from ps by moves silent for the
-    participant of net (see `_net`): structural equations, and in the
-    global reading the exchanges that do not involve it.  Choices branch
-    the closure rather than the hole multiset.  It keeps its own loop: it
-    returns a set, not a graph, and stops at the first multiset of more
-    than DEFAULT_FORK_CAP holes.
+def _enabled(index: dict, ps: ParState) -> list[tuple]:
+    """The (action, holes') pairs of the moves of index, one of `_net`'s
+    two, enabled in the hole multiset ps."""
+    out = []
+    for i, x in enumerate(ps):
+        if i and ps[i - 1] == x:
+            continue  # identical hole, identical moves
+        for ins, outs, act in index.get(x, ()):
+            nxt = _fire(ps, ins, outs)
+            if nxt is not None:
+                out.append((act, nxt))
+    return out
+
+
+def _gclosure(silent: dict, seeds) -> frozenset[ParState]:
+    """Hole positions reachable from any of seeds by the silent moves of
+    `_net`: structural equations, and in the global reading the exchanges
+    that do not involve the participant.  Choices branch the closure
+    rather than the hole multiset.  It keeps its own loop: it closes a
+    whole subset and returns a set, not a graph, and stops at the first
+    multiset of more than DEFAULT_FORK_CAP holes.
     """
-    seen = {ps}
-    dq = deque([ps])
+    seen = set(seeds)
+    dq = deque(seen)
     while dq:
         cur = dq.popleft()
         if len(cur) > DEFAULT_FORK_CAP:
             raise ResourceLimit(f"more than {DEFAULT_FORK_CAP} parallel "
                                 f"branches for one participant")
-        for i, x in enumerate(cur):
-            if i and cur[i - 1] == x:
-                continue  # identical hole, identical moves
-            for ins, outs, act in net.get(x, ()):
-                if act is None:
-                    nxt = _fire(cur, ins, outs)
-                    if nxt is not None and nxt not in seen:
-                        seen.add(nxt)
-                        dq.append(nxt)
-    return seen
-
-
-def _gfire(net: dict, ps: ParState) -> list[tuple[Action, ParState]]:
-    """The sends and receives of net's participant enabled in ps, as
-    (action, holes') pairs."""
-    out = []
-    for i, x in enumerate(ps):
-        if i and ps[i - 1] == x:
-            continue
-        for ins, outs, act in net.get(x, ()):
-            if act is not None:
-                out.append((act, _fire(ps, ins, outs)))
-    return out
+        for _, nxt in _enabled(silent, cur):
+            if nxt not in seen:
+                seen.add(nxt)
+                dq.append(nxt)
+    return frozenset(seen)
 
 
 # --------------------------------------------------------------------------
@@ -429,23 +429,18 @@ def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
     read from owner's side, where the exchanges that do not involve owner
     are silent (see `_net`): `_bfs` over closed sets of hole positions,
     state s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
-    states, or when a closure holds more than DEFAULT_FORK_CAP holes."""
-    net = _net(t, owner)
-
-    def close(states) -> frozenset[ParState]:
-        acc: set[ParState] = set()
-        for ps in states:
-            acc.update(_gclosure(net, ps))
-        return frozenset(acc)
+    states or DEFAULT_FORK_CAP holes, ValueError as `_net` does."""
+    silent, acting = _net(t, owner)
 
     def step(cur: frozenset[ParState]) -> list:
         moves: dict[Action, set[ParState]] = {}
         for ps in cur:
-            for act, holes in _gfire(net, ps):
+            for act, holes in _enabled(acting, ps):
                 moves.setdefault(act, set()).add(holes)
-        return [(act, close(moves[act])) for act in sorted(moves)]
+        return [(act, _gclosure(silent, moves[act])) for act in sorted(moves)]
 
-    _, rows, _ = _bfs(close({(t.entry,)}), step, "subset construction")
+    _, rows, _ = _bfs(_gclosure(silent, {(t.entry,)}), step,
+                      "subset construction")
     return Machine(owner, "s0", tuple(
         (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
         for act, j in zip(row[::2], row[1::2])))

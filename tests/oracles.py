@@ -419,15 +419,17 @@ def gsteps(defs_by, ps, holes, buffers, k, global_view):
     return sorted(out)
 
 
-def gmachine(defs, entry, owner):
-    """The subset construction of a local equation system as
-    (state, action, state) triples, state s<i> the i-th set found in
-    breadth-first order with actions taken in sorted order."""
+def gmachine(defs, entry, owner, global_view):
+    """The subset construction of an equation system as (state, action,
+    state) triples, state s<i> the i-th set found in breadth-first order
+    with actions taken in sorted order; in the global view the exchanges
+    that do not involve owner are silent.  Each hole multiset of a set is
+    closed on its own."""
 
     def close(states):
         acc = set()
         for ps in states:
-            acc.update(gclosure(defs, ps, None))
+            acc.update(gclosure(defs, ps, owner if global_view else None))
         return frozenset(acc)
 
     order = [close({(entry,)})]

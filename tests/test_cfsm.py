@@ -270,6 +270,24 @@ def test_a_peer_without_a_machine_is_a_value_error():
         traces_local(local_config({"A": t}), 3, 1)
 
 
+def test_a_move_parse_system_rejects_is_a_value_error():
+    # machines built in the library skip the parser's checks: a self-channel
+    # has no buffer, and a move of another participant would be explored as
+    # if that participant made it
+    def one_move(a):
+        return make_system([Machine("A", "q0", (("q0", a, "q1"),)),
+                            Machine("B", "q0", ())])
+
+    selfie = one_move(Action("A", "A", "!", "a"))
+    with pytest.raises(ValueError, match="machine A uses the self-channel AA"):
+        check_safety(selfie, 1)
+    borrowed = one_move(Action("B", "A", "!", "a"))
+    for run in (lambda s: check_safety(s, 1), lambda s: traces(s, 3, 1)):
+        with pytest.raises(ValueError,
+                           match="machine A holds BA!a, an action of B"):
+            run(borrowed)
+
+
 def test_dot_outputs_are_stable(commit_system):
     m = commit_system.machine("A")
     assert dot_machine(m) == dot_machine(m)

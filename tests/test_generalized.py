@@ -99,6 +99,17 @@ def test_subset_construction_obeys_the_node_cap(monkeypatch):
     assert len(gto_machine(t, "A").states) == 6
 
 
+def test_a_local_system_that_messages_its_owner_is_a_value_error():
+    # the parser accepts it: a local system does not name its owner
+    t = parse_glocal("init x0; x0 = A ! a ; x1; x1 = end;")
+    msg = "participant A cannot message itself"
+    with pytest.raises(ValueError, match=msg):
+        gto_machine(t, "A")
+    with pytest.raises(ValueError, match=msg):
+        gtraces_local({"A": t}, 3, 1)
+    assert len(gto_machine(t, "B").states) == 2
+
+
 def test_fork_of_two_sends_is_a_diamond():
     m = gto_machine(gproject(parse_gglobal(DIAMOND), "A"), "A")
     assert sorted((s, str(a), d) for s, a, d in m.transitions) == [
@@ -188,19 +199,21 @@ def test_stepping_keeps_no_equation_system_alive():
     assert [r() for r in refs] == [None] * len(refs)
 
 
-def fork_join(n: int) -> str:
+def fork_join(n: int, shared: bool = False) -> str:
     """The text of fj(n): n data*.eof loops in parallel under binary forks
-    and joins, then end; loop i is sent by A<i> to B<i>."""
+    and joins, then end; loop i is sent to B<i> by A<i>, or by S for all
+    loops when shared."""
     eqs = []
     names = (f"x{i}" for i in range(10 * n))
 
     def region(lo, hi):
         if hi - lo == 1:
             entry, head, dec, back, eof, out = (next(names) for _ in range(6))
+            src = "S" if shared else f"A{lo}"
             eqs.extend([f"{entry} + {back} = {head};",
-                        f"{head} = A{lo} -> B{lo} : data ; {dec};",
+                        f"{head} = {src} -> B{lo} : data ; {dec};",
                         f"{dec} = {back} + {eof};",
-                        f"{eof} = A{lo} -> B{lo} : eof ; {out};"])
+                        f"{eof} = {src} -> B{lo} : eof ; {out};"])
             return entry, out
         mid = (lo + hi) // 2
         (l_in, l_out), (r_in, r_out) = region(lo, mid), region(mid, hi)
@@ -228,6 +241,28 @@ def test_fork_join_traces_grow_with_the_actions_only():
     s = make_system([gto_machine(gproject(g3, p), p)
                      for p in gg_participants(g3)])
     assert trace_equiv(gsynthesize(s), s, 6, 1) == (True, None)
+
+
+def test_subset_construction_closes_each_subset_once(monkeypatch):
+    # one closure for the start and one per machine transition, however
+    # many hole multisets a subset holds; S interleaves the four loops
+    calls = []
+    closure = generalized._gclosure
+
+    def counting(silent, seeds):
+        calls.append(seeds)
+        return closure(silent, seeds)
+
+    monkeypatch.setattr(generalized, "_gclosure", counting)
+    g = parse_gglobal(fork_join(4, shared=True))
+    sizes = {}
+    for p in gg_participants(g):
+        calls.clear()
+        m = gto_machine(gproject(g, p), p)
+        assert len(calls) == len(m.transitions) + 1, p
+        sizes[p] = (len(m.states), len(calls))
+    assert sizes == {"S": (3 ** 4, 325),
+                     **{f"B{i}": (3, 4) for i in range(4)}}
 
 
 def test_mixed_parallel_rejects_noncommuting_actions():

@@ -120,6 +120,16 @@ def _global_traces(g, k):
                                                   g.entry, k, True))
 
 
+def _same_machine(t, p, defs, global_view):
+    """`gto_machine(t, p)` is the reference subset construction over defs,
+    or both pass the fork cap."""
+    got = _outcome(lambda: {(s, _act(a), d) for s, a, d
+                            in gto_machine(t, p).transitions}, ResourceLimit)
+    want = _outcome(lambda: oracles.gmachine(defs, t.entry, p, global_view),
+                    oracles.ForkCap)
+    assert got == want, p
+
+
 def _net(net):
     return net.places, net.transitions, net.initial
 
@@ -133,6 +143,9 @@ def _net(net):
 def test_equation_systems_agree_with_the_reference(text, k):
     g = parse_gglobal(text)
     ps = gg_participants(g)
+    defs = oracles.eq_defs(g.equations)
+    for p in ps:
+        _same_machine(g, p, defs, True)
     try:
         fam = {p: gproject(g, p) for p in ps}
     except ChoiceOwnership:
@@ -144,12 +157,7 @@ def test_equation_systems_agree_with_the_reference(text, k):
                  lambda: _reference_traces(local_defs, ps, g.entry, k,
                                            False))
     for p, t in fam.items():
-        got = _outcome(lambda: {(s, _act(a), d) for s, a, d
-                                in gto_machine(t, p).transitions},
-                       ResourceLimit)
-        want = _outcome(lambda: oracles.gmachine(local_defs[p], t.entry, p),
-                        oracles.ForkCap)
-        assert got == want, p
+        _same_machine(t, p, local_defs[p], False)
     for t, owner in ((g, None), *((t, p) for p, t in fam.items())):
         net = oracles.petri(t.equations, t.entry, owner)
         assert _net(to_petri(t, owner)) == net
