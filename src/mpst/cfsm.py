@@ -2,9 +2,9 @@
 
 Configurations pair the joint control state with one FIFO word per ordered
 participant pair.  Exploration is k-bounded: a send is enabled only while its
-channel holds fewer than k messages, and it carries only the channels that
-some transition uses, the only ones that can ever fill.  All iteration orders
-are deterministic so reports and golden tests are stable.
+channel holds fewer than k messages.  It steps int keys (see `_Table`) by
+adding deltas; keys hold only the channels that some transition uses.  All
+iteration orders are deterministic so reports and golden tests are stable.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ def _trie(start, step, max_len: int, k: int) -> dict:
     level-synchronous over (state, trie node) pairs, deduplicated so that
     converging interleavings do not multiply the frontier.  It keeps its own
     loop: `_bfs` interns each state once, whatever its depth.  Raises
-    ResourceLimit past `node_cap()` trie nodes."""
+    ValueError for k < 1 and ResourceLimit past `node_cap()` trie nodes."""
+    if k < 1:
+        raise ValueError("bound k must be >= 1")
     cap = node_cap()
     root: dict = {}
     frontier = {(start, id(root)): (start, root)}
@@ -136,29 +138,32 @@ def initial(s: System) -> Config:
 
 
 # --------------------------------------------------------------------------
-# The exploration kernel.  A system is compiled once into a table; every
-# analysis here steps through it with `_steps`, the one FIFO step of the
-# toolkit, on flat keys (see `_explore`); `Config` objects are built only
-# for callers.  Local-type collections and equation systems run on it too,
-# as the machine systems of `to_machine` and `gto_machine`.
+# The exploration kernel: every analysis steps with `_steps`, the one FIFO
+# step of the toolkit, on the int keys of a `_Table`, and builds `Config`s
+# only for callers.  Local types and equation systems run on it too, as the
+# machine systems of `to_machine` and `gto_machine`.
 
 class _Table:
-    """A system compiled for exploration.  For each participant, in sorted
-    order: its moves from each local state, as (is_send, buffer slot in the
-    key, label, dst, action) in `Machine.outgoing` order, its final states
-    (no moves) and its receiving states.  `n` is the number of participants,
-    `chans` the positions in `System.channels` of the channels some move
-    uses, in that order, `width` the number of channels and `start` the key
-    of the initial configuration.  Raises ValueError when a move is on a
-    self-channel, is not its machine owner's own action, or uses a channel
-    to a participant that has no machine."""
+    """A system compiled at the send bound k, each configuration one int:
+    from the highest bits down, one region per participant in sorted order,
+    its state code (flags final, receiving and has-sends over the index in
+    `names`), then for each channel some move uses (`chans`) that it
+    receives on, a non-empty bit over the id of its word in `words[j]`,
+    interned on first sight; a field holds any word of at most k labels sent
+    on it (and, in a table of c, c's word).  `at` maps a bit_length to (mask
+    under the region, state shift and mask, moves by state index, region
+    mask, unspecified reception by region value), a move being (action,
+    field shift, field mask, deltas, (is_send, channel, label, code
+    change)).  Raises ValueError for a move on a self-channel, of another
+    participant, or to a participant without a machine."""
 
-    __slots__ = ("n", "chans", "width", "start", "moves", "final",
-                 "receiving")
+    __slots__ = ("k", "width", "chans", "sent", "codes", "names", "at",
+                 "shift", "top", "words", "ids", "cand", "nonempty", "final",
+                 "receiving", "start")
 
-    def __init__(self, s: System):
+    def __init__(self, s: System, k: int, c: Config | None = None):
         machines = [s.machine(p) for p in s.participants]
-        self.n = n = len(machines)
+        used: dict = {}  # the labels sent on each channel some move uses
         for m in machines:
             for _, a, _ in m.transitions:
                 if a.sender == a.receiver:
@@ -167,7 +172,8 @@ class _Table:
                 if a.subject != m.owner:
                     raise ValueError(f"machine {m.owner} holds {a}, an action "
                                      f"of {a.subject}")
-        used = {a.channel for m in machines for _, a, _ in m.transitions}
+                used.setdefault(a.channel, set()).update(
+                    (a.label,) if a.op == "!" else ())
         stray = {q for ch in used for q in ch}.difference(s.participants)
         if stray:
             q = min(stray)
@@ -175,88 +181,149 @@ class _Table:
                          for _, a, _ in m.transitions if q in a.channel)
             raise ValueError(f"machine {owner} talks to {q}, which has no "
                              f"machine in the system")
+        self.k, self.width = k, len(s.channels)
         self.chans = tuple(i for i, ch in enumerate(s.channels) if ch in used)
-        self.width = len(s.channels)
+        chans = {s.channels[i]: j for j, i in enumerate(self.chans)}
+        self.sent = [tuple(used[ch]) for ch in chans]
+        self.shift, self.top = [0] * len(chans), [0] * len(chans)
+        self.words, self.ids = [[()] for _ in chans], [{} for _ in chans]
+        self.codes, self.names, self.at, regions = [], [], [None], []
+        low = nonempty = final = 0
+        for m in reversed(machines):
+            base = low
+            for ch, j in reversed(chans.items()):
+                if ch[1] == m.owner:
+                    w = c.buffers[self.chans[j]] if c is not None else ()
+                    n = len(used[ch].union(w))
+                    bits = (sum(n ** e for e in range(max(k, len(w)) + 1))
+                            - 1).bit_length()
+                    self.shift[j], self.top[j] = low, 1 << bits
+                    nonempty |= 1 << low + bits
+                    low += bits + 1
+            states = sorted(m.states | {m.initial})
+            bits = (len(states) - 1).bit_length()
+            ops = [{a.op for _, a, _ in m.outgoing(q)} for q in states]
+            self.codes.insert(0, {q: ((not o) << 2 | (o == {"?"}) << 1
+                                      | ("!" in o)) << bits | x
+                                  for x, (q, o) in enumerate(zip(states, ops))})
+            self.names.insert(0, (low, (1 << bits) - 1, states))
+            final |= 4 << low + bits  # receiving and has sends just under
+            low += bits + 3
+            regions.append((m, self.codes[0], self.names[0], base, low))
+        for m, codes, (sh, mask, states), base, top in regions:
+            table = [tuple((a, self.shift[j], 2 * self.top[j] - 1, {},
+                            (a.op == "!", j, a.label, codes[d] - codes[q]))
+                           for _, a, d in m.outgoing(q)
+                           for j in (chans[a.channel],)) for q in states]
+            self.at += [((1 << base) - 1, sh, mask, table,
+                         (1 << top) - (1 << base), {})] * (top - base)
+        self.cand, self.nonempty = final >> 2 | nonempty, nonempty
+        self.final, self.receiving = final, final >> 1
         self.start = _key(self, initial(s))
-        slot = {s.channels[i]: j for j, i in enumerate(self.chans, n)}
-        self.moves = tuple(
-            {q: tuple((a.op == "!", slot[a.channel], a.label, d, a)
-                      for _, a, d in m.outgoing(q))
-             for q in m.states}
-            for m in machines)
-        self.final = tuple(m.final_states for m in machines)
-        self.receiving = tuple(
-            frozenset(q for q in m.states if m.is_receiving(q))
-            for m in machines)
 
 
-def _table(s: System) -> _Table:
-    """The compiled table of s, built on first use and kept on the instance
-    the way System's cached properties are."""
-    t = s.__dict__.get("_table")
-    if t is None:
-        t = s.__dict__["_table"] = _Table(s)
+def _table(s: System, k: int | None, c: Config | None = None) -> _Table:
+    """The table of s at bound k (None: the least power of two above c's
+    longest word), kept on s.  A c is checked; a word of c longer than k or
+    with a label never sent on its channel gets c a table of its own."""
+    if k is None:
+        k = 1 << max(map(len, c.buffers), default=0).bit_length()
+    if k < 1:
+        raise ValueError("bound k must be >= 1")
+    tables = s.__dict__.setdefault("_tables", {})
+    t = tables.get(k) or tables.setdefault(k, _Table(s, k))
+    if c is None:
+        return t
+    if len(c.states) != len(t.codes) or len(c.buffers) != t.width:
+        raise ValueError(f"a configuration of {len(t.codes)} local states "
+                         f"and {t.width} buffers expected, not "
+                         f"{len(c.states)} and {len(c.buffers)}")
+    for p, q, codes in zip(s.participants, c.states, t.codes):
+        if q not in codes:
+            raise ValueError(f"{q!r} is not a state of {p}")
+    if any(len(c.buffers[i]) > k or not set(c.buffers[i]).issubset(t.sent[j])
+           for j, i in enumerate(t.chans)):
+        t = _Table(s, k, c)
     return t
 
 
-def _key(t: _Table, c: Config) -> tuple:
-    """The key of c (see `_explore`): its local states, then its buffers on
-    the channels of `t.chans`.  Words on other channels are left out."""
-    return c.states + tuple(c.buffers[i] for i in t.chans)
+def _field(t: _Table, j: int, w: tuple) -> int:
+    """Channel j's field when it holds w, which is interned."""
+    x = t.ids[j].get(w)
+    if x is None and w:
+        x = t.ids[j][w] = len(t.words[j])
+        t.words[j].append(w)
+    return x | t.top[j] if w else 0
 
 
-def _config(t: _Table, key: tuple, buffers: tuple | None = None) -> Config:
-    """The configuration of key, its buffers back in `System.channels`
-    order; the channels the key leaves out hold what they hold in buffers
-    (by default nothing)."""
+def _key(t: _Table, c: Config) -> int:
+    """The key of c, without its words on channels no move uses."""
+    return sum(codes[q] << sh for (sh, _, _), codes, q
+               in zip(t.names, t.codes, c.states)) \
+        + sum(_field(t, j, c.buffers[i]) << t.shift[j]
+              for j, i in enumerate(t.chans))
+
+
+def _states(t: _Table, key: int) -> tuple[str, ...]:
+    return tuple(states[key >> sh & mask] for sh, mask, states in t.names)
+
+
+def _config(t: _Table, key: int, buffers: tuple | None = None) -> Config:
+    """The configuration of key, with buffers (or nothing) elsewhere."""
     bufs = list(buffers) if buffers else [()] * t.width
-    for i, b in zip(t.chans, key[t.n:]):
-        bufs[i] = b
-    return Config(key[:t.n], tuple(bufs))
+    for i, sh, top, words in zip(t.chans, t.shift, t.top, t.words):
+        bufs[i] = words[key >> sh & top - 1]
+    return Config(_states(t, key), tuple(bufs))
 
 
-def _steps(t: _Table, key: tuple, k: int | None) -> list:
+def _delta(t: _Table, deltas: dict, v: int, move: tuple, sh: int):
+    """The FIFO rule: the delta of a move (its participant's state at sh) from
+    a field holding v, None when the move is not enabled; kept in deltas."""
+    send, j, label, dcode = move
+    w = t.words[j][v & t.top[j] - 1]
+    d = None
+    if send and len(w) < t.k or not send and w and w[0] == label:
+        w = w + (label,) if send else w[1:]
+        d = (dcode << sh) + (_field(t, j, w) - v << t.shift[j])
+    deltas[v] = d
+    return d
+
+
+def _steps(t: _Table, key: int) -> list:
     """Every enabled move from key, as (action, key'), in participant order
-    and then `Machine.outgoing` order; a send is enabled only while its
-    channel holds fewer than k messages (when k is given).  The buffer rule
-    is written inline: a call per move cost 6-7% on `check_safety`."""
+    and then `Machine.outgoing` order.  Only the participants with a set bit
+    in key & `cand` (sends or a non-empty channel) are visited, from the
+    top; each key' is key plus a delta kept per (move, field value)."""
     out = []
-    for i, moves in enumerate(t.moves):
-        for send, slot, label, dst, act in moves.get(key[i], ()):
-            b = key[slot]
-            if send:
-                if k is not None and len(b) >= k:
-                    continue
-                b = b + (label,)
-            elif b and b[0] == label:
-                b = b[1:]
-            else:
-                continue
-            nxt = list(key)
-            nxt[i] = dst
-            nxt[slot] = b
-            out.append((act, tuple(nxt)))
+    at = t.at
+    todo = key & t.cand
+    while todo:
+        below, sh, mask, table, _, _ = at[todo.bit_length()]
+        todo &= below
+        for act, fsh, fmask, deltas, move in table[key >> sh & mask]:
+            v = key >> fsh & fmask
+            try:
+                d = deltas[v]
+            except KeyError:
+                d = _delta(t, deltas, v, move, sh)
+            if d is not None:
+                out.append((act, key + d))
     return out
 
 
 def _explore(s: System, k: int) -> tuple[list, list, list]:
-    """`_bfs` over RS_k.  A key is one flat tuple: the local states,
-    participants in sorted order, then the buffers of the channels some move
-    uses, in `System.channels` order (`_Table.chans`).  The successor rows
-    are in `_steps` order, which is the order of `fire` and of `reach`'s
-    edges.  Raises ValueError for k < 1, and ResourceLimit as soon as there
-    are more than `node_cap()` keys."""
-    if k < 1:
-        raise ValueError("bound k must be >= 1")
-    t = _table(s)
-    return _bfs(t.start, lambda key: _steps(t, key, k), "reachability set")
+    """`_bfs` over the keys of RS_k, rows in `_steps` order (that of `fire`
+    and `reach`'s edges); ValueError for k < 1, ResourceLimit past the cap."""
+    t = _table(s, k)
+    return _bfs(t.start, lambda key: _steps(t, key), "reachability set")
 
 
 def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Config], ...]:
-    """All enabled transitions from c (k-bounded when k is given)."""
-    t = _table(s)
+    """All enabled transitions from c (k-bounded when k is given).  Raises
+    ValueError for k < 1 and for a c that is not a configuration of s."""
+    t = _table(s, k, c)
     return tuple((act, _config(t, key, c.buffers))
-                 for act, key in _steps(t, _key(t, c), k))
+                 for act, key in _steps(t, _key(t, c)))
 
 
 class ReachSet(_Record):
@@ -285,14 +352,24 @@ def reach(s: System, k: int) -> ReachSet:
 
     `configs` is in BFS order; `edges` lists each configuration's outgoing
     transitions in `fire` order, configurations in BFS order; `parents`
-    gives shortest paths.  Each configuration is one object, built from an
-    `_explore` key (local states, then the buffers of the channels some
-    move uses) and shared by `configs`, `edges` and `parents`.  Raises
+    gives shortest paths.  Each configuration is one object, decoded from an
+    `_explore` key and shared by `configs`, `edges` and `parents`.  Raises
     ValueError for k < 1 and ResourceLimit when more than `node_cap()`
     configurations are found."""
     keys, rows, parents = _explore(s, k)
-    t = _table(s)
-    configs = tuple(_config(t, key) for key in keys)
+    t = _table(s, k)
+    fields = sum(2 * top - 1 << sh for sh, top in zip(t.shift, t.top))
+    states: dict[int, tuple] = {}  # one copy of equal local states, and of
+    words: dict[int, tuple] = {}  # equal buffers, by their bits in the key
+    configs = []
+    for key in keys:
+        qs, ws = states.get(key & ~fields), words.get(key & fields)
+        if qs is None or ws is None:
+            c = _config(t, key)
+            qs = states.setdefault(key & ~fields, c.states)
+            ws = words.setdefault(key & fields, c.buffers)
+        configs.append(Config(qs, ws))
+    configs = tuple(configs)
     edges = tuple((c, act, configs[j]) for c, row in zip(configs, rows)
                   for act, j in zip(row[::2], row[1::2]))
     parent_of: dict[Config, tuple[Config, Action] | None] = {configs[0]: None}
@@ -307,43 +384,46 @@ _DEADLOCK = ("deadlock", "stable")
 _STABLE = ("stable",)
 _ORPHAN = ("orphan",)
 _UNSPECIFIED = ("unspecified_reception",)
-# all(map(_member, sets, key)) tests each local state without a Python loop
-_member = frozenset.__contains__
 
 
-def _flags(t: _Table, key: tuple) -> tuple[str, ...]:
+def _flags(t: _Table, key: int) -> tuple[str, ...]:
     """The sorted flags of the configuration of key, with nothing on the
-    channels the key leaves out, () when it is intermediate.
-
-    Stable: every buffer is empty.  Final: stable, every participant final.
-    Deadlock: stable, every participant receiving.  Orphan: every
-    participant final, some buffer non-empty.  Unspecified reception: some
-    participant is receiving and every channel it receives on holds another
-    label at its head."""
-    allfinal = all(map(_member, t.final, key))
-    if not any(key[t.n:]):
-        if allfinal:
+    channels the key leaves out, () when it is intermediate.  Stable: every
+    buffer is empty.  Final: stable, every participant final.  Deadlock:
+    stable, every participant receiving.  Orphan: every participant final,
+    some buffer non-empty.  Unspecified reception: a receiving participant
+    finds another label first on every channel (checked per region value
+    for the receivers of non-empty channels only)."""
+    final = t.final
+    if not key & t.nonempty:
+        if key & final == final:
             return _FINAL
-        if all(map(_member, t.receiving, key)):
+        if key & t.receiving == t.receiving:
             return _DEADLOCK
         return _STABLE
-    if allfinal:
+    if key & final == final:
         return _ORPHAN
-    for q, moves, receiving in zip(key, t.moves, t.receiving):
-        if q in receiving:
-            for _, slot, label, _, _ in moves[q]:
-                b = key[slot]
-                if not b or b[0] == label:
-                    break
-            else:
-                return _UNSPECIFIED
+    todo = key & t.nonempty
+    while todo:
+        below, sh, mask, table, region, memo = t.at[todo.bit_length()]
+        todo &= below
+        u = memo.get(key & region)
+        if u is None:
+            u = bool(key & region & t.receiving)
+            for _, fsh, fmask, _, (_, j, label, _) in table[key >> sh & mask]:
+                v = key >> fsh & fmask
+                if not v or t.words[j][v & t.top[j] - 1][0] == label:
+                    u = False
+            memo[key & region] = u
+        if u:
+            return _UNSPECIFIED
     return ()
 
 
 def classify(c: Config, s: System) -> frozenset[str]:
     """Configuration flags: stable/final/deadlock/orphan/unspecified_reception,
     or intermediate when none apply.  Multiple flags may hold."""
-    t = _table(s)
+    t = _table(s, None, c)
     flags = _flags(t, _key(t, c))
     if "stable" in flags and not c.is_stable():
         # words wait only on channels that no move uses: nothing takes them
@@ -394,12 +474,11 @@ def check_safety(s: System, k: int,
     `reach(s, k).path_to` gives).  The liveness counterexample is the first
     configuration in BFS order that cannot reach a final one.  Raises
     ValueError for k < 1 and ResourceLimit when more than `node_cap()`
-    configurations are found, exactly as `reach` does.  Works
-    on the BFS indices of `_explore`'s flat keys (local states, then the
-    buffers of the channels some move uses): a `Config` is built only for a
+    configurations are found, exactly as `reach` does.  Works on the BFS
+    indices of `_explore`'s int keys: a `Config` is decoded only for a
     configuration reported."""
     keys, rows, parents = _explore(s, k)
-    t = _table(s)
+    t = _table(s, k)
     violations = []
     finals = []
     for i, key in enumerate(keys):
@@ -450,8 +529,8 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
 # Trace tries (see `_trie`).
 
 def traces(s: System, max_len: int, k: int) -> dict:
-    t = _table(s)
-    return _trie(t.start, lambda key, k: _steps(t, key, k), max_len, k)
+    t = _table(s, k)
+    return _trie(t.start, lambda key, k: _steps(t, key), max_len, k)
 
 
 def trie_flatten(trie: dict, prefix: tuple = ()) -> set[tuple]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cfsm import _explore, _nondeterminism, is_basic
+from .cfsm import _explore, _nondeterminism, _states, _table, is_basic
 from .errors import NotBasic
 from .syntax import Action, Machine, Participant, System, _Record
 
@@ -67,7 +67,7 @@ def _multiparty_compatible(s: System, keys: list) -> CompatReport:
     of a key and whether some buffer is non-empty, so the channels a key
     leaves out, which no move uses and which stay empty, do not matter."""
     ps = s.participants
-    n = len(ps)
+    t = _table(s, 1)
     ms = tuple(m for _, m in s.machines)
     failures: list[CompatFailure] = []
     closure_cache: dict = {}
@@ -75,12 +75,13 @@ def _multiparty_compatible(s: System, keys: list) -> CompatReport:
     # the stable configurations of RS_1, keys whose buffers are all empty:
     # no two of them share their local states
     for key in keys:
-        if any(key[n:]):
+        if key & t.nonempty:
             continue
+        states = _states(t, key)
         for i, p in enumerate(ps):
             failures.extend(_walk(
-                p, ms[i], key[i], ps[:i] + ps[i + 1:], ms[:i] + ms[i + 1:],
-                key[:i] + key[i + 1:n], closure_cache, fed_cache))
+                p, ms[i], states[i], ps[:i] + ps[i + 1:], ms[:i] + ms[i + 1:],
+                states[:i] + states[i + 1:], closure_cache, fed_cache))
     unique = []
     seen = set()
     for f in failures:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _path,
-                   _preds, node_cap, traces)
+                   _preds, _states, _table, node_cap, traces)
 from .compat import (_exchanges, _multiparty_compatible, dual,
                      multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
@@ -574,6 +574,12 @@ def _require_compat(s: System) -> None:
                             + report.failures[0].message)
 
 
+def _local_states(s: System, k: int, keys: list) -> list[tuple[str, ...]]:
+    """The local states of each key of `_explore(s, k)`."""
+    t = _table(s, k)
+    return [_states(t, key) for key in keys]
+
+
 def receiver_property(s: System, k: int = 1,
                       require_compatible: bool = True) -> bool:
     """After any internal choice, some common set of receivers can be
@@ -581,19 +587,18 @@ def receiver_property(s: System, k: int = 1,
     if require_compatible:
         _require_compat(s)
     keys, rows, _ = _explore(s, k)
-    return _receiver_property(s, keys, rows)
+    return _receiver_property(s, _local_states(s, k, keys), rows)
 
 
-def _receiver_property(s: System, keys: list, rows: list) -> bool:
-    """`receiver_property` over the keys and rows of RS_k (see
-    `_explore`).  It reads only the local states of a key, its first
-    entries in participant order, never its buffers."""
+def _receiver_property(s: System, states: list, rows: list) -> bool:
+    """`receiver_property` over the local states and rows of RS_k (see
+    `_explore` and `_local_states`); it never reads the buffers."""
     # each participant's sends from each of its states, one per target
     sends = [{q: [a for a, _ in _moves(m, q, "!")] for q in m.states}
              for _, m in s.machines]
     choices = []  # the branch successors of every choice point
-    for key, row in zip(keys, rows):
-        for sends_at, q in zip(sends, key):
+    for qs, row in zip(states, rows):
+        for sends_at, q in zip(sends, qs):
             acts = sends_at[q]
             if len(acts) < 2:
                 continue
@@ -644,13 +649,13 @@ def unique_sender(s: System, k: int = 1,
     decided by a single participant."""
     if require_compatible:
         _require_compat(s)
-    return _unique_sender(s, *_explore(s, k))
+    keys, rows, parents = _explore(s, k)
+    return _unique_sender(s, _local_states(s, k, keys), rows, parents)
 
 
-def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
-    """`unique_sender` over the keys, rows and parents of RS_k (see
-    `_explore`).  It reads only the local states of a key, its first
-    entries in participant order, never its buffers."""
+def _unique_sender(s: System, states: list, rows: list, parents: list) -> bool:
+    """`unique_sender` over the local states, rows and parents of RS_k (see
+    `_explore` and `_local_states`); it never reads the buffers."""
     by_act: dict[Action, list[tuple[int, int]]] = {}  # edges in BFS order
     for c, row in enumerate(rows):
         for act, c2 in zip(row[::2], row[1::2]):
@@ -667,9 +672,9 @@ def _unique_sender(s: System, keys: list, rows: list, parents: list) -> bool:
                     if a1 == a2 or _commute(m, a1, d1, a2, d2):
                         continue
                     inst1 = [(c, c2) for c, c2 in by_act.get(a1, ())
-                             if keys[c][i] == q]
+                             if states[c][i] == q]
                     inst2 = [(c, c2) for c, c2 in by_act.get(a2, ())
-                             if keys[c][i] == q]
+                             if states[c][i] == q]
                     if not inst1 or not inst2:
                         continue
                     # receives one of which can still follow the other are
@@ -753,10 +758,11 @@ def session_compatible(s: System) -> SessionReport:
     items.append(("mixed_parallel", mp,
                   "" if mp else "a mixed state fails to commute"))
     if report:
-        us = _unique_sender(s, keys, rows, parents)
+        states = _local_states(s, 1, keys)
+        us = _unique_sender(s, states, rows, parents)
         items.append(("unique_sender", us,
                       "" if us else "a race has no unique decider"))
-        rp = _receiver_property(s, keys, rows)
+        rp = _receiver_property(s, states, rows)
         items.append(("receiver_property", rp,
                       "" if rp else "branches inform different receivers"))
     return SessionReport(all(v for _, v, _ in items) and len(items) == 5,

@@ -151,9 +151,9 @@ def traces_local(c: LocalConfig, max_len: int, k: int) -> dict:
     # module but never translate a local type
     from .translate import to_machine
     s = make_system([to_machine(t, p) for p, t in c.types])
-    t = _table(s)
-    start = _key(t, Config(initial(s).states, c.buffers))
-    return _trie(start, lambda key, k: _steps(t, key, k), max_len, k)
+    start = Config(initial(s).states, c.buffers)
+    t = _table(s, k, start)
+    return _trie(_key(t, start), lambda key, k: _steps(t, key), max_len, k)
 
 
 def _as_trie(x, max_len: int, k: int) -> dict:

@@ -10,7 +10,7 @@ from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   dot_reach, dot_system, fire, initial, is_basic,
                   local_config, make_system, parse_local, reach, to_machine,
                   traces, traces_local, trie_flatten)
-from mpst.cfsm import _explore
+from mpst.cfsm import _explore, _table
 from conftest import load
 import mpst
 import oracles
@@ -493,7 +493,144 @@ def test_ring_reach_sizes_match_closed_form(n, k):
 def test_explored_keys_carry_only_the_channels_moves_use(s, n, used, k,
                                                          sizes):
     # ring(n) uses n of its n(n-1) channels and pairs(4) 4 of 56: only those
-    # can ever fill, so only those are in a key
+    # can ever fill, so only those have a field in the int key
     keys = _explore(s, k)[0]
-    assert {len(key) for key in keys} == {n + used}
+    t = _table(s, k)
+    assert len(t.shift) == len(t.words) == used
+    assert len(t.names) == n
+    assert keys[0] == t.start
     assert explored_sizes(s, k) == sizes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_ring64_reach_size_matches_closed_form(k):
+    # 64 participants: a key far wider than a machine word still steps by
+    # adding deltas, and only the participant holding the message moves
+    assert explored_sizes(ring(64), k) == (4 * 64 - 2, 4 * 64 - 2)
+    assert check_safety(ring(64), k).ok
+
+
+def test_words_are_interned_lazily():
+    # A picks one of 40 labels and waits for B's ack: at k=6 a field must
+    # hold any of the 40^6 words, but only the 40 single labels and the
+    # empty word are ever reached, so only those get an id
+    labels = [f"l{i}" for i in range(40)]
+    a = Machine("A", "q0", tuple(("q0", _send("A", "B", x), "q1")
+                                 for x in labels)
+                + (("q1", _recv("B", "A", "ack"), "q0"),))
+    b = Machine("B", "q0", tuple(("q0", _recv("A", "B", x), "q1")
+                                 for x in labels)
+                + (("q1", _send("B", "A", "ack"), "q0"),))
+    s = make_system([a, b])
+    # the start, one configuration per label in flight, B after the
+    # receive, and the ack in flight; each label is sent and received once
+    assert explored_sizes(s, 6) == (len(labels) + 3, 2 * len(labels) + 2)
+    assert check_safety(s, 6).ok
+    t = _table(s, 6)
+    ab = s.channels.index(("A", "B"))
+    assert sorted(map(len, t.words)) == [2, len(labels) + 1]
+    assert len(t.words[t.chans.index(ab)]) == len(labels) + 1
+    assert t.top[t.chans.index(ab)] == 1 << 32  # 1 + 40 + ... + 40^6 words
+
+
+def _loop():
+    # A sends x or y to B forever; B takes only x
+    return make_system([
+        Machine("A", "q0", (("q0", _send("A", "B", "x"), "q0"),
+                            ("q0", _send("A", "B", "y"), "q0"))),
+        Machine("B", "q0", (("q0", _recv("A", "B", "x"), "q0"),))])
+
+
+@pytest.mark.parametrize("k", [None, 1, 2, 3])
+def test_fire_from_words_longer_than_the_bound_agrees_with_oracle(k):
+    s = _loop()
+    enc = encode(s)
+    for word in [("x",) * 5, ("y", "x", "x", "y"), ("x", "y") * 3]:
+        c = Config(("q0", "q0"), (word, ()))
+        want = oracles.successors(enc, as_tuple(c), 9 if k is None else k)
+        assert [(act_tuple(a), as_tuple(c2))
+                for a, c2 in fire(c, s, k)] == want
+        # again, once the first call has interned its words
+        assert [(act_tuple(a), as_tuple(c2))
+                for a, c2 in fire(c, s, k)] == want
+
+
+def test_unbounded_firing_builds_few_tables():
+    # without a bound, fire takes the least power of two above the longest
+    # word, so a run that keeps sending compiles the system log2 times
+    s = _loop()
+    c = initial(s)
+    for _ in range(64):
+        c = next(c2 for a, c2 in fire(c, s) if a.label == "y")
+    assert c.buffers[0] == ("y",) * 64
+    assert sorted(s.__dict__["_tables"]) == [1, 2, 4, 8, 16, 32, 64]
+
+
+def test_classify_with_labels_no_move_uses_agrees_with_oracle():
+    # B takes only x: a z at the head of its channel is an unspecified
+    # reception, and a w waits on a channel that no move uses
+    s = _loop()
+    enc = encode(s)
+    for bufs in [(("z",), ()), (("x", "z"), ()), (("y",), ("w", "w")),
+                 ((), ("w",)), (("z",) * 4, ())]:
+        c = Config(("q0", "q0"), bufs)
+        assert classify(c, s) == oracles.classify(enc, as_tuple(c))
+        for k in (None, 1, 2, 3):
+            want = oracles.successors(enc, as_tuple(c), 9 if k is None else k)
+            assert [(act_tuple(a), as_tuple(c2))
+                    for a, c2 in fire(c, s, k)] == want
+
+
+def test_traces_local_from_words_longer_than_the_bound_agrees_with_oracle():
+    from test_semantics import PAIRS2
+    from mpst import parse_global, project_config, step_global
+    g = parse_global(PAIRS2)
+    for _ in range(3):  # three x's in flight from A0 to B0
+        g = next(g2 for a, g2 in step_global(g, 3) if str(a) == "A0B0!x")
+    c = project_config(g)
+    assert max(map(len, c.buffers)) == 3
+    for k in (1, 2, 3):
+        want = mpst.cfsm._trie((c.types, c.buffers), oracles.local_steps, 4, k)
+        assert oracles.plain_trie(traces_local(c, 4, k)) == want
+
+
+def _bound_calls(k):
+    s = mpst.parse_system(load("commit.cfsm"))
+    g = mpst.parse_global(load("commit.gt"))
+    gg = mpst.parse_gglobal(load("data_transfer.ggt"))
+    fam = {p: mpst.gproject(gg, p) for p in mpst.gg_participants(gg)}
+    return {
+        "fire": lambda: fire(initial(s), s, k),
+        "traces": lambda: traces(s, 4, k),
+        "traces_global": lambda: mpst.traces_global(g, 4, k),
+        "traces_local": lambda: traces_local(mpst.project_config(g), 4, k),
+        "gtraces_global": lambda: mpst.gtraces_global(gg, 4, k),
+        "gtraces_local": lambda: mpst.gtraces_local(fam, 4, k),
+        "trace_equiv": lambda: mpst.trace_equiv(g, s, 4, k),
+    }
+
+
+@pytest.mark.parametrize("fn", list(_bound_calls(1)))
+@pytest.mark.parametrize("k", [0, -1])
+def test_every_trace_function_rejects_bound_below_one(fn, k):
+    # with k = 0 no send is enabled, so each of these used to return a
+    # vacuous trie, and trace_equiv an equivalence
+    assert _bound_calls(1)[fn]()
+    with pytest.raises(ValueError, match="bound k must be >= 1"):
+        _bound_calls(k)[fn]()
+
+
+def test_a_malformed_configuration_is_a_value_error(commit_system):
+    s = commit_system
+    c = initial(s)
+    bad_state = Config(("q0", "q9", "q0"), c.buffers)
+    for run in (lambda c: fire(c, s), lambda c: fire(c, s, 2),
+                lambda c: classify(c, s)):
+        with pytest.raises(ValueError, match="'q9' is not a state of B"):
+            run(bad_state)
+        for odd in (Config(c.states, c.buffers[:-1]),
+                    Config(c.states, c.buffers + ((),)),
+                    Config(c.states[:2], c.buffers)):
+            with pytest.raises(ValueError, match="a configuration of 3 local "
+                                                 "states and 6 buffers"):
+                run(odd)
