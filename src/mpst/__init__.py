@@ -23,10 +23,10 @@ _EXPORTS = {
         "Action", "GBranch", "GEnd", "GRec", "GVar", "Global", "LEnd", "LRec",
         "LRecv", "LSend", "LVar", "Local", "Machine", "System",
         "alpha_canonical", "alpha_equiv", "glabels", "gparticipants",
-        "llabels", "make_system", "parse_global", "parse_local",
-        "parse_system", "print_system", "print_type", "unfold"),
+        "make_system", "parse_global", "parse_local", "parse_system",
+        "print_system", "print_type", "unfold"),
     "projection": (
-        "WellFormedReport", "merge", "project", "subtype", "well_formed"),
+        "WellFormedReport", "merge", "project", "well_formed"),
     "cfsm": (
         "BAD_FLAGS", "Config", "ReachSet", "SafetyReport", "check_safety",
         "classify", "dot_machine", "dot_reach", "dot_system", "fire",

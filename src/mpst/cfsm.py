@@ -11,14 +11,25 @@ from __future__ import annotations
 
 import os
 from .errors import ResourceLimit
-from .syntax import Action, Machine, System, _Record, _getter
+from .syntax import Action, Machine, System, _Record
 
 DEFAULT_NODE_CAP = 1_000_000
 
 
 def node_cap() -> int:
+    """The cap on the nodes of every search: MPST_NODE_CAP, or
+    DEFAULT_NODE_CAP when it is unset or empty.  Raises ValueError when it
+    is not an integer of at least 1."""
     var = os.environ.get("MPST_NODE_CAP")
-    return int(var) if var else DEFAULT_NODE_CAP
+    if not var:
+        return DEFAULT_NODE_CAP
+    try:
+        cap = int(var)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MPST_NODE_CAP must be an integer >= 1, not {var!r}")
+    return cap
 
 
 def _trie(start, step, max_len: int, k: int) -> dict:
@@ -328,35 +339,20 @@ def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Conf
 
 class ReachSet(_Record):
     """k-bounded reachability set with its transition edges, (Config,
-    Action, Config) triples, and BFS parents, a dict from each Config to
-    its (Config, Action) parent or None; parents, None by default, is
-    left out of equality and hashing."""
+    Action, Config) triples."""
 
-    __slots__ = ("k", "initial", "configs", "edges", "parents")
-    _defaults = {"parents": None}
-    _values = property(_getter(("k", "initial", "configs", "edges")))
-
-    def path_to(self, c: Config) -> tuple[Action, ...]:
-        """Shortest action path from the initial configuration to c."""
-        acc = []
-        while True:
-            prev = self.parents[c]
-            if prev is None:
-                return tuple(reversed(acc))
-            c, act = prev[0], prev[1]
-            acc.append(act)
+    __slots__ = ("k", "initial", "configs", "edges")
 
 
 def reach(s: System, k: int) -> ReachSet:
     """BFS closure of k-bounded firing from the initial configuration.
 
     `configs` is in BFS order; `edges` lists each configuration's outgoing
-    transitions in `fire` order, configurations in BFS order; `parents`
-    gives shortest paths.  Each configuration is one object, decoded from an
-    `_explore` key and shared by `configs`, `edges` and `parents`.  Raises
-    ValueError for k < 1 and ResourceLimit when more than `node_cap()`
-    configurations are found."""
-    keys, rows, parents = _explore(s, k)
+    transitions in `fire` order, configurations in BFS order.  Each
+    configuration is one object, decoded from an `_explore` key and shared
+    by `configs` and `edges`.  Raises ValueError for k < 1 and
+    ResourceLimit when more than `node_cap()` configurations are found."""
+    keys, rows, _ = _explore(s, k)
     t = _table(s, k)
     fields = sum(2 * top - 1 << sh for sh, top in zip(t.shift, t.top))
     states: dict[int, tuple] = {}  # one copy of equal local states, and of
@@ -372,10 +368,7 @@ def reach(s: System, k: int) -> ReachSet:
     configs = tuple(configs)
     edges = tuple((c, act, configs[j]) for c, row in zip(configs, rows)
                   for act, j in zip(row[::2], row[1::2]))
-    parent_of: dict[Config, tuple[Config, Action] | None] = {configs[0]: None}
-    for c, (i, act) in zip(configs[1:], parents[1:]):
-        parent_of[c] = (configs[i], act)
-    return ReachSet(k, configs[0], configs, edges, parent_of)
+    return ReachSet(k, configs[0], configs, edges)
 
 
 # The flag sets `_flags` can return, sorted; no other combination holds.
@@ -470,13 +463,13 @@ def check_safety(s: System, k: int,
     k-bounded liveness = every configuration can reach a final one in RS_k.
 
     Violations come in BFS order of their configurations, kinds sorted
-    within one configuration, each with a shortest path to it (the path
-    `reach(s, k).path_to` gives).  The liveness counterexample is the first
-    configuration in BFS order that cannot reach a final one.  Raises
-    ValueError for k < 1 and ResourceLimit when more than `node_cap()`
-    configurations are found, exactly as `reach` does.  Works on the BFS
-    indices of `_explore`'s int keys: a `Config` is decoded only for a
-    configuration reported."""
+    within one configuration, each with a shortest path to it: the one
+    along the BFS parents of `_explore`.  The liveness counterexample is
+    the first configuration in BFS order that cannot reach a final one.
+    Raises ValueError for k < 1 and ResourceLimit when more than
+    `node_cap()` configurations are found, exactly as `reach` does.  Works
+    on the BFS indices of `_explore`'s int keys: a `Config` is decoded only
+    for a configuration reported."""
     keys, rows, parents = _explore(s, k)
     t = _table(s, k)
     violations = []

@@ -1,13 +1,12 @@
-"""Projection of global types onto participants, merge, well-formedness, subtyping."""
+"""Projection of global types onto participants, merge, well-formedness."""
 
 from __future__ import annotations
 
-from .cfsm import _bfs
 from .errors import MergeFailure
 from .syntax import (
     GBranch, GEnd, GRec, GVar, Global,
     LEnd, LRec, LRecv, LSend, LVar, Local,
-    Participant, _Record, gparticipants, unfold,
+    Participant, _Record, gparticipants,
 )
 
 
@@ -114,40 +113,3 @@ def well_formed(g: Global) -> WellFormedReport:
         except MergeFailure as e:
             failures.append((p, str(e)))
     return WellFormedReport(not failures, tuple(failures))
-
-
-# --------------------------------------------------------------------------
-# Subtyping: send branches covariant with identical label sets, receive
-# branches widen (I ⊆ J).  The greatest simulation holds at a pair exactly
-# when every pair of unfolded heads reachable from it has a matching shape,
-# so it is decided by `_bfs` over those pairs.
-
-def _head(t: Local) -> Local:
-    while isinstance(t, LRec):
-        t = unfold(t)
-    return t
-
-
-def _matches(a: Local, b: Local) -> bool:
-    """The heads a and b have shapes that a ≤ b allows: both end, or both
-    send to one peer with the same labels, or both receive from one peer
-    and b accepts every label of a."""
-    if isinstance(a, LEnd):
-        return isinstance(b, LEnd)
-    if isinstance(a, LSend):
-        return isinstance(b, LSend) and a.peer == b.peer \
-            and set(a.labels()) == set(b.labels())
-    return isinstance(a, LRecv) and isinstance(b, LRecv) \
-        and a.peer == b.peer and set(a.labels()) <= set(b.labels())
-
-
-def subtype(t1: Local, t2: Local) -> bool:
-    def step(pair):
-        a, b = pair
-        if not _matches(a, b) or isinstance(a, LEnd):
-            return []
-        return [(l, (_head(a.branch(l)), _head(b.branch(l))))
-                for l in a.labels()]
-
-    pairs = _bfs((_head(t1), _head(t2)), step, "subtyping search")[0]
-    return all(_matches(a, b) for a, b in pairs)

@@ -157,9 +157,6 @@ def traces_local(c: LocalConfig, max_len: int, k: int) -> dict:
 
 
 def _as_trie(x, max_len: int, k: int) -> dict:
-    if isinstance(x, dict) and all(isinstance(v, dict) for v in x.values()) \
-            and all(isinstance(a, Action) for a in x):
-        return x  # already a trie
     if isinstance(x, (GEnd, GVar, GRec, GBranch)):
         return traces_global(x, max_len, k)
     if isinstance(x, LocalConfig):
@@ -170,10 +167,12 @@ def _as_trie(x, max_len: int, k: int) -> dict:
     # not import this module): generalized is the largest module, and
     # `mpst synth --verify` and `mpst simulate`, which load this one, never
     # see an equation system.
-    from .generalized import GeneralGlobal, gtraces_global, gtraces_local
+    from .generalized import (GeneralGlobal, GeneralLocal, gtraces_global,
+                              gtraces_local)
     if isinstance(x, GeneralGlobal):
         return gtraces_global(x, max_len, k)
-    if isinstance(x, dict):
+    if isinstance(x, dict) and all(isinstance(v, GeneralLocal)
+                                   for v in x.values()):
         return gtraces_local(x, max_len, k)
     raise TypeError(f"cannot take traces of {type(x).__name__}")
 

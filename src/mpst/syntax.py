@@ -42,10 +42,9 @@ class _Record:
     It is built by position or by keyword, with the defaults in
     `_defaults`.  It equals only a record of the same class with equal
     fields, and hashes as the tuple of its fields, a hash computed once;
-    both read `_values`, that tuple, which a class may narrow to some of
-    its fields.  A class that normalises its fields does so in its own
-    `__init__` before calling this one.  Assigning to a record raises
-    AttributeError."""
+    both read `_values`, that tuple.  A class that normalises its fields
+    does so in its own `__init__` before calling this one.  Assigning to a
+    record raises AttributeError."""
 
     __slots__ = ("_hash", "__weakref__")
     _fields: tuple[str, ...] = ()
@@ -57,8 +56,7 @@ class _Record:
                             for f in c.__dict__.get("__slots__", ())
                             if not f.startswith("_"))
         cls._setters = tuple(getattr(cls, f).__set__ for f in cls._fields)
-        if "_values" not in cls.__dict__:
-            cls._values = property(_getter(cls._fields))
+        cls._values = property(_getter(cls._fields))
 
     def __init__(self, *args, **kw):
         if kw or len(args) != len(self._fields):
@@ -730,10 +728,6 @@ def glabels(g: Global) -> frozenset[Label]:
     if isinstance(g, (GRec, LRec)):
         return glabels(g.body)
     return frozenset()
-
-
-def llabels(t: Local) -> frozenset[Label]:
-    return glabels(t)
 
 
 def _sort_branches(t):

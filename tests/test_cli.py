@@ -8,6 +8,8 @@ import sys
 import pytest
 from conftest import DATA
 
+from mpst.cli import main
+
 
 def run(*args):
     cmd = [sys.executable, "-c",
@@ -241,3 +243,11 @@ def test_unknown_participant_is_a_usage_error(cmd, name, message):
     # not a negative verdict (exit 1), nor a projection onto no one (exit 0)
     rc, out, err = run(cmd, DATA / name, "-p", "Z")
     assert (rc, out, err) == (2, "", f"mpst: {message}\n")
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "abc", "1e3", "2.5"])
+def test_invalid_node_cap_is_a_usage_error(monkeypatch, capsys, cap):
+    monkeypatch.setenv("MPST_NODE_CAP", cap)
+    assert main(["check", str(DATA / "commit.cfsm"), "--bound", "1"]) == 2
+    assert capsys.readouterr().err == \
+        f"mpst: MPST_NODE_CAP must be an integer >= 1, not {cap!r}\n"

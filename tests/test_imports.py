@@ -66,6 +66,15 @@ def test_parse_of_a_global_type_needs_only_syntax():
                                                       "syntax"}
 
 
+@pytest.mark.parametrize("argv", [
+    ("wf", "commit.gt"), ("project", "commit.gt", "-p", "A"),
+], ids=lambda argv: argv[0])
+def test_projection_verbs_load_projection_only(argv):
+    verb, name, *rest = argv
+    assert loaded_by(verb, DATA / name, *rest) == {"cli", "errors", "syntax",
+                                                   "projection"}
+
+
 def test_check_loads_no_later_layer():
     loaded = loaded_by("check", DATA / "commit.cfsm", "--bound", "2")
     assert not loaded & {"compat", "semantics", "synthesis"}
@@ -104,7 +113,7 @@ def test_session_loads_generalized():
 
 
 def test_all_is_sorted_and_complete():
-    assert len(mpst.__all__) == 104
+    assert len(mpst.__all__) == 102
     assert mpst.__all__ == sorted(set(mpst.__all__))
 
 

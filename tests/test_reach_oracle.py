@@ -1,14 +1,13 @@
 """The checks that ask whether a node can still reach a set, against the
 references in oracles.py: `check_safety`'s liveness and counterexample,
 `receiver_property` and `unique_sender` on random small systems,
-nondeterministic ones included, at k = 1, 2; and `subtype` on pairs of
-local types decompiled from random basic machines."""
+nondeterministic ones included, at k = 1, 2."""
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from mpst import (Action, Machine, check_safety, make_system,
-                  receiver_property, subtype, to_local, unique_sender)
+                  receiver_property, unique_sender)
 
 PARTS = ("A", "B", "C")
 STATES = ("q0", "q1", "q2", "q3")
@@ -66,42 +65,3 @@ def test_reach_questions_agree_with_reference(enc, k):
     c = report.liveness_counterexample
     assert (report.liveness, c and (c.states, c.buffers)) == \
         oracles.liveness(enc, k)
-
-
-@st.composite
-def basic_machines(draw):
-    """The moves of a basic machine of A: each state either ends, sends to
-    one peer or receives from one, with at most one target a label."""
-    moves = []
-    for q in STATES[:draw(st.integers(1, 4))]:
-        kind = draw(st.sampled_from(("end", "!", "?", "?")))
-        if kind == "end":
-            continue
-        peer = draw(st.sampled_from("BC"))
-        for label in draw(st.sets(st.sampled_from("abc"), min_size=1)):
-            a = (Action("A", peer, "!", label) if kind == "!"
-                 else Action(peer, "A", "?", label))
-            moves.append((q, a, draw(st.sampled_from(STATES))))
-    return moves
-
-
-@st.composite
-def type_pairs(draw):
-    """Two local types of A: the second decompiled either from a machine
-    of its own or from the first machine with some moves dropped, which
-    narrows receives and breaks sends."""
-    m1 = draw(basic_machines())
-    m2 = draw(st.one_of(basic_machines(),
-                        st.lists(st.sampled_from(m1), unique=True)
-                        if m1 else st.just([])))
-    return (to_local(Machine("A", "q0", tuple(m1))),
-            to_local(Machine("A", "q0", tuple(m2))))
-
-
-@settings(max_examples=400, deadline=None)
-@given(type_pairs())
-def test_subtype_agrees_with_reference(pair):
-    t1, t2 = pair
-    assert subtype(t1, t2) == oracles.subtype(t1, t2)
-    assert subtype(t2, t1) == oracles.subtype(t2, t1)
-    assert subtype(t1, t1) and oracles.subtype(t1, t1)

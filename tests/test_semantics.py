@@ -1,4 +1,6 @@
 """Execution of global types and local-type collections, trace equivalence."""
+import pytest
+
 import oracles
 from mpst import (Action, GBranch, local_config, parse_global, parse_local,
                   parse_system, print_type, project_config, gbuffers,
@@ -134,11 +136,16 @@ def test_trace_equiv_witness_is_shortest():
                  Action("A", "B", "!", "d"))
 
 
-def test_trace_equiv_accepts_prebuilt_tries(commit_type, commit_system):
-    tg = traces_global(commit_type, 6, 1)
-    ts = traces(commit_system, 6, 1)
-    ok, w = trace_equiv(tg, ts, 6, 1)
-    assert ok, w
+def test_trace_equiv_rejects_dicts_of_other_than_equation_systems(
+        commit_type, commit_system):
+    # a dict is a family of local equation systems; a family of local
+    # types must come as a LocalConfig, and a trie is no input
+    for x in ({"A": parse_local("B!x. end")},
+              traces(commit_system, 6, 1)):
+        with pytest.raises(TypeError, match="^cannot take traces of dict$"):
+            trace_equiv(x, commit_type, 3, 1)
+        with pytest.raises(TypeError, match="^cannot take traces of dict$"):
+            trace_equiv(commit_system, x, 3, 1)
 
 
 def test_trace_equiv_decides_deep_tries():

@@ -11,9 +11,9 @@ from mpst import (Action, CompatFailure, CompatReport, Config, EndEq, Fork,
                   GBranch, GEnd, GeneralGlobal, GeneralLocal, GGChoice,
                   GGMsg, GLEChoice, GLIChoice, GLRecv, GLSend, GRec, GVar,
                   Indir, Join, LEnd, LocalConfig, LRec, LRecv, LSend, LVar,
-                  Machine, Merge, ParseError, ReachSet, SafetyReport,
-                  SessionReport, System, WellFormedReport, check_safety,
-                  gproject, make_system, parse_gglobal, reach, to_petri)
+                  Machine, Merge, ParseError, SafetyReport, SessionReport,
+                  System, WellFormedReport, check_safety, gproject,
+                  make_system, parse_gglobal, reach, to_petri)
 from mpst.syntax import Token, _Record
 
 DIAMOND = """init x0;
@@ -67,12 +67,6 @@ def _fields(x) -> tuple:
     return tuple(getattr(x, f) for f in type(x)._fields)
 
 
-def _compared(x) -> tuple:
-    """The fields that equality and hashing read: all but ReachSet's
-    parents."""
-    return _fields(x)[:4] if isinstance(x, ReachSet) else _fields(x)
-
-
 each = pytest.mark.parametrize("x", list(SAMPLES.values()),
                                ids=lambda x: type(x).__name__)
 
@@ -86,14 +80,14 @@ def test_every_record_class_has_a_sample():
 def test_a_record_equals_a_copy_and_hashes_as_its_fields(x):
     twin = type(x)(*_fields(x))
     assert twin == x and not twin != x and twin is not x
-    assert hash(x) == hash(twin) == hash(_compared(x))
+    assert hash(x) == hash(twin) == hash(_fields(x))
     assert hash(x) == hash(x)
 
 
 @each
 def test_a_record_equals_no_tuple(x):
     assert x != _fields(x) and _fields(x) != x
-    assert x != _compared(x) and x != list(_fields(x))
+    assert x != list(_fields(x))
 
 
 def test_equal_fields_of_another_class_are_not_equal():
@@ -111,13 +105,6 @@ def test_equal_fields_of_another_class_are_not_equal():
     assert GVar("t") != LVar("t") and GEnd() != LEnd()
     assert LSend("B", (("x", LEnd()),)) != LRecv("B", (("x", LEnd()),))
     assert {GEnd(), LEnd(), GEnd()} == {GEnd(), LEnd()}
-
-
-def test_reach_set_parents_are_left_out_of_eq_and_hash():
-    rs = SAMPLES[ReachSet]
-    bare = ReachSet(rs.k, rs.initial, rs.configs, rs.edges)
-    assert bare.parents is None
-    assert bare == rs and hash(bare) == hash(rs)
 
 
 @each
