@@ -65,37 +65,34 @@ def _trie(start, step, max_len: int, k: int) -> dict:
     return root
 
 
-def _bfs(start, step, what: str) -> tuple[list, list, list]:
+def _bfs(start, step, what: str) -> tuple[list, list]:
     """Breadth-first search from start, where step(node) lists the
     (label, node') pairs leaving node; each node is interned to its BFS
     index on first sight.
 
-    Returns the nodes in BFS order; the successor row of each, a flat list
-    [label, j, label, j, ...] in step order; and the BFS parent (i, label)
-    of each, None for start, so that `_path` from node j gives a shortest
-    path to it.  Raises ResourceLimit ("<what> exceeded the node cap of
-    <cap>") as soon as there are more than `node_cap()` nodes."""
+    Returns the nodes in BFS order and the successor row of each, a flat
+    list [label, j, label, j, ...] in step order (`_parents` reads the BFS
+    tree off the rows).  Raises ResourceLimit ("<what> exceeded the node
+    cap of <cap>") as soon as there are more than `node_cap()` nodes."""
     cap = node_cap()
     nodes = [start]
     index = {start: 0}
-    parents: list[tuple[int, object] | None] = [None]
     rows = []
     # nodes grows while it is walked: the walk is the BFS queue
-    for i, node in enumerate(nodes):
+    for node in nodes:
         row = []
         for label, nxt in step(node):
             j = index.get(nxt)
             if j is None:
                 j = index[nxt] = len(nodes)
                 nodes.append(nxt)
-                parents.append((i, label))
                 if len(nodes) > cap:
                     raise ResourceLimit(
                         f"{what} exceeded the node cap of {cap}")
             row.append(label)
             row.append(j)
         rows.append(row)
-    return nodes, rows, parents
+    return nodes, rows
 
 
 def _preds(rows: list) -> list[list[int]]:
@@ -123,8 +120,20 @@ def _can_reach(preds: list, targets) -> bytearray:
     return seen
 
 
+def _parents(rows: list) -> list:
+    """The BFS parent (i, label) of each `_bfs` node, None for the start:
+    the first entry in row order that reaches it, which is where `_bfs`
+    found it, so that `_path` from node j gives a shortest path to it."""
+    parents: list = [None] * len(rows)
+    for i, row in enumerate(rows):
+        for label, j in zip(row[::2], row[1::2]):
+            if j and parents[j] is None:
+                parents[j] = (i, label)
+    return parents
+
+
 def _path(parents: list, i: int) -> tuple:
-    """The labels along `_bfs` parents from the start to node i."""
+    """The labels along `_parents` from the start to node i."""
     acc = []
     while (prev := parents[i]) is not None:
         i, label = prev
@@ -322,7 +331,7 @@ def _steps(t: _Table, key: int) -> list:
     return out
 
 
-def _explore(s: System, k: int) -> tuple[list, list, list]:
+def _explore(s: System, k: int) -> tuple[list, list]:
     """`_bfs` over the keys of RS_k, rows in `_steps` order (that of `fire`
     and `reach`'s edges); ValueError for k < 1, ResourceLimit past the cap."""
     t = _table(s, k)
@@ -352,7 +361,7 @@ def reach(s: System, k: int) -> ReachSet:
     configuration is one object, decoded from an `_explore` key and shared
     by `configs` and `edges`.  Raises ValueError for k < 1 and
     ResourceLimit when more than `node_cap()` configurations are found."""
-    keys, rows, _ = _explore(s, k)
+    keys, rows = _explore(s, k)
     t = _table(s, k)
     fields = sum(2 * top - 1 << sh for sh, top in zip(t.shift, t.top))
     states: dict[int, tuple] = {}  # one copy of equal local states, and of
@@ -464,25 +473,51 @@ def check_safety(s: System, k: int,
 
     Violations come in BFS order of their configurations, kinds sorted
     within one configuration, each with a shortest path to it: the one
-    along the BFS parents of `_explore`.  The liveness counterexample is
-    the first configuration in BFS order that cannot reach a final one.
+    along the BFS tree of `_explore` (see `_parents`).  The liveness
+    counterexample is the first configuration in BFS order that cannot
+    reach a final one.
     Raises ValueError for k < 1 and ResourceLimit when more than
-    `node_cap()` configurations are found, exactly as `reach` does.  Works
-    on the BFS indices of `_explore`'s int keys: a `Config` is decoded only
-    for a configuration reported."""
-    keys, rows, parents = _explore(s, k)
-    t = _table(s, k)
-    violations = []
-    finals = []
+    `node_cap()` configurations are found, exactly as `reach` does.
+
+    A system whose used channels fall into several connected components
+    (see `_components`) is decided per component when the report is
+    clean; otherwise, and for a connected system, RS_k itself is searched
+    (`_product_safety`)."""
+    t = _table(s, k)  # checks s as a whole, for every component
+    parts = _components(s)
+    if parts:
+        report = _split_safety(parts, k, check_liveness)
+        if report is not None:
+            return report
+    return _product_safety(s, t, check_liveness)
+
+
+def _marks(t: _Table, keys: list) -> tuple[list, list]:
+    """The indices of the final keys and of those with a flag in
+    BAD_FLAGS."""
+    finals, bad = [], []
     for i, key in enumerate(keys):
         flags = _flags(t, key)
-        if "final" in flags:
+        if flags is _FINAL:
             finals.append(i)
-        bad = [kind for kind in flags if kind in BAD_FLAGS]
-        if bad:
-            c = _config(t, key)
-            path = _path(parents, i)
-            violations.extend((kind, path, c) for kind in bad)
+        elif flags and flags is not _STABLE:  # deadlock, orphan, unspecified
+            bad.append(i)
+    return finals, bad
+
+
+def _product_safety(s: System, t: _Table,
+                    check_liveness: bool) -> SafetyReport:
+    """`check_safety` by one search of RS_k, t being s's table at k.  Works
+    on the BFS indices of `_explore`'s int keys: a `Config` is decoded, and
+    the BFS tree built, only for a configuration reported."""
+    keys, rows = _explore(s, t.k)
+    finals, bad = _marks(t, keys)
+    violations = []
+    parents = _parents(rows) if bad else None
+    for i in bad:
+        c, path = _config(t, keys[i]), _path(parents, i)
+        violations.extend((kind, path, c) for kind in _flags(t, keys[i])
+                          if kind in BAD_FLAGS)
     liveness: bool | None = None
     counterexample = None
     if check_liveness and finals:
@@ -490,7 +525,67 @@ def check_safety(s: System, k: int,
         liveness = dead < 0
         if not liveness:
             counterexample = _config(t, keys[dead])
-    return SafetyReport(k, tuple(violations), liveness, counterexample)
+    return SafetyReport(t.k, tuple(violations), liveness, counterexample)
+
+
+def _components(s: System) -> tuple[System, ...]:
+    """The systems of the connected components of s, where a transition
+    joins its sender and receiver, in order of their least participant; ()
+    when s is connected.  One union-find, kept on s; s must have passed
+    `_table`'s checks.
+
+    Participants of different components share no channel, so they move
+    independently: RS_k of s is the product of the components' RS_k."""
+    parts = s.__dict__.get("_parts")
+    if parts is None:
+        root = {p: p for p in s.participants}
+
+        def find(p):
+            while root[p] != p:
+                root[p] = p = root[root[p]]
+            return p
+
+        for _, m in s.machines:
+            for _, a, _ in m.transitions:
+                root[find(a.sender)] = find(a.receiver)
+        groups: dict = {}
+        for p, m in s.machines:
+            groups.setdefault(find(p), []).append((p, m))
+        parts = tuple(System(tuple(g)) for g in groups.values())
+        parts = s.__dict__["_parts"] = parts if len(parts) > 1 else ()
+    return parts
+
+
+def _split_safety(parts: tuple, k: int,
+                  check_liveness: bool) -> SafetyReport | None:
+    """The clean report of the system of the components parts, None when
+    it may not be clean.  A configuration of the product is a tuple of the
+    components' ones, and its flags follow from theirs: a deadlock needs
+    every component deadlocked, an orphan or an unspecified reception one
+    component showing it, so no bad flag in any component means none in
+    the product.  The product has a final configuration when each
+    component has one, and every configuration reaches one when that
+    holds in each component.  Raises ResourceLimit as soon as the product
+    of the sizes exceeds `node_cap()`, where the product's search would."""
+    cap = node_cap()
+    size = 1
+    scans = []
+    for part in parts:
+        keys, rows = _explore(part, k)
+        size *= len(keys)
+        if size > cap:
+            raise ResourceLimit(
+                f"reachability set exceeded the node cap of {cap}")
+        finals, bad = _marks(_table(part, k), keys)
+        if bad:
+            return None
+        scans.append((rows, finals))
+    if not check_liveness or not all(finals for _, finals in scans):
+        return SafetyReport(k, (), None)
+    if any(_can_reach(_preds(rows), finals).find(0) >= 0
+           for rows, finals in scans):
+        return None
+    return SafetyReport(k, (), True)
 
 
 def _nondeterminism(m: Machine) -> list[str]:

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _path,
-                   _preds, _states, _table, node_cap, traces)
+from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _parents,
+                   _path, _preds, _states, _table, node_cap, traces)
 from .compat import (_exchanges, _multiparty_compatible, dual,
                      multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
@@ -439,8 +439,8 @@ def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
                 moves.setdefault(act, set()).add(holes)
         return [(act, _gclosure(silent, moves[act])) for act in sorted(moves)]
 
-    _, rows, _ = _bfs(_gclosure(silent, {(t.entry,)}), step,
-                      "subset construction")
+    _, rows = _bfs(_gclosure(silent, {(t.entry,)}), step,
+                   "subset construction")
     return Machine(owner, "s0", tuple(
         (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
         for act, j in zip(row[::2], row[1::2])))
@@ -586,7 +586,7 @@ def receiver_property(s: System, k: int = 1,
     informed of the chosen branch no matter how execution proceeds."""
     if require_compatible:
         _require_compat(s)
-    keys, rows, _ = _explore(s, k)
+    keys, rows = _explore(s, k)
     return _receiver_property(s, _local_states(s, k, keys), rows)
 
 
@@ -628,7 +628,7 @@ def _complete_receiver_sets(rs_rows: list, starts: list) -> dict:
         return [(act, (j, r | {act.receiver} if act.op == "?" else r))
                 for act, j in zip(row[::2], row[1::2])]
 
-    nodes, rows, _ = _bfs(None, step, "receiver-set search")
+    nodes, rows = _bfs(None, step, "receiver-set search")
     preds = _preds(rows)
     # the root counts as growing: its None differs from each start's set
     sets = [None] + [r for _, r in nodes[1:]]
@@ -649,18 +649,20 @@ def unique_sender(s: System, k: int = 1,
     decided by a single participant."""
     if require_compatible:
         _require_compat(s)
-    keys, rows, parents = _explore(s, k)
-    return _unique_sender(s, _local_states(s, k, keys), rows, parents)
+    keys, rows = _explore(s, k)
+    return _unique_sender(s, _local_states(s, k, keys), rows)
 
 
-def _unique_sender(s: System, states: list, rows: list, parents: list) -> bool:
-    """`unique_sender` over the local states, rows and parents of RS_k (see
-    `_explore` and `_local_states`); it never reads the buffers."""
+def _unique_sender(s: System, states: list, rows: list) -> bool:
+    """`unique_sender` over the local states and rows of RS_k (see
+    `_explore` and `_local_states`); it never reads the buffers, and
+    builds the BFS tree (`_parents`) only for a race it has to judge."""
     by_act: dict[Action, list[tuple[int, int]]] = {}  # edges in BFS order
     for c, row in enumerate(rows):
         for act, c2 in zip(row[::2], row[1::2]):
             by_act.setdefault(act, []).append((c, c2))
     preds = _preds(rows)
+    parents = None
 
     for i, (_, m) in enumerate(s.machines):
         for q in sorted(m.states):
@@ -684,6 +686,8 @@ def _unique_sender(s: System, states: list, rows: list, parents: list) -> bool:
                     if any(reach2[c2] for _, c2 in inst1) \
                             or any(reach1[c2] for _, c2 in inst2):
                         continue
+                    if parents is None:
+                        parents = _parents(rows)
                     phi1, phi2, div = _best_witnesses(parents, inst1, inst2,
                                                       a1, a2)
                     s1 = _decider(phi1[div:])
@@ -749,7 +753,7 @@ def session_compatible(s: System) -> SessionReport:
                    for r in _nondeterminism(m)), None)
     if nondet:
         return SessionReport(False, (("deterministic", False, nondet),))
-    keys, rows, parents = _explore(s, 1)
+    keys, rows = _explore(s, 1)
     report = _multiparty_compatible(s, keys)
     items = [("deterministic", True, ""),
              ("multiparty_compatible", report.compatible,
@@ -759,7 +763,7 @@ def session_compatible(s: System) -> SessionReport:
                   "" if mp else "a mixed state fails to commute"))
     if report:
         states = _local_states(s, 1, keys)
-        us = _unique_sender(s, states, rows, parents)
+        us = _unique_sender(s, states, rows)
         items.append(("unique_sender", us,
                       "" if us else "a race has no unique decider"))
         rp = _receiver_property(s, states, rows)
@@ -781,9 +785,9 @@ def gsynthesize(s: System) -> GeneralGlobal:
     ps = s.participants
     machines = tuple(m for _, m in s.machines)
     # vertex x{i} is the i-th joint state found; edges are (i, action, j)
-    nodes, rows, _ = _bfs(tuple(m.initial for m in machines),
-                          lambda tup: sorted(_exchanges(ps, machines, tup)),
-                          "synchronous execution")
+    nodes, rows = _bfs(tuple(m.initial for m in machines),
+                       lambda tup: sorted(_exchanges(ps, machines, tup)),
+                       "synchronous execution")
     outgoing = [[(u, a, v) for a, v in zip(row[::2], row[1::2])]
                 for u, row in enumerate(rows)]
     edges = [e for outs in outgoing for e in outs]

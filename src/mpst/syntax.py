@@ -342,8 +342,8 @@ class Machine(_Record):
 class System(_Record):
     """One machine per participant, sharing the channel set: machines is
     a tuple of (participant, Machine) pairs, kept sorted by participant.
-    The `__dict__` holds the cached properties and the compiled table of
-    `cfsm`."""
+    The `__dict__` holds the cached properties and the compiled tables and
+    connected components of `cfsm`."""
 
     __slots__ = ("machines", "__dict__")
 

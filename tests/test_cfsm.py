@@ -10,7 +10,7 @@ from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   dot_reach, dot_system, fire, initial, is_basic,
                   local_config, make_system, parse_local, reach, to_machine,
                   traces, traces_local, trie_flatten)
-from mpst.cfsm import _explore, _table
+from mpst.cfsm import _components, _explore, _table
 from conftest import load
 import mpst
 import oracles
@@ -202,9 +202,17 @@ def test_check_safety_cap_matches_reach(monkeypatch, commit_system):
     assert check_safety(commit_system, 1).ok  # RS_1 has 30
 
 
+def _loops(n):
+    """n independent loops: A_i sends x to B_i forever, B_i takes it."""
+    return [Machine(p, "q0", (("q0", Action(a, b, op, "x"), "q0"),))
+            for a, b in ((f"A{i}", f"B{i}") for i in range(n))
+            for p, op in ((a, "!"), (b, "?"))]
+
+
 def _capped_searches():
-    """(search, public function, arguments) for every search the node cap
-    bounds, each with an input on which it finds more than two nodes."""
+    """(search, public function, arguments[, case]) for every search the
+    node cap bounds, each with an input on which it finds more than two
+    nodes; a case names a second input of the same function."""
     s = mpst.parse_system(load("commit.cfsm"))
     g = mpst.parse_global(load("commit.gt"))
     t = mpst.project(g, "A")
@@ -228,11 +236,15 @@ def _capped_searches():
         ("marking graph", "is_safe", (mpst.to_petri(gg),)),
         ("canonical renaming", "isomorphic",
          (s.machine("A"), s.machine("A"))),
+        # two independent loops of two configurations each: every
+        # component fits under the cap, their product does not
+        (rs, "check_safety", (make_system(_loops(2)), 1), "disconnected"),
     ]
 
 
 @pytest.mark.parametrize("search,fn,args", [
-    pytest.param(*row, id=row[1]) for row in _capped_searches()])
+    pytest.param(*row[:3], id="-".join(row[1:2] + row[3:]))
+    for row in _capped_searches()])
 def test_every_search_obeys_the_node_cap(monkeypatch, search, fn, args):
     monkeypatch.setenv("MPST_NODE_CAP", "2")
     with pytest.raises(ResourceLimit) as err:
@@ -275,6 +287,24 @@ def test_a_move_parse_system_rejects_is_a_value_error():
         with pytest.raises(ValueError,
                            match="machine A holds BA!a, an action of B"):
             run(borrowed)
+
+
+@pytest.mark.parametrize("extra,k,msg", [
+    ((("q0", Action("C", "C", "!", "a"), "q1"),), 1,
+     "machine C uses the self-channel CC"),
+    ((("q0", Action("C", "D", "!", "a"), "q1"),), 1,
+     "machine C talks to D, which has no machine in the system"),
+    ((("q0", Action("A0", "C", "!", "a"), "q1"),), 1,
+     "machine C holds A0C!a, an action of A0"),
+    ((), 0, "bound k must be >= 1"),
+    ((), -1, "bound k must be >= 1"),
+], ids=["self-channel", "no-machine", "borrowed", "k=0", "k=-1"])
+def test_a_disconnected_system_is_checked_as_a_whole(extra, k, msg):
+    # C, with the move extra, is a component of its own: the whole system
+    # is checked first, with the messages of a connected one
+    s = make_system(_loops(2) + [Machine("C", "q0", extra)])
+    with pytest.raises(ValueError, match=msg):
+        check_safety(s, k)
 
 
 def test_dot_outputs_are_stable(commit_system):
@@ -448,8 +478,8 @@ def ring(n):
 def explored_sizes(s, k):
     """Keys and successor entries of the kernel that check_safety runs on,
     which does not go through reach."""
-    keys, rows, parents = _explore(s, k)
-    assert len(rows) == len(parents) == len(keys)
+    keys, rows = _explore(s, k)
+    assert len(rows) == len(keys)
     return len(keys), sum(len(row) for row in rows) // 2
 
 
@@ -459,6 +489,27 @@ def test_pairs_reach_sizes_match_closed_form(n, k, c, e):
     rs = reach(pairs(n), k)
     assert (len(rs.configs), len(rs.edges)) == (c ** n, n * e * c ** (n - 1))
     assert explored_sizes(pairs(n), k) == (c ** n, n * e * c ** (n - 1))
+
+
+@pytest.mark.parametrize("k,c", [(1, 5), (2, 10), (3, 18)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pairs_are_decided_per_pair(monkeypatch, n, k, c):
+    # pairs never reach a final configuration and have no violation, so
+    # each pair's RS_k, c configurations, decides the c^n of the product;
+    # the product's search is not run, and the cap still counts c^n
+    s = pairs(n)
+    assert len(_components(s)) == n
+    monkeypatch.setattr(mpst.cfsm, "_product_safety",
+                        lambda *args: pytest.fail("searched the product"))
+    for live in (True, False):
+        assert check_safety(s, k, live) == SafetyReport(k, (), None)
+    for cap, blown in ((c ** n - 1, True), (c ** n, False)):
+        monkeypatch.setenv("MPST_NODE_CAP", str(cap))
+        if blown:
+            with pytest.raises(ResourceLimit, match=f"node cap of {cap}$"):
+                check_safety(s, k)
+        else:
+            check_safety(s, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

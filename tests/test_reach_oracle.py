@@ -1,13 +1,15 @@
 """The checks that ask whether a node can still reach a set, against the
 references in oracles.py: `check_safety`'s liveness and counterexample,
 `receiver_property` and `unique_sender` on random small systems,
-nondeterministic ones included, at k = 1, 2."""
+nondeterministic ones included, at k = 1, 2; and `check_safety` on two
+such systems side by side, which it decides per component."""
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from mpst import (Action, Machine, check_safety, make_system,
                   receiver_property, unique_sender)
+from mpst.cfsm import _components, _product_safety, _table
 
 PARTS = ("A", "B", "C")
 STATES = ("q0", "q1", "q2", "q3")
@@ -65,3 +67,29 @@ def test_reach_questions_agree_with_reference(enc, k):
     c = report.liveness_counterexample
     assert (report.liveness, c and (c.states, c.buffers)) == \
         oracles.liveness(enc, k)
+
+
+def side_by_side(enc1, enc2):
+    """One system of both, enc2's participants renamed apart from enc1's."""
+    ren = dict(zip(PARTS, "DEF"))
+    return {**enc1, **{ren[p]: (init, tuple(
+        (src, ren[s], ren[r], op, label, dst)
+        for src, s, r, op, label, dst in edges))
+        for p, (init, edges) in enc2.items()}}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(encodings(), encodings(), st.sampled_from((1, 2)), st.booleans())
+@example(oracles.COMMIT, oracles.UNINFORMED, 1, True)
+@example(oracles.COMMIT, oracles.COMMIT, 2, True)
+@example(oracles.RACE, oracles.DEADLOCK, 1, False)
+def test_split_check_safety_agrees_with_the_product(enc1, enc2, k, live):
+    enc = side_by_side(enc1, enc2)
+    s = system(enc)
+    assert len(_components(s)) >= 2
+    report = check_safety(s, k, live)
+    assert repr(report) == repr(_product_safety(s, _table(s, k), live))
+    c = report.liveness_counterexample
+    want = oracles.liveness(enc, k) if live else (None, None)
+    assert (report.liveness, c and (c.states, c.buffers)) == want
