@@ -9,6 +9,7 @@ iteration orders are deterministic so reports and golden tests are stable.
 
 from __future__ import annotations
 
+import math
 import os
 from .errors import ResourceLimit
 from .syntax import Action, Machine, System, _Record
@@ -163,6 +164,33 @@ def initial(s: System) -> Config:
 # only for callers.  Local types and equation systems run on it too, as the
 # machine systems of `to_machine` and `gto_machine`.
 
+def _check(s: System) -> dict:
+    """The labels sent on each channel used, kept on s.  ValueError: a move
+    on a self-channel, of another participant, or to one without a machine."""
+    if "_used" in s.__dict__:
+        return s.__dict__["_used"]
+    used: dict = {}
+    for _, m in s.machines:
+        for _, a, _ in m.transitions:
+            if a.sender == a.receiver:
+                raise ValueError(f"machine {m.owner} uses the self-channel "
+                                 f"{a.sender}{a.receiver}")
+            if a.subject != m.owner:
+                raise ValueError(f"machine {m.owner} holds {a}, an action "
+                                 f"of {a.subject}")
+            used.setdefault(a.channel, set()).update(
+                (a.label,) if a.op == "!" else ())
+    stray = {q for ch in used for q in ch}.difference(s.participants)
+    if stray:
+        q = min(stray)
+        owner = next(m.owner for _, m in s.machines
+                     for _, a, _ in m.transitions if q in a.channel)
+        raise ValueError(f"machine {owner} talks to {q}, which has no "
+                         f"machine in the system")
+    s.__dict__["_used"] = used
+    return used
+
+
 class _Table:
     """A system compiled at the send bound k, each configuration one int:
     from the highest bits down, one region per participant in sorted order,
@@ -174,8 +202,7 @@ class _Table:
     under the region, state shift and mask, moves by state index, region
     mask, unspecified reception by region value), a move being (action,
     field shift, field mask, deltas, (is_send, channel, label, code
-    change)).  Raises ValueError for a move on a self-channel, of another
-    participant, or to a participant without a machine."""
+    change)).  s is checked by `_check`."""
 
     __slots__ = ("k", "width", "chans", "sent", "codes", "names", "at",
                  "shift", "top", "words", "ids", "cand", "nonempty", "final",
@@ -183,24 +210,7 @@ class _Table:
 
     def __init__(self, s: System, k: int, c: Config | None = None):
         machines = [s.machine(p) for p in s.participants]
-        used: dict = {}  # the labels sent on each channel some move uses
-        for m in machines:
-            for _, a, _ in m.transitions:
-                if a.sender == a.receiver:
-                    raise ValueError(f"machine {m.owner} uses the self-channel "
-                                     f"{a.sender}{a.receiver}")
-                if a.subject != m.owner:
-                    raise ValueError(f"machine {m.owner} holds {a}, an action "
-                                     f"of {a.subject}")
-                used.setdefault(a.channel, set()).update(
-                    (a.label,) if a.op == "!" else ())
-        stray = {q for ch in used for q in ch}.difference(s.participants)
-        if stray:
-            q = min(stray)
-            owner = next(m.owner for m in machines
-                         for _, a, _ in m.transitions if q in a.channel)
-            raise ValueError(f"machine {owner} talks to {q}, which has no "
-                             f"machine in the system")
+        used = _check(s)
         self.k, self.width = k, len(s.channels)
         self.chans = tuple(i for i, ch in enumerate(s.channels) if ch in used)
         chans = {s.channels[i]: j for j, i in enumerate(self.chans)}
@@ -479,28 +489,24 @@ def check_safety(s: System, k: int,
     Raises ValueError for k < 1 and ResourceLimit when more than
     `node_cap()` configurations are found, exactly as `reach` does.
 
-    A system whose used channels fall into several connected components
-    (see `_components`) is decided per component when the report is
-    clean; otherwise, and for a connected system, RS_k itself is searched
-    (`_product_safety`)."""
-    t = _table(s, k)  # checks s as a whole, for every component
-    parts = _components(s)
-    if parts:
-        report = _split_safety(parts, k, check_liveness)
-        if report is not None:
-            return report
-    return _product_safety(s, t, check_liveness)
+    Several components of machine factors (see `_components`) are decided
+    one by one when the report is clean; otherwise RS_k itself is searched
+    (`_product_safety`), and only then is s compiled whole."""
+    if k < 1:
+        raise ValueError("bound k must be >= 1")
+    parts = _components(s)  # checks s as a whole, for every component
+    report = parts and _split_safety(parts, k, check_liveness)
+    return report or _product_safety(s, _table(s, k), check_liveness)
 
 
-def _marks(t: _Table, keys: list) -> tuple[list, list]:
-    """The indices of the final keys and of those with a flag in
-    BAD_FLAGS."""
+def _marks(t: _Table, keys: list, rows=None) -> tuple[list, list]:
+    """Indices of the final keys, and of the bad or, given rows, stuck ones."""
     finals, bad = [], []
     for i, key in enumerate(keys):
         flags = _flags(t, key)
         if flags is _FINAL:
             finals.append(i)
-        elif flags and flags is not _STABLE:  # deadlock, orphan, unspecified
+        elif flags and (flags is not _STABLE or rows and not rows[i]):
             bad.append(i)
     return finals, bad
 
@@ -528,55 +534,109 @@ def _product_safety(s: System, t: _Table,
     return SafetyReport(t.k, tuple(violations), liveness, counterexample)
 
 
-def _components(s: System) -> tuple[System, ...]:
-    """The systems of the connected components of s, where a transition
-    joins its sender and receiver, in order of their least participant; ()
-    when s is connected.  One union-find, kept on s; s must have passed
-    `_table`'s checks.
+def _peer(a: Action) -> str:
+    return a.receiver if a.op == "!" else a.sender
 
-    Participants of different components share no channel, so they move
-    independently: RS_k of s is the product of the components' RS_k."""
+
+def _find(root: dict, x):
+    """The representative of x in the union-find root, halving the path."""
+    while root[x] != x:
+        root[x] = x = root[root[x]]
+    return x
+
+
+def _factors(m: Machine) -> tuple[dict, list] | None:
+    """m's peers by class, {peer: i}, and each class's quotient {state:
+    representative} by the moves with the other classes; None when m is
+    directed or fails the gate.  Peers share a class when a move with one
+    changes the moves with the other.  The gate, which makes m the product
+    of the quotients: states map one to one onto their tuples of quotient
+    states, each with the same (action, quotient target) moves from all."""
+    pairs = {(q, _peer(a)) for q, a, _ in m.transitions}
+    if len(pairs) == len({q for q, _ in pairs}):
+        return None
+    acts = {(q, y): {a for _, a, _ in m.outgoing(q) if _peer(a) == y}
+            for q, y in pairs}
+    root = {y: y for _, y in pairs}
+    for q, a, d in m.transitions:
+        for y in root:
+            if acts.get((q, y)) != acts.get((d, y)):
+                root[_find(root, y)] = _find(root, _peer(a))
+    roots = sorted({_find(root, y) for y in root})
+    index = {y: roots.index(_find(root, y)) for y in root}
+    states, reps = m.states | {m.initial}, []
+    for i in range(len(roots)):
+        root = {q: q for q in states}
+        for q, a, d in m.transitions:
+            if index[_peer(a)] != i:
+                root[_find(root, q)] = _find(root, d)
+        rep, moves = {q: _find(root, q) for q in states}, {}
+        for q in states:
+            mv = {(a, rep[d]) for _, a, d in m.outgoing(q)
+                  if index[_peer(a)] == i}
+            if moves.setdefault(rep[q], mv) != mv:
+                return None
+        reps.append(rep)
+    size = math.prod(len(set(rep.values())) for rep in reps)
+    tuples = {tuple(rep[q] for rep in reps) for q in states}
+    return (index, reps) if size == len(tuples) == len(states) else None
+
+
+def _components(s: System) -> tuple[System, ...]:
+    """The systems of the components of s, kept on s; () for one.  s is
+    checked first.  One union-find over machine factors (p, i), i a class
+    of `_factors` or 0 for a p kept whole: a move joins its factor to its
+    peer's factor that holds the owner.  A component has each p's quotient
+    by its classes in it, and a move; RS_k of s is their product."""
     parts = s.__dict__.get("_parts")
     if parts is None:
-        root = {p: p for p in s.participants}
-
-        def find(p):
-            while root[p] != p:
-                root[p] = p = root[root[p]]
-            return p
-
-        for _, m in s.machines:
-            for _, a, _ in m.transitions:
-                root[find(a.sender)] = find(a.receiver)
-        groups: dict = {}
-        for p, m in s.machines:
-            groups.setdefault(find(p), []).append((p, m))
-        parts = tuple(System(tuple(g)) for g in groups.values())
-        parts = s.__dict__["_parts"] = parts if len(parts) > 1 else ()
+        used = _check(s)
+        split = {p: _factors(m) or ({}, [None]) for p, m in s.machines}
+        root = {(p, i): (p, i) for p, (_, reps) in split.items()
+                for i in range(len(reps))}
+        for p, q in used:  # every move on the channel pq joins these two
+            x, y = (p, split[p][0].get(q, 0)), (q, split[q][0].get(p, 0))
+            root[_find(root, x)] = _find(root, y)
+        groups: dict = {}  # {p: its classes in the component}
+        for p, i in root:
+            groups.setdefault(_find(root, (p, i)), {}).setdefault(
+                p, set()).add(i)
+        groups = [g for g in groups.values()
+                  if any(s.machine(p).transitions for p in g)]
+        parts = s.__dict__["_parts"] = () if len(groups) < 2 else tuple(
+            System(tuple((p, _quotient(s.machine(p), *split[p], c))
+                         for p, c in g.items())) for g in groups)
     return parts
+
+
+def _quotient(m: Machine, index: dict, reps: list, classes: set) -> Machine:
+    """m on the classes, over tuples of their `_factors` quotients."""
+    if len(classes) == len(reps):
+        return m
+    reps = [reps[i] for i in sorted(classes)]
+    name = {q: tuple(rep[q] for rep in reps) for q in reps[0]}
+    return Machine(m.owner, name[m.initial], tuple(
+        {(name[q], a, name[d]) for q, a, d in m.transitions
+         if index[_peer(a)] in classes}))
 
 
 def _split_safety(parts: tuple, k: int,
                   check_liveness: bool) -> SafetyReport | None:
     """The clean report of the system of the components parts, None when
-    it may not be clean.  A configuration of the product is a tuple of the
-    components' ones, and its flags follow from theirs: a deadlock needs
-    every component deadlocked, an orphan or an unspecified reception one
-    component showing it, so no bad flag in any component means none in
-    the product.  The product has a final configuration when each
-    component has one, and every configuration reaches one when that
-    holds in each component.  Raises ResourceLimit as soon as the product
-    of the sizes exceeds `node_cap()`, where the product's search would."""
-    cap = node_cap()
-    size = 1
-    scans = []
+    it may not be clean.  A participant is final when its factors all are,
+    receiving when they are final or receiving and not all final.  So a
+    bad flag of the product shows in a component, but a deadlock only as a
+    stuck one (stable, not final, no moves; tests/data/triangle.cfsm).
+    Final configurations and liveness compose.  Raises ResourceLimit as
+    soon as the product of the sizes exceeds `node_cap()`."""
+    cap, size, scans = node_cap(), 1, []
     for part in parts:
         keys, rows = _explore(part, k)
         size *= len(keys)
         if size > cap:
             raise ResourceLimit(
                 f"reachability set exceeded the node cap of {cap}")
-        finals, bad = _marks(_table(part, k), keys)
+        finals, bad = _marks(_table(part, k), keys, rows)
         if bad:
             return None
         scans.append((rows, finals))

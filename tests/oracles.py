@@ -554,14 +554,20 @@ def liveness(sys_enc, k):
     configuration; otherwise whether every configuration can reach a final
     one, and the first in breadth-first order that cannot."""
     nodes, succ, _ = rs_graph(sys_enc, k)
-    finals = {i for i, c in enumerate(nodes)
-              if "final" in classify(sys_enc, c)}
-    if not finals:
+    can = ["final" in classify(sys_enc, c) for c in nodes]
+    if not any(can):
         return None, None
-    for i, c in enumerate(nodes):
-        if not _forward(succ, i) & finals:
-            return False, c
-    return True, None
+    # the least fixpoint of: can finish = final, or has a successor that
+    # can finish; latest first, as successors mostly come later in BFS order
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(len(nodes))):
+            if not can[i] and any(can[j] for _, j in succ[i]):
+                can[i] = changed = True
+    if all(can):
+        return True, None
+    return False, nodes[can.index(False)]
 
 
 def _moves(sys_enc, p, q, op):

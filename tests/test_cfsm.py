@@ -1,4 +1,5 @@
 """Configurations, bounded reachability, classification, safety."""
+import math
 from collections import Counter
 
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   SafetyReport, check_safety, classify, dot_machine,
                   dot_reach, dot_system, fire, initial, is_basic,
-                  local_config, make_system, parse_local, reach, to_machine,
-                  traces, traces_local, trie_flatten)
-from mpst.cfsm import _components, _explore, _table
+                  local_config, make_system, parse_local, parse_system,
+                  reach, to_machine, traces, traces_local, trie_flatten)
+from mpst.cfsm import (_components, _explore, _factors, _product_safety,
+                       _table)
 from conftest import load
 import mpst
 import oracles
@@ -298,10 +300,14 @@ def test_a_move_parse_system_rejects_is_a_value_error():
      "machine C holds A0C!a, an action of A0"),
     ((), 0, "bound k must be >= 1"),
     ((), -1, "bound k must be >= 1"),
-], ids=["self-channel", "no-machine", "borrowed", "k=0", "k=-1"])
+    ((("q0", Action("C", "C", "!", "a"), "q1"),), 0,
+     "bound k must be >= 1"),
+], ids=["self-channel", "no-machine", "borrowed", "k=0", "k=-1",
+        "k=0-self-channel"])
 def test_a_disconnected_system_is_checked_as_a_whole(extra, k, msg):
     # C, with the move extra, is a component of its own: the whole system
-    # is checked first, with the messages of a connected one
+    # is checked first, with the messages of a connected one, and the
+    # bound before the system
     s = make_system(_loops(2) + [Machine("C", "q0", extra)])
     with pytest.raises(ValueError, match=msg):
         check_safety(s, k)
@@ -510,6 +516,80 @@ def test_pairs_are_decided_per_pair(monkeypatch, n, k, c):
                 check_safety(s, k)
         else:
             check_safety(s, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_shared_sender_is_decided_per_branch(monkeypatch, k):
+    # S of fj(2) runs its loops to B0 and B1 at once: its 9 states are the
+    # product of two 3-state loops, so it is split into one factor per
+    # branch; the branches' RS_k decide the product's, and the cap still
+    # counts the product
+    s = parse_system(load("fork2.cfsm"))
+    parts = _components(s)
+    assert [part.participants for part in parts] == [("B0", "S"), ("B1", "S")]
+    assert [len(m.states) for part in parts for _, m in part.machines] == \
+        [3, 3, 3, 3]
+    size = len(_explore(s, k)[0])
+    assert math.prod(len(_explore(part, k)[0]) for part in parts) == size
+    monkeypatch.setattr(mpst.cfsm, "_product_safety",
+                        lambda *args: pytest.fail("searched the product"))
+    assert check_safety(s, k) == SafetyReport(k, (), True)
+    monkeypatch.setenv("MPST_NODE_CAP", str(size - 1))
+    with pytest.raises(ResourceLimit, match=f"node cap of {size - 1}$"):
+        check_safety(s, k)
+
+
+def _a_moves(init, moves):
+    """A's machine from (source, peer, op, label, target) moves."""
+    return Machine("A", init, tuple(
+        (src, Action("A", q, op, x) if op == "!" else Action(q, "A", op, x),
+         dst) for src, q, op, x, dst in moves))
+
+
+@pytest.mark.parametrize("init,moves,classes", [
+    # a directed machine is never split
+    ("q0", [("q0", "B", "!", "a", "q1"), ("q1", "C", "?", "b", "q0")], None),
+    # a to B, then b to C or c to C, interleaved: the product of 2 and 3
+    # states
+    ("p0", [(f"p{i}", "B", "!", "a", f"p{i + 3}") for i in range(3)]
+     + [(f"p{3 * j}", "C", "!", x, f"p{3 * j + i}")
+        for j in range(2) for x, i in (("b", 1), ("c", 2))], [{"B"}, {"C"}]),
+    # a and b always enabled, on 2 states: each quotient has 1 state with
+    # the same moves from both, but 2 states are not 1 x 1
+    ("q0", [(q, p, "!", x, d) for q, d in (("q0", "q1"), ("q1", "q0"))
+            for p, x in (("B", "a"), ("C", "b"))], None),
+    # 4 states onto 2 x 2, but C?d loops only after B!a: the C quotient
+    # state of q0 and q2 has different moves from each
+    ("q2", [("q0", "C", "?", "d", "q0"), ("q0", "C", "?", "d", "q1"),
+            ("q2", "B", "!", "a", "q0"), ("q2", "C", "?", "d", "q3"),
+            ("q3", "B", "!", "a", "q1")], None),
+], ids=["directed", "product", "too-few-states", "moves-differ"])
+def test_a_machine_is_split_only_into_the_factors_of_a_product(init, moves,
+                                                               classes):
+    factors = _factors(_a_moves(init, moves))
+    if classes is None:
+        assert factors is None
+    else:
+        index, reps = factors
+        assert [{p for p, i in index.items() if i == c}
+                for c in range(len(reps))] == classes
+        assert [len(set(rep.values())) for rep in reps] == [2, 3]
+
+
+def test_a_deadlock_of_factors_is_found_in_the_product():
+    # P, X and Y each interleave one send to the next with two receives
+    # from the previous, so each is split in two factors.  Each of the
+    # three components ends with a final sender and a waiting receiver:
+    # stuck, not deadlocked.  The product is deadlocked, and only the
+    # fall-back to its search on a stuck component reports it
+    s = parse_system(load("triangle.cfsm"))
+    parts = _components(s)
+    assert [part.participants for part in parts] == \
+        [("P", "X"), ("P", "Y"), ("X", "Y")]
+    for live in (True, False):
+        report = check_safety(s, 2, live)
+        assert repr(report) == repr(_product_safety(s, _table(s, 2), live))
+        assert [kind for kind, _, _ in report.violations] == ["deadlock"]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
