@@ -2,7 +2,11 @@
 
 
 class MPSTError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.  `_exit_code` is the exit code of
+    `mpst` on the error: 1 for a negative verdict, 2 for malformed input or
+    usage, 3 for a blown resource cap."""
+
+    _exit_code = 2
 
 
 class ParseError(MPSTError):
@@ -17,6 +21,8 @@ class ParseError(MPSTError):
 class MergeFailure(MPSTError):
     """Merge (⊔) undefined; carries the label path to the first conflict."""
 
+    _exit_code = 1
+
     def __init__(self, msg, path=()):
         self.path = tuple(path)
         if self.path:
@@ -25,24 +31,24 @@ class MergeFailure(MPSTError):
 
 
 class NotBasic(MPSTError):
-    pass
+    _exit_code = 1
 
 
 class NotCompatible(MPSTError):
-    pass
+    _exit_code = 1
 
 
 class SynthesisFailure(MPSTError):
-    pass
+    _exit_code = 1
 
 
 class ChoiceOwnership(MPSTError):
-    pass
+    _exit_code = 1
 
 
 class NotSessionCompatible(MPSTError):
-    pass
+    _exit_code = 1
 
 
 class ResourceLimit(MPSTError):
-    pass
+    _exit_code = 3

@@ -142,8 +142,10 @@ def _transitions(eq) -> tuple:
 
 def _action(msg, p: Participant) -> Action | None:
     """What p does when the message equation msg fires: a local send or
-    receive is p's own; a global exchange is p's send or receive, or None
-    when it does not involve p."""
+    receive is p's own (a ValueError if its peer is p); a global exchange
+    is p's send or receive, or None when it does not involve p."""
+    if isinstance(msg, GLSend | GLRecv) and msg.peer == p:
+        raise ValueError(f"participant {p} cannot message itself")
     if isinstance(msg, GLSend):
         return Action(p, msg.peer, "!", msg.label)
     if isinstance(msg, GLRecv):
@@ -217,8 +219,6 @@ def _net(t: GeneralGlobal | GeneralLocal, p: Participant) -> tuple:
         for eq in t.equations:
             for ins, outs, msg in _transitions(eq):
                 act = None if msg is None else _action(msg, p)
-                if act is not None and act.sender == act.receiver:
-                    raise ValueError(f"participant {p} cannot message itself")
                 index = silent if act is None else acting
                 for x in ins:
                     index.setdefault(x, []).append((ins, outs, act))

@@ -24,7 +24,10 @@ from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, Local,
 
 
 def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global], ...]:
-    """All enabled steps of a global type, k-bounded when k is given."""
+    """All enabled steps of a global type, k-bounded when k is given.
+    Raises ValueError for k < 1."""
+    if k is not None and k < 1:
+        raise ValueError("bound k must be >= 1")
     steps = _step(g)
     if k is not None:
         bufs = gbuffers(g)
@@ -34,16 +37,22 @@ def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global],
     return steps
 
 
-def _step(g: Global, blocked: frozenset = frozenset()) -> tuple[tuple[Action, Global], ...]:
+def _step(g: Global, blocked: frozenset = frozenset(),
+          unfolded: frozenset = frozenset()) -> tuple[tuple[Action, Global], ...]:
     # `blocked` holds participants pinned down by enclosing exchanges; once
     # a subterm involves only blocked participants nothing inside it can
     # surface, which also grounds the recursion on recursive types.
+    # `unfolded` holds the (recursion, blocked) pairs unfolded on the way
+    # down; a pair met again steps nothing, since any step through it would
+    # need a step of the same pair first.
     if isinstance(g, (GEnd, GVar)):
         return ()
     if blocked and gparticipants(g) <= blocked:
         return ()
     if isinstance(g, GRec):
-        return _step(unfold(g), blocked)
+        if (g, blocked) in unfolded:
+            return ()
+        return _step(unfold(g), blocked, unfolded | {(g, blocked)})
     assert isinstance(g, GBranch)
     out = []
     if g.mid is None:
@@ -54,13 +63,14 @@ def _step(g: Global, blocked: frozenset = frozenset()) -> tuple[tuple[Action, Gl
                 out.append((act, GBranch(g.src, g.dst, g.branches, j)))
         # step uniformly under every branch for uninvolved participants
         inner = blocked | {g.src, g.dst}
-        for act, g0 in _step(g.branches[0][1], inner):
+        for act, g0 in _step(g.branches[0][1], inner, unfolded):
             if act.subject in (g.src, g.dst):
                 continue
             newbranches = [(g.branches[0][0], g0)]
             okay = True
             for label, gi in g.branches[1:]:
-                succ = [h for a2, h in _step(gi, inner) if a2 == act]
+                succ = [h for a2, h in _step(gi, inner, unfolded)
+                        if a2 == act]
                 if not succ:
                     okay = False
                     break
@@ -73,7 +83,7 @@ def _step(g: Global, blocked: frozenset = frozenset()) -> tuple[tuple[Action, Gl
             act = Action(g.src, g.dst, "?", label)
             out.append((act, cont))
         # inside the committed branch everyone but the receiver may move
-        for a2, c2 in _step(cont, blocked | {g.dst}):
+        for a2, c2 in _step(cont, blocked | {g.dst}, unfolded):
             if a2.subject == g.dst:
                 continue
             newbranches = list(g.branches)

@@ -718,6 +718,7 @@ def _bound_calls(k):
     fam = {p: mpst.gproject(gg, p) for p in mpst.gg_participants(gg)}
     return {
         "fire": lambda: fire(initial(s), s, k),
+        "step_global": lambda: mpst.step_global(g, k),
         "traces": lambda: traces(s, 4, k),
         "traces_global": lambda: mpst.traces_global(g, 4, k),
         "traces_local": lambda: traces_local(mpst.project_config(g), 4, k),

@@ -2,6 +2,8 @@
 import errno
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -218,11 +220,18 @@ def test_bad_arguments_are_one_line_usage_errors(args, message):
     assert (rc, out, err) == (2, "", f"mpst: {message}\n")
 
 
-@pytest.mark.parametrize("cmd", ["translate", "dot"])
-def test_a_self_message_in_a_local_type_is_a_usage_error(tmp_path, cmd):
-    # not a machine that `mpst parse` would then reject
-    path = tmp_path / "self.lt"
-    path.write_text("A!a. end\n")
+@pytest.mark.parametrize("cmd,name,text", [
+    ("translate", "self.lt", "A!a. end\n"),
+    ("dot", "self.lt", "A!a. end\n"),
+    ("petri", "self.glt", "init x0; x0 = A ! a ; x1; x1 = end;\n"),
+    ("dot", "self.glt", "init x0; x0 = A ! a ; x1; x1 = end;\n"),
+], ids=["translate", "dot", "petri-glt", "dot-glt"])
+def test_a_self_message_in_a_local_type_is_a_usage_error(tmp_path, cmd, name,
+                                                         text):
+    # not a machine that `mpst parse` would then reject, nor a net whose
+    # transitions read "AA!a"
+    path = tmp_path / name
+    path.write_text(text)
     rc, out, err = run(cmd, path, "-p", "A")
     assert (rc, out) == (2, "")
     assert err == "mpst: participant A cannot message itself\n"
@@ -251,3 +260,116 @@ def test_invalid_node_cap_is_a_usage_error(monkeypatch, capsys, cap):
     assert main(["check", str(DATA / "commit.cfsm"), "--bound", "1"]) == 2
     assert capsys.readouterr().err == \
         f"mpst: MPST_NODE_CAP must be an integer >= 1, not {cap!r}\n"
+
+
+# one file of each kind of input, by suffix
+KIND_FILES = {".gt": "commit.gt", ".lt": "commit_c.lt", ".cfsm": "commit.cfsm",
+              ".ggt": "data_transfer.ggt", ".glt": "data_transfer_a.glt"}
+# each verb but parse: the suffixes it reads, what it says it expects on any
+# other, and the options it needs
+READS = [
+    ("project", ".gt", "a global type (.gt)", ["-p", "A"]),
+    ("wf", ".gt", "a global type (.gt)", []),
+    ("translate", ".lt .cfsm", "a local type (.lt) or machines (.cfsm)", []),
+    ("compat", ".cfsm", "machines (.cfsm)", []),
+    ("synth", ".cfsm", "machines (.cfsm)", []),
+    ("check", ".cfsm", "machines (.cfsm)", ["--bound", "1"]),
+    ("simulate", ".gt .cfsm", "a global type (.gt) or machines (.cfsm)",
+     ["--steps", "2", "--bound", "1"]),
+    ("gproject", ".ggt", "a global equation system (.ggt)", ["-p", "A"]),
+    ("gsynth", ".cfsm", "machines (.cfsm)", []),
+    ("session", ".cfsm", "machines (.cfsm)", []),
+    ("petri", ".glt .ggt", "an equation system (.glt or .ggt)", []),
+    ("dot", ".cfsm .lt .glt .ggt",
+     "machines, a local type, or an equation system", []),
+]
+WRONG_KINDS = [(verb, suffix, expects, opts)
+               for verb, reads, expects, opts in READS
+               for suffix in KIND_FILES if suffix not in reads.split()]
+
+
+@pytest.mark.parametrize("verb,suffix,expects,opts", WRONG_KINDS,
+                         ids=[f"{v}-{s[1:]}" for v, s, _, _ in WRONG_KINDS])
+def test_a_verb_refuses_every_kind_of_input_it_does_not_read(
+        capsys, verb, suffix, expects, opts):
+    rc = main([verb, str(DATA / KIND_FILES[suffix]), *opts])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (2, "", f"mpst: {verb} expects {expects}\n")
+
+
+FUZZ_OPTIONS = {
+    "parse": [[]],
+    "project": [["-p", "A"], ["-p", "C"]],
+    "wf": [[]],
+    "translate": [[], ["-p", "A"]],
+    "compat": [[], ["--json"]],
+    "synth": [[], ["--verify", "4,2"]],
+    "check": [["--bound", "1"], ["--bound", "2", "--liveness"]],
+    "simulate": [["--steps", "5", "--bound", "1"]],
+    "gproject": [["-p", "A"]],
+    "gsynth": [[]],
+    "session": [[]],
+    "petri": [[], ["-p", "B", "--dot"]],
+    "dot": [[], ["-p", "A"], ["--bound", "1"]],
+}
+# pieces of the five input languages, spliced into the corpus
+FUZZ_TOKENS = [b"->", b":", b";", b".", b",", b"{", b"}", b"!", b"?", b"+",
+               b"|", b"(+)", b"=", b"-->", b"rec t.", b"end", b"init", b"\xff"]
+KEYWORDS = {b"machine", b"init", b"rec", b"end"}
+
+
+def _mutants(rng, corpus, n):
+    """n corpus files, each with one or two of: a name renamed to another
+    name of the file (participants to participants), a line dropped, doubled
+    or replaced by another, the text cut short, a token spliced in; or
+    random bytes.  Each keeps its file's suffix or, now and then, takes
+    another one.  None nests deeply."""
+    for _ in range(n):
+        name, data = rng.choice(corpus)
+        suffix = "." + name.rsplit(".", 1)[1]
+        for _ in range(rng.randint(1, 2)):
+            roll, i = rng.random(), rng.randrange(len(data) + 1)
+            lines = data.splitlines(True)
+            j, k = rng.randrange(len(lines)), rng.randrange(len(lines))
+            names = [m for m in re.finditer(rb"\w+", data)
+                     if m[0] not in KEYWORDS]
+            if roll < 0.5 and names:
+                m = rng.choice(names)
+                data = data[:m.start()] + rng.choice(
+                    [x[0] for x in names
+                     if x[0][:1].isupper() == m[0][:1].isupper()]
+                ) + data[m.end():]
+            elif roll < 0.75:  # the line formats mostly still parse
+                lines[j:j + 1] = rng.choice(([], [lines[j]] * 2, [lines[k]]))
+                data = b"".join(lines) or data
+            elif roll < 0.85:
+                data = data[:i]
+            else:
+                data = data[:i] + rng.choice(FUZZ_TOKENS) + data[i:]
+            if not data:
+                break
+        if rng.random() < 0.05:
+            data = bytes(rng.randrange(256) for _ in range(rng.randrange(60)))
+        if rng.random() < 0.1:
+            suffix = rng.choice(list(KIND_FILES))
+        yield suffix, data
+
+
+def test_every_input_ends_in_an_exit_code(tmp_path, monkeypatch, capsys):
+    # whatever the file holds, main answers 0-3 and lets no error escape;
+    # small caps keep each search short, and the smaller one is blown (3)
+    rng = random.Random(19)
+    corpus = sorted((p.name, p.read_bytes()) for p in DATA.iterdir())
+    for n, (suffix, data) in enumerate(_mutants(rng, corpus, 60)):
+        monkeypatch.setenv("MPST_NODE_CAP", rng.choice(["20", "2000"]))
+        path = tmp_path / f"in{n}{suffix}"
+        path.write_bytes(data)
+        for verb, option_sets in FUZZ_OPTIONS.items():
+            for opts in option_sets:
+                argv = [verb, str(path), *opts]
+                try:
+                    rc = main(argv)
+                except Exception as e:  # the failure names the input
+                    pytest.fail(f"{argv} on {data!r} raised {e!r}")
+                assert rc in (0, 1, 2, 3), (argv, data)
+        capsys.readouterr()

@@ -107,6 +107,8 @@ def test_a_local_system_that_messages_its_owner_is_a_value_error():
         gto_machine(t, "A")
     with pytest.raises(ValueError, match=msg):
         gtraces_local({"A": t}, 3, 1)
+    with pytest.raises(ValueError, match=msg):
+        to_petri(t, "A")
     assert len(gto_machine(t, "B").states) == 2
 
 

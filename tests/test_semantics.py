@@ -58,6 +58,21 @@ def test_uninvolved_pair_blocked_when_branches_differ():
     assert acts(step_global(g, 1)) == ["AB!l", "AB!r"]
 
 
+@pytest.mark.parametrize("text,trace", [
+    ("rec t. A -> B : { x. t, y. C -> D : m. end }", "AB!y CD!m"),
+    ("rec t. A -> B : { x. A -> C : x. t, y. A -> C : y. C -> D : m. end }",
+     "AB!y AC!y AC?y CD!m"),
+])
+def test_a_loop_branch_under_blocked_exchanges_steps_nothing(text, trace):
+    # C and D may step under A -> B only in both branches, and the branch
+    # of the loop meets the same recursion with the same participants
+    # blocked: stepping it once recursed without end
+    g = parse_global(text)
+    assert acts(step_global(g, 1)) == ["AB!x", "AB!y"]
+    assert trace in {" ".join(map(str, t))
+                     for t in trie_flatten(traces_global(g, 4, 1))}
+
+
 def test_send_respects_buffer_bound():
     g = parse_global("A -> B : x. A -> B : y. end")
     mid = dict((str(a), t) for a, t in step_global(g, 1))["AB!x"]
