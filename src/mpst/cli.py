@@ -40,7 +40,7 @@ def _syntax(path: str):
 
 def _load(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}") from e
     except UnicodeDecodeError as e:

@@ -254,59 +254,55 @@ _SPLITS = {"|": Fork, "+": GGChoice, "(+)": GLIChoice, "&": GLEChoice}
 
 def _parse_equations(text: str, local: bool):
     p = _Parser(text)
-    kw = p.ident()
-    if kw.text != "init":
-        raise ParseError("equation systems start with 'init <var>;'",
-                         kw.line, kw.col)
-    entry = p.ident("entry variable").text
+    if p.ident() != "init":
+        raise p.fail("equation systems start with 'init <var>;'", 0)
+    entry = p.ident("entry variable")
     p.expect(";")
     forms = LOCAL_EQS if local else GLOBAL_EQS
     eqs = []
     while not p.at_end():
-        v1 = p.ident("variable").text
+        v1 = p.ident("variable")
         tok = p.next()
-        if tok.text in _JOINS:
-            v2 = p.ident("variable").text
+        if tok in _JOINS:
+            v2 = p.ident("variable")
             p.expect("=")
-            rhs = p.ident("variable").text
+            rhs = p.ident("variable")
             p.expect(";")
-            eqs.append(_JOINS[tok.text](v1, v2, rhs))
+            eqs.append(_JOINS[tok](v1, v2, rhs))
             continue
-        if tok.text != "=":
-            raise ParseError(f"expected '=', '+' or '|', found {tok.text!r}",
-                             tok.line, tok.col)
-        if p.peek().text == "end":
+        if tok != "=":
+            raise p.fail(f"expected '=', '+' or '|', found {tok!r}", p.i - 1)
+        if p.peek() == "end":
             p.next()
             p.expect(";")
             eqs.append(EndEq(v1))
             continue
-        u = p.ident("variable or participant").text
+        u = p.ident("variable or participant")
         tok = p.next()
-        split = _SPLITS.get(tok.text)
-        if tok.text == ";":
+        split = _SPLITS.get(tok)
+        if tok == ";":
             eqs.append(Indir(v1, u))
         elif split in forms:
-            r = p.ident("variable").text
+            r = p.ident("variable")
             p.expect(";")
             eqs.append(split(v1, u, r))
-        elif tok.text == "->" and not local:
-            dst = p.ident("participant").text
+        elif tok == "->" and not local:
+            dst = p.ident("participant")
             p.expect(":")
-            label = p.ident("label").text
+            label = p.ident("label")
             p.expect(";")
-            cont = p.ident("variable").text
+            cont = p.ident("variable")
             p.expect(";")
             eqs.append(GGMsg(v1, u, dst, label, cont))
-        elif tok.text in ("!", "?") and local:
-            label = p.ident("label").text
+        elif tok in ("!", "?") and local:
+            label = p.ident("label")
             p.expect(";")
-            cont = p.ident("variable").text
+            cont = p.ident("variable")
             p.expect(";")
-            cls = GLSend if tok.text == "!" else GLRecv
+            cls = GLSend if tok == "!" else GLRecv
             eqs.append(cls(v1, u, label, cont))
         else:
-            raise ParseError(f"unexpected {tok.text!r} in equation",
-                             tok.line, tok.col)
+            raise p.fail(f"unexpected {tok!r} in equation", p.i - 1)
     return entry, tuple(eqs)
 
 

@@ -379,79 +379,89 @@ def make_system(machines) -> System:
 # --------------------------------------------------------------------------
 # Tokenizer
 
+# Every token, a `//` comment, and last any other non-space character: one
+# `findall` yields every token, as no character but whitespace is skipped.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>//[^\n]*)
-      | (?P<op>-->|->|~>|\(\+\)|--|[{}().,;:!?=+|&])
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
-)
+    r"//[^\n]*|-->|->|~>|\(\+\)|--|[A-Za-z_][A-Za-z0-9_]*|\S")
+
+# the tokens of one character: the operators, and identifiers of one letter
+_ONE_CHAR = frozenset("{}().,;:!?=+|&_abcdefghijklmnopqrstuvwxyz"
+                      "ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
-class Token(_Record):
-    __slots__ = ("kind", "text", "line", "col")  # kind: "op", "ident", "eof"
+def _position(text: str, at: int) -> tuple[int, int]:
+    """The line and column of offset `at` in text; only "\n" ends a line."""
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
-def tokenize(text: str) -> list[Token]:
-    toks = []
-    pos, line, linestart = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - linestart + 1)
-        kind = m.lastgroup
-        val = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, val, line, m.start() - linestart + 1))
-        line += val.count("\n")
-        if "\n" in val:
-            linestart = m.start() + val.rindex("\n") + 1
-        pos = m.end()
-    toks.append(Token("eof", "", line, pos - linestart + 1))
+def tokenize(text: str) -> list[str]:
+    """The tokens of text, comments left out, and "" for the end of input.
+    A character that starts no token is a ParseError at its position."""
+    toks = _TOKEN_RE.findall(text)
+    # the catch-all yields the only tokens of one character not allowed
+    if not _ONE_CHAR.issuperset(t for t in set(toks) if len(t) == 1):
+        for m in _TOKEN_RE.finditer(text):
+            c = m.group()
+            if c not in _ONE_CHAR and len(c) == 1:
+                raise ParseError(f"unexpected character {c!r}",
+                                 *_position(text, m.start()))
+    if "//" in text:
+        toks = [t for t in toks if not t.startswith("//")]
+    toks.append("")
     return toks
 
 
 class _Parser:
+    """A cursor over the tokens of text.  A token is an identifier when it
+    starts with a letter or "_", which for a token is `isidentifier`."""
+
     def __init__(self, text: str):
+        self.text = text
         self.toks = tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def next(self) -> Token:
+    def next(self) -> str:
         t = self.toks[self.i]
         self.i += 1
         return t
 
-    def expect(self, text: str) -> Token:
+    def expect(self, text: str) -> str:
         t = self.next()
-        if t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+        if t != text:
+            raise self.fail(f"expected {text!r}, found {t or 'end of input'!r}",
+                            self.i - 1)
         return t
 
-    def ident(self, what="identifier") -> Token:
+    def ident(self, what="identifier") -> str:
         t = self.next()
-        if t.kind != "ident":
-            raise ParseError(f"expected {what}, found {t.text or 'end of input'!r}",
-                             t.line, t.col)
+        if not t.isidentifier():
+            raise self.fail(f"expected {what}, found {t or 'end of input'!r}",
+                            self.i - 1)
         return t
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return not self.toks[self.i]
+
+    def fail(self, msg: str, i: int) -> ParseError:
+        """The ParseError msg at token i.  Only an error needs a position,
+        so the text is scanned again for it here."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)
+                  if not m.group().startswith("//")]
+        starts.append(len(self.text))
+        return ParseError(msg, *_position(self.text, starts[i]))
 
 
 # --------------------------------------------------------------------------
 # Type parsing
 
 def _parse_branches(p: _Parser, sub):
-    if p.peek().text == "{":
+    if p.peek() == "{":
         p.next()
         branches = [_parse_one_branch(p, sub)]
-        while p.peek().text == ",":
+        while p.peek() == ",":
             p.next()
             branches.append(_parse_one_branch(p, sub))
         p.expect("}")
@@ -460,27 +470,25 @@ def _parse_branches(p: _Parser, sub):
     labels = [l for l, _ in branches]
     if len(set(labels)) != len(labels):
         dup = next(l for l in labels if labels.count(l) > 1)
-        t = p.peek()
-        raise ParseError(f"duplicate branch label {dup!r}", t.line, t.col)
+        raise p.fail(f"duplicate branch label {dup!r}", p.i)
     return tuple(branches)
 
 
 def _parse_one_branch(p: _Parser, sub):
     lbl = p.ident("message label")
     p.expect(".")
-    return (lbl.text, sub(p))
+    return (lbl, sub(p))
 
 
 # the node classes and the name of each type language, by `local`
 _NODES = {False: ("global", GEnd, GVar, GRec), True: ("local", LEnd, LVar, LRec)}
 
 
-def _name(p: _Parser, what: str) -> Token:
+def _name(p: _Parser, what: str) -> str:
     """An identifier that is not a keyword, so the type prints back."""
     t = p.ident(what)
-    if t.text in ("end", "rec"):
-        raise ParseError(f"expected {what}, found keyword {t.text!r}",
-                         t.line, t.col)
+    if t in ("end", "rec"):
+        raise p.fail(f"expected {what}, found keyword {t!r}", p.i - 1)
     return t
 
 
@@ -488,45 +496,41 @@ def _parse_type(p: _Parser, env: tuple[str, ...], local: bool):
     """A global type, or with local set a local type: the two grammars
     differ only in the exchange after a participant name."""
     what, end, var_, rec = _NODES[local]
-    t = p.peek()
-    if t.text == "end":
-        p.next()
+    t = p.next()
+    if t == "end":
         return end()
-    if t.text == "rec":
-        p.next()
+    if t == "rec":
+        at = p.i
         var = _name(p, "recursion variable")
-        if var.text in env:
-            raise ParseError(f"recursion variable {var.text!r} shadows an outer binding",
-                             var.line, var.col)
+        if var in env:
+            raise p.fail(f"recursion variable {var!r} shadows an outer binding",
+                         at)
         p.expect(".")
-        body = _parse_type(p, env + (var.text,), local)
-        if not _guarded(body, var.text):
-            raise ParseError(f"unguarded recursion on {var.text!r}", var.line, var.col)
-        return rec(var.text, body)
-    if t.kind != "ident":
-        raise ParseError(f"expected a {what} type, found {t.text or 'end of input'!r}",
-                         t.line, t.col)
-    name = p.next()
+        body = _parse_type(p, env + (var,), local)
+        if not _guarded(body, var):
+            raise p.fail(f"unguarded recursion on {var!r}", at)
+        return rec(var, body)
+    if not t.isidentifier():
+        raise p.fail(f"expected a {what} type, found {t or 'end of input'!r}",
+                     p.i - 1)
     nxt = p.peek()
     sub = lambda q: _parse_type(q, env, local)
-    if local and nxt.text in ("!", "?"):
+    if local and nxt in ("!", "?"):
         p.next()
-        cls = LSend if nxt.text == "!" else LRecv
-        return cls(name.text, _parse_branches(p, sub))
-    if not local and nxt.text == "~>":
-        raise ParseError("the in-flight marker ~> is runtime-only",
-                         nxt.line, nxt.col)
-    if not local and nxt.text == "->":
+        cls = LSend if nxt == "!" else LRecv
+        return cls(t, _parse_branches(p, sub))
+    if not local and nxt == "~>":
+        raise p.fail("the in-flight marker ~> is runtime-only", p.i)
+    if not local and nxt == "->":
         p.next()
         dst = _name(p, "participant")
-        if dst.text == name.text:
-            raise ParseError(f"self-message {name.text}->{dst.text}",
-                             dst.line, dst.col)
+        if dst == t:
+            raise p.fail(f"self-message {t}->{dst}", p.i - 1)
         p.expect(":")
-        return GBranch(name.text, dst.text, _parse_branches(p, sub))
-    if name.text in env:
-        return var_(name.text)
-    raise ParseError(f"unbound recursion variable {name.text!r}", name.line, name.col)
+        return GBranch(t, dst, _parse_branches(p, sub))
+    if t in env:
+        return var_(t)
+    raise p.fail(f"unbound recursion variable {t!r}", p.i - 1)
 
 
 def _guarded(t, var: str) -> bool:
@@ -541,8 +545,7 @@ def _parse_whole(text: str, local: bool):
     p = _Parser(text)
     t = _parse_type(p, (), local)
     if not p.at_end():
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
+        raise p.fail(f"trailing input {p.peek()!r}", p.i)
     return t
 
 
@@ -559,53 +562,54 @@ def parse_local(text: str) -> Local:
 
 def parse_system(text: str) -> System:
     p = _Parser(text)
-    blocks = []
+    blocks = []  # (owner, its token index, initial state, edges)
     while not blocks or not p.at_end():  # at least one machine block
         p.expect("machine")
         owner = p.ident("participant")
+        owner_at = p.i - 1
         p.expect("{")
         p.expect("init")
         init = p.ident("state")
         p.expect(";")
         edges = []
-        while p.peek().text != "}":
+        while p.peek() != "}":
+            src_at = p.i
             src = p.ident("state")
             p.expect("--")
             snd = p.ident("participant")
             rcv = p.ident("participant")
             op = p.next()
-            if op.text not in ("!", "?"):
-                raise ParseError(f"expected '!' or '?', found {op.text!r}",
-                                 op.line, op.col)
+            if op not in ("!", "?"):
+                raise p.fail(f"expected '!' or '?', found {op!r}", p.i - 1)
             lbl = p.ident("message label")
             p.expect("-->")
             dst = p.ident("state")
             p.expect(";")
-            if snd.text == rcv.text:
-                raise ParseError(f"self-channel {snd.text}{rcv.text}",
-                                 snd.line, snd.col)
-            act = Action(snd.text, rcv.text, op.text, lbl.text)
-            if act.subject != owner.text:
-                raise ParseError(
-                    f"subject of {act} is {act.subject}, not machine owner {owner.text}",
-                    src.line, src.col)
-            edges.append((src.text, act, dst.text))
+            if snd == rcv:
+                raise p.fail(f"self-channel {snd}{rcv}", src_at + 2)  # at snd
+            act = Action(snd, rcv, op, lbl)
+            if act.subject != owner:
+                raise p.fail(
+                    f"subject of {act} is {act.subject}, not machine owner {owner}",
+                    src_at)
+            edges.append((src, act, dst))
         p.expect("}")
-        blocks.append((owner, init, edges))
+        blocks.append((owner, owner_at, init, edges))
 
-    owners = [b[0].text for b in blocks]
+    owners = [b[0] for b in blocks]
     if len(set(owners)) != len(owners):
         dup = next(o for o in owners if owners.count(o) > 1)
-        raise ParseError(f"duplicate machine block for {dup!r}")
+        second = [at for o, at, _, _ in blocks if o == dup][1]
+        raise p.fail(f"duplicate machine block for {dup!r}", second)
     known = set(owners)
     machines = []
-    for owner, init, edges in blocks:
+    for owner, owner_at, init, edges in blocks:
         for _, act, _ in edges:
             for part in (act.sender, act.receiver):
                 if part not in known:
-                    raise ParseError(f"unknown participant {part!r} in machine {owner.text}",
-                                     owner.line, owner.col)
-        m = Machine(owner.text, init.text, tuple(edges))
+                    raise p.fail(f"unknown participant {part!r} in machine {owner}",
+                                 owner_at)
+        m = Machine(owner, init, tuple(edges))
         # connectedness: every state reachable from the initial one
         seen, todo = {m.initial}, [m.initial]
         while todo:
@@ -616,9 +620,9 @@ def parse_system(text: str) -> System:
                     todo.append(d)
         missing = m.states - seen
         if missing:
-            raise ParseError(
-                f"disconnected state {sorted(missing)[0]!r} in machine {owner.text}",
-                owner.line, owner.col)
+            raise p.fail(
+                f"disconnected state {sorted(missing)[0]!r} in machine {owner}",
+                owner_at)
         machines.append(m)
     return make_system(machines)
 

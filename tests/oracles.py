@@ -10,6 +10,7 @@ Configurations are ((state, ...) in sorted-participant order,
 ((label, ...), ...) in sorted-channel order).
 """
 
+import re
 from collections import deque
 from itertools import product
 
@@ -779,3 +780,44 @@ if __name__ == "__main__":
             print(f"{name}: |RS_{k}| = {len(cfgs)}  edges = {len(edges)}  stable = {stables}")
         t2 = traces(enc, 2, 1)
         print(f"{name}: |traces(n=2,k=1)| = {len(t2)}")
+
+
+# ---------------------------------------------------------------------------
+# The token scanner as first written: one match per token, whitespace and
+# comments included, each token kept with its line and column.  Lines end
+# at "\n" only.
+
+_TOKEN_RE = re.compile(
+    r"""(?P<ws>\s+)
+      | (?P<comment>//[^\n]*)
+      | (?P<op>-->|->|~>|\(\+\)|--|[{}().,;:!?=+|&])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    """,
+    re.VERBOSE,
+)
+
+
+class ScanError(Exception):
+    """A character that starts no token: args are (message, line, column)."""
+
+
+def scan(text):
+    """The tokens of text as (kind, text, line, column) tuples, kind "op"
+    or "ident", and last ("eof", "", line, column) at the end of input."""
+    toks = []
+    pos, line, linestart = 0, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ScanError(f"unexpected character {text[pos]!r}",
+                            line, pos - linestart + 1)
+        kind = m.lastgroup
+        val = m.group()
+        if kind not in ("ws", "comment"):
+            toks.append((kind, val, line, m.start() - linestart + 1))
+        line += val.count("\n")
+        if "\n" in val:
+            linestart = m.start() + val.rindex("\n") + 1
+        pos = m.end()
+    toks.append(("eof", "", line, pos - linestart + 1))
+    return toks

@@ -44,6 +44,20 @@ def test_parse_handles_machines():
     assert out.startswith("machine A {\n  init q0;\n")
 
 
+def test_a_byte_order_mark_is_read_past(tmp_path):
+    bom = tmp_path / "commit.gt"
+    bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "commit.gt").read_bytes())
+    assert run("parse", bom) == run("parse", DATA / "commit.gt")
+    assert run("parse", bom)[0] == 0
+
+
+def test_a_bad_character_is_reported_at_its_position(tmp_path):
+    bad = tmp_path / "bad.gt"
+    bad.write_text("A -> B : x @ end\n")
+    assert run("parse", bad) == (
+        2, "", "mpst: 1:12: unexpected character '@'\n")
+
+
 def test_missing_file_is_reported():
     rc, _, err = run("parse", DATA / "no_such_file.gt")
     assert rc == 2 and "cannot read" in err

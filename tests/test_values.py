@@ -14,7 +14,7 @@ from mpst import (Action, CompatFailure, CompatReport, Config, EndEq, Fork,
                   Machine, Merge, ParseError, SafetyReport, SessionReport,
                   System, WellFormedReport, check_safety, gproject,
                   make_system, parse_gglobal, reach, to_petri)
-from mpst.syntax import Token, _Record
+from mpst.syntax import _Record
 
 DIAMOND = """init x0;
 x0 = x1 | x2;
@@ -39,7 +39,7 @@ def _samples() -> dict:
         GBranch("A", "B", (("x", GEnd()), ("y", GEnd())), 1),
         LEnd(), LVar("t"), LRec("t", LSend("B", (("x", LVar("t")),))),
         LSend("B", (("x", LEnd()),)), LRecv("B", (("x", LEnd()),)),
-        m, s, Token("ident", "A", 1, 1), rs.initial, rs,
+        m, s, rs.initial, rs,
         check_safety(s, 1), failure, CompatReport(False, (failure,)),
         WellFormedReport(True, ()),
         LocalConfig((("A", LEnd()), ("B", LEnd())), ((), ())),
@@ -73,7 +73,7 @@ each = pytest.mark.parametrize("x", list(SAMPLES.values()),
 
 def test_every_record_class_has_a_sample():
     assert set(_record_classes()) == set(SAMPLES)
-    assert len(SAMPLES) == 35
+    assert len(SAMPLES) == 34
 
 
 @each
