@@ -416,7 +416,7 @@ class _Parser:
     starts with a letter or "_", which for a token is `isidentifier`."""
 
     def __init__(self, text: str):
-        self.text = text
+        self.source = text
         self.toks = tokenize(text)
         self.i = 0
 
@@ -448,10 +448,10 @@ class _Parser:
     def fail(self, msg: str, i: int) -> ParseError:
         """The ParseError msg at token i.  Only an error needs a position,
         so the text is scanned again for it here."""
-        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.source)
                   if not m.group().startswith("//")]
-        starts.append(len(self.text))
-        return ParseError(msg, *_position(self.text, starts[i]))
+        starts.append(len(self.source))
+        return ParseError(msg, *_position(self.source, starts[i]))
 
 
 # --------------------------------------------------------------------------
