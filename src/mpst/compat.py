@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cfsm import _explore, _nondeterminism, _states, _table, is_basic
+from .cfsm import _bfs, _explore, _nondeterminism, _states, _table, is_basic
 from .errors import NotBasic
 from .syntax import Action, Machine, Participant, System, _Record
 
@@ -120,6 +120,18 @@ def _exchanges(names: tuple[Participant, ...], machines: tuple[Machine, ...],
                         nxt[i], nxt[j] = di, dj
                         out.append((send, tuple(nxt)))
     return out
+
+
+def _synchronous(s: System) -> tuple[list, list]:
+    """The synchronous execution of s: `_bfs` from the initial states over
+    the sorted `_exchanges` of each tuple of local states.  Its nodes are
+    the local states of stable configurations of RS_1, so it never holds
+    more nodes than the RS_1 that `multiparty_compatible` explores."""
+    ps = s.participants
+    machines = tuple(m for _, m in s.machines)
+    return _bfs(tuple(m.initial for m in machines),
+                lambda tup: sorted(_exchanges(ps, machines, tup)),
+                "synchronous execution")
 
 
 def _closure(p: Participant, others: tuple[Participant, ...],

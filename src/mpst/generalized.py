@@ -26,7 +26,7 @@ from collections import deque
 
 from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _parents,
                    _path, _preds, _states, _table, node_cap, traces)
-from .compat import (_exchanges, _multiparty_compatible, dual,
+from .compat import (_multiparty_compatible, _synchronous, dual,
                      multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
@@ -271,7 +271,8 @@ def _parse_equations(text: str, local: bool):
             eqs.append(_JOINS[tok](v1, v2, rhs))
             continue
         if tok != "=":
-            raise p.fail(f"expected '=', '+' or '|', found {tok!r}", p.i - 1)
+            raise p.fail(f"expected '=', '+' or '|', found "
+                         f"{tok or 'end of input'!r}", p.i - 1)
         if p.peek() == "end":
             p.next()
             p.expect(";")
@@ -302,7 +303,8 @@ def _parse_equations(text: str, local: bool):
             cls = GLSend if tok == "!" else GLRecv
             eqs.append(cls(v1, u, label, cont))
         else:
-            raise p.fail(f"unexpected {tok!r} in equation", p.i - 1)
+            raise p.fail(f"unexpected {tok or 'end of input'!r} in equation",
+                         p.i - 1)
     return entry, tuple(eqs)
 
 
@@ -778,12 +780,8 @@ def gsynthesize(s: System) -> GeneralGlobal:
     if not report:
         bad = next((n, d) for n, v, d in report.items if not v)
         raise NotSessionCompatible(f"{bad[0]} fails: {bad[1]}")
-    ps = s.participants
-    machines = tuple(m for _, m in s.machines)
     # vertex x{i} is the i-th joint state found; edges are (i, action, j)
-    nodes, rows = _bfs(tuple(m.initial for m in machines),
-                       lambda tup: sorted(_exchanges(ps, machines, tup)),
-                       "synchronous execution")
+    nodes, rows = _synchronous(s)
     outgoing = [[(u, a, v) for a, v in zip(row[::2], row[1::2])]
                 for u, row in enumerate(rows)]
     edges = [e for outs in outgoing for e in outs]
@@ -830,10 +828,9 @@ def gsynthesize(s: System) -> GeneralGlobal:
                          a.label, entry_var.get(e, f"x{v}")))
     for u, tup in enumerate(nodes):
         if not outgoing[u]:
-            if not all(q in m.final_states
-                       for q, m in zip(tup, machines)):
+            if not all(m.is_final(q) for (_, m), q in zip(s.machines, tup)):
                 raise SynthesisFailure(
-                    f"execution stops at {dict(zip(ps, tup))} "
+                    f"execution stops at {dict(zip(s.participants, tup))} "
                     f"with unfinished machines")
             eqs.append(EndEq(f"x{u}"))
     return GeneralGlobal("x0", tuple(eqs))

@@ -75,8 +75,10 @@ def _project(g: Global, p: Participant, memo) -> Local:
         return LVar(g.var)
     if isinstance(g, GRec):
         body = project(g.body, p, memo)
-        if body == LVar(g.var):
-            return LEnd()
+        # p's view of the body is a bare variable when p has no action in
+        # it: its own one ends the loop, an outer one leaves it unused
+        if isinstance(body, LVar):
+            return LEnd() if body.var == g.var else body
         return LRec(g.var, body)
     assert isinstance(g, GBranch)
     if g.mid is not None:

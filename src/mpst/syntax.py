@@ -323,14 +323,6 @@ class Machine(_Record):
     def is_final(self, q: str) -> bool:
         return not self.outgoing(q)
 
-    def is_sending(self, q: str) -> bool:
-        outs = self.outgoing(q)
-        return bool(outs) and all(e[1].op == "!" for e in outs)
-
-    def is_receiving(self, q: str) -> bool:
-        outs = self.outgoing(q)
-        return bool(outs) and all(e[1].op == "?" for e in outs)
-
     def is_mixed(self, q: str) -> bool:
         return bool(self._sends(q) and self._receives(q))
 

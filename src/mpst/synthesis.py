@@ -1,19 +1,19 @@
 """Synthesis of a global type from a compatible communicating system.
 
-The synthesiser walks stable control tuples under the alternating
-discipline: at each tuple it picks a sender/receiver pair whose states
-match, emits one exchange, and recurses into every label.  Revisiting a
-tuple already on the stack closes a recursion binder, provided every
-participant has either moved since that frame or is finished; otherwise the
-tuple is expanded again, preferring pairs that involve the left-out
-participants.
+The synthesiser walks the synchronous execution of the system
+(`compat._synchronous`), whose nodes are its stable control tuples: at each
+node it picks a sender/receiver pair with a matched exchange, emits it, and
+recurses into every label.  Revisiting a node already on the stack closes a
+recursion binder, provided every participant has either moved since that
+frame or is finished; otherwise the node is expanded again, preferring
+pairs that involve the left-out participants.
 """
 
 from __future__ import annotations
 
 from itertools import count
 
-from .compat import multiparty_compatible
+from .compat import _synchronous, multiparty_compatible
 from .errors import NotCompatible, SynthesisFailure
 from .projection import well_formed
 from .semantics import trace_equiv
@@ -21,94 +21,69 @@ from .syntax import GBranch, GEnd, Global, GRec, GVar, System, alpha_canonical
 
 
 def synthesize(s: System) -> Global:
-    """Build a global type whose executions match the system's."""
+    """Build a global type whose executions match the system's.
+
+    Every label the sender offers on the chosen pair is a branch: the
+    receiver's state accepts from the sender, so in a basic machine it
+    receives from the sender only, and compatibility's "uncovered" check at
+    this stable configuration has found that it accepts all those labels."""
     report = multiparty_compatible(s)
     if not report:
         raise NotCompatible(
             "system is not multiparty compatible: "
             + report.failures[0].message)
 
-    ps = s.participants
-    machines = [s.machine(p) for p in ps]
-    finals = [m.final_states for m in machines]
+    nodes, rows = _synchronous(s)
     fresh = count()
-    stack: list[dict] = []
+    # a frame is [node, variable, exchange (sender, receiver), used]; the
+    # participants moved since frame i are those of the exchanges of
+    # frames i and above
+    stack: list[list] = []
     snapshots: set[tuple] = set()
 
-    def final_at(tup):
-        return {p for p, q, f in zip(ps, tup, finals) if q in f}
+    def unfinished(u) -> set:
+        return {p for (p, m), q in zip(s.machines, nodes[u]) if m.outgoing(q)}
 
-    def enabled_pairs(tup):
-        """(sender, receiver, offered labels, accepted labels) of each
-        channel with a send and a receive at tup, sorted by channel."""
-        pairs = []
-        for i, p in enumerate(ps):
-            for r, offers in machines[i]._sends(tup[i]).items():
-                j = ps.index(r)
-                J = machines[j]._receives(tup[j]).get(p)
-                if J:
-                    pairs.append((p, r, frozenset(offers), frozenset(J)))
-        return pairs
+    def emit(u) -> Global:
+        i = next((i for i in range(len(stack) - 1, -1, -1)
+                  if stack[i][0] == u), None)
+        if i is None:
+            return expand(u, set())
+        moved = {p for f in stack[i:] for p in f[2]}
+        left = unfinished(u) - moved
+        if not left:
+            stack[i][3] = True
+            return GVar(stack[i][1])
+        snap = (u, frozenset(moved))
+        if snap in snapshots:
+            raise SynthesisFailure(
+                f"cannot close a loop at {nodes[u]}: participants "
+                f"{sorted(left)} never move")
+        snapshots.add(snap)
+        g = expand(u, left)
+        snapshots.discard(snap)
+        return g
 
-    def advance(tup, p, r, label):
-        i, j = ps.index(p), ps.index(r)
-        nxt = list(tup)
-        nxt[i] = machines[i]._sends(tup[i])[r][label][0]
-        nxt[j] = machines[j]._receives(tup[j])[p][label][0]
-        return tuple(nxt)
-
-    def emit(tup) -> Global:
-        frame = next((f for f in reversed(stack) if f["tup"] == tup), None)
-        if frame is not None:
-            if frame["moved"] | final_at(tup) == set(ps):
-                frame["used"] = True
-                return GVar(frame["var"])
-            snap = (tup, frozenset(frame["moved"]))
-            if snap in snapshots:
+    def expand(u, prefer: set) -> Global:
+        row = rows[u]
+        if not row:
+            if unfinished(u):
                 raise SynthesisFailure(
-                    f"cannot close a loop at {tup}: participants "
-                    f"{sorted(set(ps) - frame['moved'] - final_at(tup))} "
-                    f"never move")
-            snapshots.add(snap)
-            try:
-                return expand(tup, set(ps) - frame["moved"] - final_at(tup))
-            finally:
-                snapshots.discard(snap)
-        return expand(tup, None)
-
-    def expand(tup, prefer) -> Global:
-        if final_at(tup) == set(ps):
+                    f"no matching sender/receiver pair at control state "
+                    f"{dict(zip(s.participants, nodes[u]))}")
             return GEnd()
-        pairs = enabled_pairs(tup)
-        if not pairs:
-            raise SynthesisFailure(
-                f"no matching sender/receiver pair at control state "
-                f"{dict(zip(ps, tup))}")
-        if prefer:
-            pairs.sort(key=lambda t: -((t[0] in prefer) + (t[1] in prefer)))
-        p, r, I, J = pairs[0]
-        if not I <= J:
-            raise SynthesisFailure(
-                f"{p} offers {sorted(I)} but {r} accepts only {sorted(J)} "
-                f"at control state {dict(zip(ps, tup))}")
-        frame = {"tup": tup, "var": f"t{next(fresh)}", "used": False,
-                 "moved": set()}
+        ch = max(dict.fromkeys(a.channel for a in row[::2]),
+                 key=lambda c: len(prefer.intersection(c)))
+        frame = [u, f"t{next(fresh)}", ch, False]
         stack.append(frame)
-        try:
-            branches = []
-            for label in sorted(I):
-                saved = [set(f["moved"]) for f in stack]
-                for f in stack:
-                    f["moved"].update((p, r))
-                branches.append((label, emit(advance(tup, p, r, label))))
-                for f, sv in zip(stack, saved):
-                    f["moved"] = sv
-        finally:
-            stack.pop()
-        body = GBranch(p, r, tuple(branches))
-        return GRec(frame["var"], body) if frame["used"] else body
+        branches = tuple((a.label, emit(j))
+                         for a, j in zip(row[::2], row[1::2])
+                         if a.channel == ch)
+        stack.pop()
+        body = GBranch(*ch, branches)
+        return GRec(frame[1], body) if frame[3] else body
 
-    g = alpha_canonical(emit(tuple(m.initial for m in machines)))
+    g = alpha_canonical(emit(0))
     wf = well_formed(g)
     if not wf:
         raise SynthesisFailure(

@@ -12,7 +12,7 @@ Configurations are ((state, ...) in sorted-participant order,
 
 import re
 from collections import deque
-from itertools import product
+from itertools import count, product
 
 
 def participants(sys_enc):
@@ -821,3 +821,104 @@ def scan(text):
         pos = m.end()
     toks.append(("eof", "", line, pos - linestart + 1))
     return toks
+
+
+# ---------------------------------------------------------------------------
+# Synthesis as first written: it steps the tuple of local states itself,
+# pairing each send with a receive, and keeps a set of moved participants
+# on every stack frame.  It takes a system in the plain encoding, already
+# known to be basic and multiparty compatible, and returns the global type
+# as nested tuples: ("end",), ("var", t), ("rec", t, body) or
+# ("branch", sender, receiver, ((label, type), ...)).
+
+class SynthesisFailure(Exception):
+    """The walk cannot build a type."""
+
+
+def synthesize(sys_enc):
+    ps = participants(sys_enc)
+    fresh = count()
+    stack = []
+    snapshots = set()
+
+    def moves(i, q, op):
+        """{peer: {label: target}} of participant i at state q for op."""
+        out = {}
+        for src, s, r, o, lbl, dst in sorted(sys_enc[ps[i]][1]):
+            if src == q and o == op:
+                out.setdefault(r if op == "!" else s, {}).setdefault(lbl, dst)
+        return out
+
+    def final_at(tup):
+        return {p for p, q in zip(ps, tup)
+                if not any(e[0] == q for e in sys_enc[p][1])}
+
+    def enabled_pairs(tup):
+        pairs = []
+        for i, p in enumerate(ps):
+            for r, offers in moves(i, tup[i], "!").items():
+                j = ps.index(r)
+                J = moves(j, tup[j], "?").get(p)
+                if J:
+                    pairs.append((p, r, frozenset(offers), frozenset(J)))
+        return pairs
+
+    def advance(tup, p, r, label):
+        i, j = ps.index(p), ps.index(r)
+        nxt = list(tup)
+        nxt[i] = moves(i, tup[i], "!")[r][label]
+        nxt[j] = moves(j, tup[j], "?")[p][label]
+        return tuple(nxt)
+
+    def emit(tup):
+        frame = next((f for f in reversed(stack) if f["tup"] == tup), None)
+        if frame is not None:
+            if frame["moved"] | final_at(tup) == set(ps):
+                frame["used"] = True
+                return ("var", frame["var"])
+            snap = (tup, frozenset(frame["moved"]))
+            if snap in snapshots:
+                raise SynthesisFailure(
+                    f"cannot close a loop at {tup}: participants "
+                    f"{sorted(set(ps) - frame['moved'] - final_at(tup))} "
+                    f"never move")
+            snapshots.add(snap)
+            try:
+                return expand(tup, set(ps) - frame["moved"] - final_at(tup))
+            finally:
+                snapshots.discard(snap)
+        return expand(tup, None)
+
+    def expand(tup, prefer):
+        if final_at(tup) == set(ps):
+            return ("end",)
+        pairs = enabled_pairs(tup)
+        if not pairs:
+            raise SynthesisFailure(
+                f"no matching sender/receiver pair at control state "
+                f"{dict(zip(ps, tup))}")
+        if prefer:
+            pairs.sort(key=lambda t: -((t[0] in prefer) + (t[1] in prefer)))
+        p, r, I, J = pairs[0]
+        if not I <= J:
+            raise SynthesisFailure(
+                f"{p} offers {sorted(I)} but {r} accepts only {sorted(J)} "
+                f"at control state {dict(zip(ps, tup))}")
+        frame = {"tup": tup, "var": f"t{next(fresh)}", "used": False,
+                 "moved": set()}
+        stack.append(frame)
+        try:
+            branches = []
+            for label in sorted(I):
+                saved = [set(f["moved"]) for f in stack]
+                for f in stack:
+                    f["moved"].update((p, r))
+                branches.append((label, emit(advance(tup, p, r, label))))
+                for f, sv in zip(stack, saved):
+                    f["moved"] = sv
+        finally:
+            stack.pop()
+        body = ("branch", p, r, tuple(branches))
+        return ("rec", frame["var"], body) if frame["used"] else body
+
+    return emit(tuple(sys_enc[p][0] for p in ps))

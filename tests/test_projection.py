@@ -52,6 +52,14 @@ def test_project_uninvolved_participant_of_loop_is_end():
     assert alpha_equiv(project(g2, "C"), parse_local("rec t. A!z. t"))
 
 
+def test_project_nested_loops_without_the_participant_to_end():
+    # A's view of the inner loop is the outer variable alone, so both
+    # binders go and the projection stays guarded
+    g = parse_global("A -> B : x. rec t0. C -> D : x. rec t1. C -> D : x. t0")
+    assert project(g, "A") == parse_local("B!x. end")
+    assert project(g, "D") == parse_local("rec t0. C?x. rec t1. C?x. t0")
+
+
 def test_merge_is_idempotent_on_commit_projections(commit_type):
     for p in "ABC":
         t = project(commit_type, p)

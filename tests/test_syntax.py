@@ -94,8 +94,6 @@ def test_print_parse_roundtrip_system(commit_system):
 
 def test_machine_state_predicates(commit_system):
     b = commit_system.machine("B")
-    assert b.is_receiving("q0")
-    assert b.is_sending("q2")
     assert b.is_final("q3")
     assert not b.is_mixed("q0")
     assert b.final_states == frozenset({"q3"})
@@ -441,7 +439,10 @@ PARSE_ERRORS = {
         "init x0; x0 = B ! a ; x1 ", "expected ';', found 'end of input'",
         1, 26),
     "gglobal-rhs-cut-off": (
-        "init x0; x0 = x1", "unexpected '' in equation", 1, 17),
+        "init x0; x0 = x1", "unexpected 'end of input' in equation", 1, 17),
+    "gglobal-lhs-cut-off": (
+        "init x0; x0", "expected '=', '+' or '|', found 'end of input'",
+        1, 12),
     "gglobal-message-cut-off": (
         "init x0; x0 = A ->", "expected participant, found 'end of input'",
         1, 19),
