@@ -6,18 +6,20 @@ alternating (send immediately followed by its receive) discipline: every
 send eventually finds a context ready to accept all its labels, and every
 label the context may send at a receiving machine is accepted by it.
 
-The check walks each machine against the closure of its context under
-atomic exchanges, visiting each (state, context) pair once, so it decides
-compatibility in finite time.
+Such an exchange is a path of two edges in RS_1, a send from a stable
+configuration followed by the receive of that message, so the exchanges
+are read off the rows of `_explore(s, 1)` (`_exchange_graph`).  The check
+walks each machine against the closure of its context under the exchanges
+of the others, visiting each stable configuration once per walk, so it
+decides compatibility in finite time.  The synchronous execution that
+synthesis walks is read off the same graph (`_synchronous`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .cfsm import _bfs, _explore, _nondeterminism, _states, _table, is_basic
 from .errors import NotBasic
-from .syntax import Action, Machine, Participant, System, _Record
+from .syntax import Action, Participant, System, _Record
 
 
 def dual(a: Action) -> Action:
@@ -54,141 +56,111 @@ def multiparty_compatible(s: System, allow_nonbasic: bool = False) -> CompatRepo
     """Decide multiparty compatibility over the 1-bounded reachability set.
     Raises NotBasic for a nondeterministic machine, and without
     allow_nonbasic for any machine that is not basic."""
+    return _compatible(s, allow_nonbasic)[0]
+
+
+def _compatible(s: System, allow_nonbasic: bool = False
+                ) -> tuple[CompatReport, dict]:
+    """`multiparty_compatible`, and the `_exchange_graph` it was decided on."""
     for p, m in s.machines:
         reasons = _nondeterminism(m) if allow_nonbasic else is_basic(m)[1]
         if reasons:
             raise NotBasic(f"{p}: {reasons[0]}")
-    return _multiparty_compatible(s, _explore(s, 1)[0])
+    graph = _exchange_graph(s, *_explore(s, 1))
+    return _multiparty_compatible(s, graph), graph
 
 
-def _multiparty_compatible(s: System, keys: list) -> CompatReport:
-    """`multiparty_compatible` of a system of deterministic machines, given
-    the keys of its RS_1 (see `_explore`).  It reads only the local states
-    of a key and whether some buffer is non-empty, so the channels a key
-    leaves out, which no move uses and which stay empty, do not matter."""
-    ps = s.participants
+def _exchange_graph(s: System, keys: list, rows: list) -> dict:
+    """The exchanges of RS_1, given its keys and rows (see `_explore`): the
+    BFS index of each stable key mapped to its local states and its
+    exchanges (send, receive, l), a send edge of its row followed by a
+    receive edge of the row that the send leads to.  l is stable again: on
+    a stable key every edge is a send, and after it only the send's channel
+    is non-empty, so every receive there takes that message.  No two
+    stable keys share their local states."""
     t = _table(s, 1)
-    ms = tuple(m for _, m in s.machines)
-    failures: list[CompatFailure] = []
+    return {i: (_states(t, key),
+                [(a, b, l) for a, j in zip(rows[i][::2], rows[i][1::2])
+                 for b, l in zip(rows[j][::2], rows[j][1::2]) if b.op == "?"])
+            for i, key in enumerate(keys) if not key & t.nonempty}
+
+
+def _multiparty_compatible(s: System, graph: dict) -> CompatReport:
+    """`multiparty_compatible` of a system of deterministic machines, given
+    its `_exchange_graph`: a walk of each participant from each node."""
+    ps, ms = s.participants, tuple(m for _, m in s.machines)
+    first: dict = {}  # each failure's first report
     closure_cache: dict = {}
     fed_cache: dict = {}
-    # the stable configurations of RS_1, keys whose buffers are all empty:
-    # no two of them share their local states
-    for key in keys:
-        if key & t.nonempty:
-            continue
-        states = _states(t, key)
-        for i, p in enumerate(ps):
-            failures.extend(_walk(
-                p, ms[i], states[i], ps[:i] + ps[i + 1:], ms[:i] + ms[i + 1:],
-                states[:i] + states[i + 1:], closure_cache, fed_cache))
-    unique = []
-    seen = set()
-    for f in failures:
-        fkey = (f.participant, f.state, f.kind, f.witness)
-        if fkey not in seen:
-            seen.add(fkey)
-            unique.append(f)
-    return CompatReport(not unique, tuple(unique))
+    for i in graph:
+        for pi in range(len(ms)):
+            for f in _walk(ps, ms, pi, i, graph, closure_cache, fed_cache):
+                key = (f.participant, f.state, f.kind, f.witness)
+                first.setdefault(key, f)
+    return CompatReport(not first, tuple(first.values()))
 
 
-def _exchanges(names: tuple[Participant, ...], machines: tuple[Machine, ...],
-               states: tuple[str, ...], skip: Participant | None = None
-               ) -> list[tuple[Action, tuple[str, ...]]]:
-    """The matched exchanges from states, the local states of machines,
-    which belong to the participants names: each send not addressed to
-    skip, taken together with each receive of it by its receiver, as
-    (send, states'), in participant order and then `Machine.outgoing`
-    order."""
-    out = []
-    for i, (p, m) in enumerate(zip(names, machines)):
-        for r, labels in m._sends(states[i]).items():
-            if r == skip:
-                continue
-            j = names.index(r)
-            accepts = machines[j]._receives(states[j]).get(p)
-            if not accepts:
-                continue
-            for label, targets in labels.items():
-                rtargets = accepts.get(label)
-                if not rtargets:
-                    continue
-                send = Action(p, r, "!", label)
-                for di in targets:
-                    for dj in rtargets:
-                        nxt = list(states)
-                        nxt[i], nxt[j] = di, dj
-                        out.append((send, tuple(nxt)))
+def _synchronous(graph: dict) -> tuple[list, list]:
+    """The synchronous execution: `_bfs` from the initial local states over
+    the sorted (send, local states') of each node's exchanges in graph, an
+    `_exchange_graph`, whose nodes it numbers in BFS order."""
+    index = {states: i for i, (states, _) in graph.items()}
+    return _bfs(graph[0][0], lambda states: sorted(
+        (a, graph[l][0]) for a, _, l in graph[index[states]][1]),
+        "synchronous execution")
+
+
+def _closure(p: Participant, i: int, graph: dict, cache: dict) -> dict:
+    """The nodes of graph reachable from node i by exchanges not involving
+    p, mapped to the shortest path of (send, receive) edges reaching them
+    (discovery order).  It keeps its own loop: on `_bfs`, with the paths
+    rebuilt from parents, it was longer and slower."""
+    key = (p, i)
+    out = cache.get(key)
+    if out is None:
+        out = cache[key] = {i: ()}
+        todo = [i]
+        for cur in todo:
+            for a, b, l in graph[cur][1]:
+                if p not in a.channel and l not in out:
+                    out[l] = out[cur] + (a, b)
+                    todo.append(l)
     return out
 
 
-def _synchronous(s: System) -> tuple[list, list]:
-    """The synchronous execution of s: `_bfs` from the initial states over
-    the sorted `_exchanges` of each tuple of local states.  Its nodes are
-    the local states of stable configurations of RS_1, so it never holds
-    more nodes than the RS_1 that `multiparty_compatible` explores."""
-    ps = s.participants
-    machines = tuple(m for _, m in s.machines)
-    return _bfs(tuple(m.initial for m in machines),
-                lambda tup: sorted(_exchanges(ps, machines, tup)),
-                "synchronous execution")
-
-
-def _closure(p: Participant, others: tuple[Participant, ...],
-             ctx_machines: tuple[Machine, ...], ctx: tuple[str, ...],
-             cache: dict) -> dict:
-    """Contexts reachable from ctx by atomic exchanges not involving p,
-    mapped to the shortest exchange path reaching them (discovery order).
-    It keeps its own loop: on `_bfs`, with the paths rebuilt from parents,
-    it was longer, and `multiparty_compatible` of ring(16) took 1.03-1.17x
-    as long on a 2-core VM."""
-    key = (p, ctx)
-    if key in cache:
-        return cache[key]
-    out: dict[tuple[str, ...], tuple[Action, ...]] = {ctx: ()}
-    dq = deque([ctx])
-    while dq:
-        cur = dq.popleft()
-        for send, nxt in _exchanges(others, ctx_machines, cur, p):
-            if nxt not in out:
-                out[nxt] = out[cur] + (send, dual(send))
-                dq.append(nxt)
-    cache[key] = out
-    return out
-
-
-def _walk(p: Participant, m: Machine, q0: str,
-          others: tuple[Participant, ...], ctx_machines: tuple[Machine, ...],
-          ctx0: tuple[str, ...], closure_cache: dict,
+def _walk(ps: tuple[Participant, ...], ms: tuple, pi: int, i0: int,
+          graph: dict, closure_cache: dict,
           fed_cache: dict) -> list[CompatFailure]:
-    """Check p's machine m from state q0 against every context reachable
-    from ctx0, the states of the other participants' machines.  Whether
-    some context of a closure sends to p is decided once per closure and
-    kept in fed_cache under the closure's key in closure_cache.  It keeps
-    its own loop: it records failures as it walks, and each step extends
-    the path by a context path and an exchange, not by one label."""
+    """Check participant ps[pi]'s machine ms[pi] from node i0 of graph, an
+    `_exchange_graph`, against every context reachable from there.  It
+    steps along graph's exchanges, and reads the failures off the
+    machines' states.  Whether some context of a closure sends to p is
+    decided once per closure and kept in fed_cache under the closure's key
+    in closure_cache.  It keeps its own loop: it records failures as it
+    walks, and each step extends the path by a context path and an
+    exchange, not by one label."""
+    p, m = ps[pi], ms[pi]
     failures: list[CompatFailure] = []
-    visited = {(q0, ctx0)}
-    dq = deque([(q0, ctx0, ())])
+    visited = {i0}
+    todo = [(i0, ())]  # the BFS queue, walked while it grows
 
-    def push(q, ctx, path):
-        if (q, ctx) not in visited:
-            visited.add((q, ctx))
-            dq.append((q, ctx, path))
+    def push(i, path):
+        if i not in visited:
+            visited.add(i)
+            todo.append((i, path))
 
-    while dq:
-        q, ctx, path = dq.popleft()
+    for i, path in todo:
+        q = graph[i][0][pi]
         sends, recvs = m._sends(q), m._receives(q)
         if not sends and not recvs:
             continue
-        clo = _closure(p, others, ctx_machines, ctx, closure_cache)
+        clo = _closure(p, i, graph, closure_cache)
 
         for r, labels in sends.items():
-            ri = others.index(r)
-            mr = ctx_machines[ri]
+            ri = ps.index(r)
             best, best_cover = None, -1
-            for ctx2, cpath in clo.items():
-                J = mr._receives(ctx2[ri]).get(p, {})
+            for i2, cpath in clo.items():
+                J = ms[ri]._receives(graph[i2][0][ri]).get(p, {})
                 if labels.keys() <= J.keys():
                     break
                 cover = len(labels.keys() & J.keys())
@@ -203,22 +175,17 @@ def _walk(p: Participant, m: Machine, q0: str,
                     f"context of {r} accepts {missing}",
                     Action(p, r, "!", missing[0]), path + cpath))
                 continue
-            for lbl, targets in labels.items():
-                nctx = list(ctx2)
-                nctx[ri] = J[lbl][0]
-                exchange = (Action(p, r, "!", lbl), Action(p, r, "?", lbl))
-                for dst in targets:
-                    push(dst, tuple(nctx), path + cpath + exchange)
+            for a, b, l in graph[i2][1]:
+                if a.channel == (p, r):
+                    push(l, path + cpath + (a, b))
 
         # the senders p reads from here: a message from any other one
         # waits in its buffer rather than being refused
-        peers = [(ri, r, recvs[r]) for ri, r in enumerate(others)
-                 if r in recvs]
-        for ctx2, cpath in clo.items() if peers else ():
+        peers = [(ri, r, recvs[r]) for ri, r in enumerate(ps) if r in recvs]
+        for i2, cpath in clo.items() if peers else ():
+            states = graph[i2][0]
             for ri, r, accepted in peers:
-                offers = ctx_machines[ri]._sends(ctx2[ri]).get(p)
-                if not offers:
-                    continue
+                offers = ms[ri]._sends(states[ri]).get(p, {})
                 bad = sorted(offers.keys() - accepted.keys())
                 if bad:
                     failures.append(CompatFailure(
@@ -226,21 +193,16 @@ def _walk(p: Participant, m: Machine, q0: str,
                         f"{r} may send {bad[0]} to {p}, which accepts "
                         f"only {sorted(accepted)} from {r} at state {q}",
                         Action(r, p, "!", bad[0]), path + cpath))
-                for lbl, targets in offers.items():
-                    if lbl in accepted:
-                        a = Action(r, p, "!", lbl)
-                        for dv in targets:
-                            nctx = list(ctx2)
-                            nctx[ri] = dv
-                            push(accepted[lbl][0], tuple(nctx),
-                                 path + cpath + (a, dual(a)))
+            for a, b, l in graph[i2][1]:
+                if a.receiver == p:
+                    push(l, path + cpath + (a, b))
         if sends:
             continue
-        fed = fed_cache.get((p, ctx))
+        fed = fed_cache.get((p, i))
         if fed is None:
-            fed = fed_cache[(p, ctx)] = any(
-                p in mr._sends(ctx2[ri])
-                for ctx2 in clo for ri, mr in enumerate(ctx_machines))
+            fed = fed_cache[(p, i)] = any(
+                p in mr._sends(q2) for i2 in clo
+                for mr, q2 in zip(ms, graph[i2][0]))
         if not fed:
             failures.append(CompatFailure(
                 p, q, "no_dual",

@@ -26,8 +26,8 @@ from collections import deque
 
 from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _parents,
                    _path, _preds, _states, _table, node_cap, traces)
-from .compat import (_multiparty_compatible, _synchronous, dual,
-                     multiparty_compatible)
+from .compat import (_exchange_graph, _multiparty_compatible, _synchronous,
+                     dual, multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
                      NotSessionCompatible, ParseError, ResourceLimit,
                      SynthesisFailure)
@@ -157,25 +157,28 @@ def _action(msg, p: Participant) -> Action | None:
     return None
 
 
-def _validate(entry: Var, equations, allowed) -> None:
+def _fault(entry: Var, equations, allowed) -> tuple[str, int | None] | None:
+    """The first fault of an equation system, as its message and the index
+    of the equation that it names (None: the entry), or None."""
     defined: set[Var] = set()
-    for eq in equations:
+    for n, eq in enumerate(equations):
         if not isinstance(eq, allowed):
-            raise ParseError(f"equation form {type(eq).__name__} does not "
-                             f"belong in this kind of system")
+            return (f"equation form {type(eq).__name__} does not belong in "
+                    f"this kind of system", n)
         for v in _defined_vars(eq):
             if v in defined:
-                raise ParseError(f"variable {v} is defined more than once")
+                return f"variable {v} is defined more than once", n
             defined.add(v)
         if isinstance(eq, GGMsg) and eq.src == eq.dst:
-            raise ParseError(f"{eq.lhs}: a participant cannot message itself")
+            return f"{eq.lhs}: a participant cannot message itself", n
     if entry not in defined:
-        raise ParseError(f"entry variable {entry} has no defining equation")
-    for eq in equations:
+        return f"entry variable {entry} has no defining equation", None
+    for n, eq in enumerate(equations):
         for _, outs, _ in _transitions(eq):
             for v in outs:
                 if v not in defined:
-                    raise ParseError(f"variable {v} is used but never defined")
+                    return f"variable {v} is used but never defined", n
+    return None
 
 
 class _EquationSystem(_Record):
@@ -187,7 +190,9 @@ class _EquationSystem(_Record):
 
     def __init__(self, entry: Var, equations: tuple):
         equations = tuple(sorted(equations, key=_eq_str))
-        _validate(entry, equations, self._forms)
+        fault = _fault(entry, equations, self._forms)
+        if fault:
+            raise ParseError(fault[0])
         super().__init__(entry, equations)
 
 
@@ -252,15 +257,18 @@ _JOINS = {"+": Merge, "|": Join}
 _SPLITS = {"|": Fork, "+": GGChoice, "(+)": GLIChoice, "&": GLEChoice}
 
 
-def _parse_equations(text: str, local: bool):
+def _parse_equations(text: str, local: bool) -> GeneralGlobal | GeneralLocal:
+    """The equation system of text.  A fault of the whole system carries
+    the position of the equation it names, or of the entry variable."""
     p = _Parser(text)
     if p.ident() != "init":
         raise p.fail("equation systems start with 'init <var>;'", 0)
     entry = p.ident("entry variable")
     p.expect(";")
-    forms = LOCAL_EQS if local else GLOBAL_EQS
-    eqs = []
+    kind = GeneralLocal if local else GeneralGlobal
+    eqs, starts = [], []  # each equation, and the index of its first token
     while not p.at_end():
+        starts.append(p.i)
         v1 = p.ident("variable")
         tok = p.next()
         if tok in _JOINS:
@@ -283,7 +291,7 @@ def _parse_equations(text: str, local: bool):
         split = _SPLITS.get(tok)
         if tok == ";":
             eqs.append(Indir(v1, u))
-        elif split in forms:
+        elif split in kind._forms:
             r = p.ident("variable")
             p.expect(";")
             eqs.append(split(v1, u, r))
@@ -305,17 +313,21 @@ def _parse_equations(text: str, local: bool):
         else:
             raise p.fail(f"unexpected {tok or 'end of input'!r} in equation",
                          p.i - 1)
-    return entry, tuple(eqs)
+    try:
+        return kind(entry, tuple(eqs))
+    except ParseError:
+        # the constructor checks the equations in sorted order
+        order = sorted(range(len(eqs)), key=lambda n: _eq_str(eqs[n]))
+        msg, n = _fault(entry, [eqs[n] for n in order], kind._forms)
+        raise p.fail(msg, 1 if n is None else starts[order[n]]) from None
 
 
 def parse_gglobal(text: str) -> GeneralGlobal:
-    entry, eqs = _parse_equations(text, local=False)
-    return GeneralGlobal(entry, eqs)
+    return _parse_equations(text, local=False)
 
 
 def parse_glocal(text: str) -> GeneralLocal:
-    entry, eqs = _parse_equations(text, local=True)
-    return GeneralLocal(entry, eqs)
+    return _parse_equations(text, local=True)
 
 
 # --------------------------------------------------------------------------
@@ -747,12 +759,19 @@ def session_compatible(s: System) -> SessionReport:
     """Deterministic machines, multiparty compatible, commuting mixed
     states, unique deciders for races, and informable receivers.  RS_1 is
     explored once, for all three checks that read it."""
+    return _session(s)[0]
+
+
+def _session(s: System) -> tuple[SessionReport, dict | None]:
+    """`session_compatible`, and the `_exchange_graph` of RS_1 (None for a
+    nondeterministic machine)."""
     nondet = next((f"{p}: {r}" for p, m in s.machines
                    for r in _nondeterminism(m)), None)
     if nondet:
-        return SessionReport(False, (("deterministic", False, nondet),))
+        return SessionReport(False, (("deterministic", False, nondet),)), None
     keys, rows = _explore(s, 1)
-    report = _multiparty_compatible(s, keys)
+    graph = _exchange_graph(s, keys, rows)
+    report = _multiparty_compatible(s, graph)
     items = [("deterministic", True, ""),
              ("multiparty_compatible", report.compatible,
               "" if report else report.failures[0].message)]
@@ -768,20 +787,21 @@ def session_compatible(s: System) -> SessionReport:
         items.append(("receiver_property", rp,
                       "" if rp else "branches inform different receivers"))
     return SessionReport(all(v for _, v, _ in items) and len(items) == 5,
-                         tuple(items))
+                         tuple(items)), graph
 
 
 # --------------------------------------------------------------------------
 # Synthesis of a general global type from a session-compatible system
 
 def gsynthesize(s: System) -> GeneralGlobal:
-    """Fuse the 1-bounded execution into a global equation system."""
-    report = session_compatible(s)
+    """Fuse the synchronous execution, read off RS_1, into a global
+    equation system."""
+    report, graph = _session(s)
     if not report:
         bad = next((n, d) for n, v, d in report.items if not v)
         raise NotSessionCompatible(f"{bad[0]} fails: {bad[1]}")
     # vertex x{i} is the i-th joint state found; edges are (i, action, j)
-    nodes, rows = _synchronous(s)
+    nodes, rows = _synchronous(graph)
     outgoing = [[(u, a, v) for a, v in zip(row[::2], row[1::2])]
                 for u, row in enumerate(rows)]
     edges = [e for outs in outgoing for e in outs]

@@ -6,16 +6,17 @@ from .errors import MergeFailure
 from .syntax import (
     GBranch, GEnd, GRec, GVar, Global,
     LEnd, LRec, LRecv, LSend, LVar, Local,
-    Participant, _Record, gparticipants,
+    Participant, _Record, _subst, gparticipants,
 )
 
 
 def merge(t1: Local, t2: Local, _path: tuple[str, ...] = ()) -> Local:
     """The partial commutative merge ⊔.
 
-    T ⊔ T = T, up to the order of branches; receive branchings from the
-    same peer union their branches, recursing on shared labels; homomorphic
-    on rec; undefined elsewhere.
+    T ⊔ T = T, up to the order of branches and the names of binders;
+    receive branchings from the same peer union their branches, recursing
+    on shared labels; homomorphic on rec, under t1's binder; undefined
+    elsewhere.
     """
     if t1 == t2:
         return t1
@@ -28,15 +29,27 @@ def merge(t1: Local, t2: Local, _path: tuple[str, ...] = ()) -> Local:
             else:
                 out.append((lbl, left.get(lbl, right.get(lbl))))
         return LRecv(t1.peer, tuple(out))
-    if isinstance(t1, LRec) and isinstance(t2, LRec) and t1.var == t2.var:
-        return LRec(t1.var, merge(t1.body, t2.body, _path))
+    if isinstance(t1, LRec) and isinstance(t2, LRec):
+        body = _renamed(t1, t2)
+        if body is not None:
+            return LRec(t1.var, merge(t1.body, body, _path))
     if _same(t1, t2):
         return t1
     raise MergeFailure(f"cannot merge {t1} with {t2}", _path)
 
 
+def _renamed(t1: LRec, t2: LRec) -> Local | None:
+    """t2's body with t2's binder renamed to t1's, None when t1's variable
+    is free in it or would capture the renamed one: then the two bodies
+    differ once their own variables are blanked out."""
+    body = _subst(t2.body, t2.var, LVar(t1.var))
+    same = _subst(body, t1.var, None) == _subst(t2.body, t2.var, None)
+    return body if same else None
+
+
 def _same(t1: Local, t2: Local) -> bool:
-    """t1 and t2 are equal up to the order of their branches."""
+    """t1 and t2 are equal up to the order of their branches and the names
+    of their binders."""
     if isinstance(t1, (LSend, LRecv)):
         if type(t1) is not type(t2) or t1.peer != t2.peer:
             return False
@@ -45,8 +58,10 @@ def _same(t1: Local, t2: Local) -> bool:
         return len(b1) == len(b2) and all(
             l1 == l2 and _same(u1, u2) for (l1, u1), (l2, u2) in zip(b1, b2))
     if isinstance(t1, LRec):
-        return (isinstance(t2, LRec) and t1.var == t2.var
-                and _same(t1.body, t2.body))
+        if not isinstance(t2, LRec):
+            return False
+        body = _renamed(t1, t2)
+        return body is not None and _same(t1.body, body)
     return t1 == t2
 
 

@@ -1,9 +1,10 @@
 """Synthesis of a global type from a compatible communicating system.
 
 The synthesiser walks the synchronous execution of the system
-(`compat._synchronous`), whose nodes are its stable control tuples: at each
-node it picks a sender/receiver pair with a matched exchange, emits it, and
-recurses into every label.  Revisiting a node already on the stack closes a
+(`compat._synchronous`), read off the RS_1 that its compatibility check
+explored; the nodes are the stable control tuples.  At each node it picks
+a sender/receiver pair with a matched exchange, emits it, and recurses
+into every label.  Revisiting a node already on the stack closes a
 recursion binder, provided every participant has either moved since that
 frame or is finished; otherwise the node is expanded again, preferring
 pairs that involve the left-out participants.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from itertools import count
 
-from .compat import _synchronous, multiparty_compatible
+from .compat import _compatible, _synchronous
 from .errors import NotCompatible, SynthesisFailure
 from .projection import well_formed
 from .semantics import trace_equiv
@@ -27,13 +28,13 @@ def synthesize(s: System) -> Global:
     receiver's state accepts from the sender, so in a basic machine it
     receives from the sender only, and compatibility's "uncovered" check at
     this stable configuration has found that it accepts all those labels."""
-    report = multiparty_compatible(s)
+    report, graph = _compatible(s)
     if not report:
         raise NotCompatible(
             "system is not multiparty compatible: "
             + report.failures[0].message)
 
-    nodes, rows = _synchronous(s)
+    nodes, rows = _synchronous(graph)
     fresh = count()
     # a frame is [node, variable, exchange (sender, receiver), used]; the
     # participants moved since frame i are those of the exchanges of

@@ -1,7 +1,9 @@
 """Independent brute-force oracles, written before the main engines.
 
 Everything here works on plain tuples/dicts and deliberately imports nothing
-from the package under test.  Systems are encoded as
+from the package under test, except the last section: the compatibility
+check as first written, which runs on the package's machines and builds its
+report records, so that their reprs compare.  Systems are encoded as
 
     {participant: (initial_state, ((src, sender, receiver, op, label, dst), ...)), ...}
 
@@ -922,3 +924,187 @@ def synthesize(sys_enc):
         return ("rec", frame["var"], body) if frame["used"] else body
 
     return emit(tuple(sys_enc[p][0] for p in ps))
+
+
+# ---------------------------------------------------------------------------
+# Compatibility and the synchronous execution as first written: they step
+# tuples of local states with their own FIFO-free exchange step,
+# `_exchanges`, rather than reading the exchanges off the rows of RS_1.
+# They take `System`s of deterministic machines.
+
+from mpst.cfsm import (_bfs, _explore, _nondeterminism, _states,  # noqa: E402
+                       _table, is_basic)
+from mpst.compat import CompatFailure, CompatReport, dual  # noqa: E402
+from mpst.errors import NotBasic  # noqa: E402
+from mpst.syntax import Action  # noqa: E402
+
+
+def _exchanges(names, machines, states, skip=None):
+    """The matched exchanges from states, the local states of machines,
+    which belong to the participants names: each send not addressed to
+    skip, taken together with each receive of it by its receiver, as
+    (send, states'), in participant order and then `Machine.outgoing`
+    order."""
+    out = []
+    for i, (p, m) in enumerate(zip(names, machines)):
+        for r, labels in m._sends(states[i]).items():
+            if r == skip:
+                continue
+            j = names.index(r)
+            accepts = machines[j]._receives(states[j]).get(p)
+            if not accepts:
+                continue
+            for label, targets in labels.items():
+                rtargets = accepts.get(label)
+                if not rtargets:
+                    continue
+                send = Action(p, r, "!", label)
+                for di in targets:
+                    for dj in rtargets:
+                        nxt = list(states)
+                        nxt[i], nxt[j] = di, dj
+                        out.append((send, tuple(nxt)))
+    return out
+
+
+def synchronous(s):
+    """The synchronous execution of s: `_bfs` from the initial states over
+    the sorted `_exchanges` of each tuple of local states."""
+    ps = s.participants
+    machines = tuple(m for _, m in s.machines)
+    return _bfs(tuple(m.initial for m in machines),
+                lambda tup: sorted(_exchanges(ps, machines, tup)),
+                "synchronous execution")
+
+
+def _closure(p, others, ctx_machines, ctx, cache):
+    """Contexts reachable from ctx by atomic exchanges not involving p,
+    mapped to the shortest exchange path reaching them (discovery order)."""
+    key = (p, ctx)
+    if key in cache:
+        return cache[key]
+    out = {ctx: ()}
+    dq = deque([ctx])
+    while dq:
+        cur = dq.popleft()
+        for send, nxt in _exchanges(others, ctx_machines, cur, p):
+            if nxt not in out:
+                out[nxt] = out[cur] + (send, dual(send))
+                dq.append(nxt)
+    cache[key] = out
+    return out
+
+
+def _walk(p, m, q0, others, ctx_machines, ctx0, closure_cache, fed_cache):
+    """Check p's machine m from state q0 against every context reachable
+    from ctx0, the states of the other participants' machines."""
+    failures = []
+    visited = {(q0, ctx0)}
+    dq = deque([(q0, ctx0, ())])
+
+    def push(q, ctx, path):
+        if (q, ctx) not in visited:
+            visited.add((q, ctx))
+            dq.append((q, ctx, path))
+
+    while dq:
+        q, ctx, path = dq.popleft()
+        sends, recvs = m._sends(q), m._receives(q)
+        if not sends and not recvs:
+            continue
+        clo = _closure(p, others, ctx_machines, ctx, closure_cache)
+
+        for r, labels in sends.items():
+            ri = others.index(r)
+            mr = ctx_machines[ri]
+            best, best_cover = None, -1
+            for ctx2, cpath in clo.items():
+                J = mr._receives(ctx2[ri]).get(p, {})
+                if labels.keys() <= J.keys():
+                    break
+                cover = len(labels.keys() & J.keys())
+                if cover > best_cover:
+                    best, best_cover = (cpath, J), cover
+            else:
+                cpath, J = best
+                missing = sorted(labels.keys() - J.keys())
+                failures.append(CompatFailure(
+                    p, q, "uncovered",
+                    f"{p} offers {sorted(labels)} to {r} but no reachable "
+                    f"context of {r} accepts {missing}",
+                    Action(p, r, "!", missing[0]), path + cpath))
+                continue
+            for lbl, targets in labels.items():
+                nctx = list(ctx2)
+                nctx[ri] = J[lbl][0]
+                exchange = (Action(p, r, "!", lbl), Action(p, r, "?", lbl))
+                for dst in targets:
+                    push(dst, tuple(nctx), path + cpath + exchange)
+
+        peers = [(ri, r, recvs[r]) for ri, r in enumerate(others)
+                 if r in recvs]
+        for ctx2, cpath in clo.items() if peers else ():
+            for ri, r, accepted in peers:
+                offers = ctx_machines[ri]._sends(ctx2[ri]).get(p)
+                if not offers:
+                    continue
+                bad = sorted(offers.keys() - accepted.keys())
+                if bad:
+                    failures.append(CompatFailure(
+                        p, q, "unhandled",
+                        f"{r} may send {bad[0]} to {p}, which accepts "
+                        f"only {sorted(accepted)} from {r} at state {q}",
+                        Action(r, p, "!", bad[0]), path + cpath))
+                for lbl, targets in offers.items():
+                    if lbl in accepted:
+                        a = Action(r, p, "!", lbl)
+                        for dv in targets:
+                            nctx = list(ctx2)
+                            nctx[ri] = dv
+                            push(accepted[lbl][0], tuple(nctx),
+                                 path + cpath + (a, dual(a)))
+        if sends:
+            continue
+        fed = fed_cache.get((p, ctx))
+        if fed is None:
+            fed = fed_cache[(p, ctx)] = any(
+                p in mr._sends(ctx2[ri])
+                for ctx2 in clo for ri, mr in enumerate(ctx_machines))
+        if not fed:
+            failures.append(CompatFailure(
+                p, q, "no_dual",
+                f"{p} waits at state {q} but no reachable context "
+                f"ever sends to {p}", None, path))
+    return failures
+
+
+def multiparty_compatible(s, allow_nonbasic=False):
+    """The compatibility report of s, walking each participant from each
+    stable configuration of RS_1 against the closure of its context;
+    NotBasic as in the package."""
+    for p, m in s.machines:
+        reasons = _nondeterminism(m) if allow_nonbasic else is_basic(m)[1]
+        if reasons:
+            raise NotBasic(f"{p}: {reasons[0]}")
+    ps = s.participants
+    t = _table(s, 1)
+    ms = tuple(m for _, m in s.machines)
+    failures = []
+    closure_cache = {}
+    fed_cache = {}
+    for key in _explore(s, 1)[0]:
+        if key & t.nonempty:
+            continue
+        states = _states(t, key)
+        for i, p in enumerate(ps):
+            failures.extend(_walk(
+                p, ms[i], states[i], ps[:i] + ps[i + 1:], ms[:i] + ms[i + 1:],
+                states[:i] + states[i + 1:], closure_cache, fed_cache))
+    unique = []
+    seen = set()
+    for f in failures:
+        fkey = (f.participant, f.state, f.kind, f.witness)
+        if fkey not in seen:
+            seen.add(fkey)
+            unique.append(f)
+    return CompatReport(not unique, tuple(unique))

@@ -1,12 +1,22 @@
 """Multiparty compatibility and duality."""
 import json
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from mpst import (Action, Machine, NotBasic, dual, make_system,
-                  multiparty_compatible, print_system)
+import oracles
+from conftest import DATA, load
+from global_types import global_types
+from mpst import (Action, Machine, MPSTError, NotBasic, dual, gparticipants,
+                  gsynthesize, make_system, multiparty_compatible,
+                  parse_system, print_gglobal, print_system, print_type,
+                  project, synthesize, to_machine)
+from mpst import generalized, synthesis
 from mpst.cli import main
+from mpst.compat import _compatible, _synchronous
+from test_reach_oracle import encodings, system
 
 
 def _actions():
@@ -144,3 +154,102 @@ def test_compat_json_on_ring8(tmp_path, capsys, stop_at, failures):
     assert (rc, capsys.readouterr().out) == (
         1 if failures else 0,
         json.dumps(want, sort_keys=True, indent=2) + "\n")
+
+
+# --- against the check that stepped joint states itself ----------------------
+
+def _pairs(n):
+    """n independent pairs: Ai sends Bi x and loops, or y and then z and
+    loops; Bi mirrors Ai."""
+    machines = []
+    for i in range(n):
+        a, b = f"A{i}", f"B{i}"
+        for p, op in ((a, "!"), (b, "?")):
+            machines.append(Machine(p, "q0", (
+                ("q0", Action(a, b, op, "x"), "q0"),
+                ("q0", Action(a, b, op, "y"), "q1"),
+                ("q1", Action(a, b, op, "z"), "q0"))))
+    return make_system(machines)
+
+
+def _deterministic(enc):
+    """enc with only the first move of each state and action."""
+    out = {}
+    for p, (init, edges) in enc.items():
+        first = {}
+        for e in edges:
+            first.setdefault(e[:5], e)
+        out[p] = (init, tuple(first.values()))
+    return out
+
+
+def _outcome(fn, s):
+    """fn(s), or the class and message of the toolkit error it raises."""
+    try:
+        return fn(s)
+    except MPSTError as e:
+        return type(e).__name__, str(e)
+
+
+def _views(s):
+    """What reads the compatibility check and the synchronous execution:
+    the report, the execution's nodes and rows, and the types synthesised
+    from them."""
+    return (_outcome(lambda s: repr(multiparty_compatible(s, True)), s),
+            _outcome(lambda s: _synchronous(_compatible(s, True)[1]), s),
+            _outcome(lambda s: print_type(synthesize(s)), s),
+            _outcome(lambda s: print_gglobal(gsynthesize(s)), s))
+
+
+def _reference_views(s):
+    """`_views` with the compatibility check and the synchronous execution
+    of oracles.py in their place."""
+    with patch.object(synthesis, "_compatible",
+                      lambda s: (oracles.multiparty_compatible(s), None)), \
+            patch.object(synthesis, "_synchronous",
+                         lambda _: oracles.synchronous(s)), \
+            patch.object(generalized, "_multiparty_compatible",
+                         lambda s, _: oracles.multiparty_compatible(s, True)), \
+            patch.object(generalized, "_synchronous",
+                         lambda _: oracles.synchronous(s)):
+        return (
+            _outcome(lambda s: repr(oracles.multiparty_compatible(s, True)),
+                     s),
+            _outcome(oracles.synchronous, s),
+            _outcome(lambda s: print_type(synthesize(s)), s),
+            _outcome(lambda s: print_gglobal(gsynthesize(s)), s))
+
+
+@settings(max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(encodings())
+@example(oracles.COMMIT)
+@example(oracles.REMARK_ABC)
+@example(oracles.DEADLOCK)
+@example(oracles.UNINFORMED)
+def test_exchange_graph_agrees_with_reference_on_random_systems(enc):
+    s = system(_deterministic(enc))
+    assert _views(s) == _reference_views(s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(global_types())
+def test_exchange_graph_agrees_with_reference_on_projected_types(g):
+    s = make_system([to_machine(project(g, p), p)
+                     for p in sorted(gparticipants(g))])
+    assert _views(s) == _reference_views(s)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.cfsm")))
+def test_exchange_graph_agrees_with_reference_on_the_corpus(name):
+    s = parse_system(load(name))
+    assert _views(s) == _reference_views(s)
+
+
+@pytest.mark.parametrize("s", (
+    [pytest.param(_pairs(n), id=f"pairs{n}") for n in (1, 2, 3)]
+    + [pytest.param(_ring(n), id=f"ring{n}") for n in range(3, 9)]
+    + [pytest.param(_ring(n, "P2"), id=f"ring{n}-P2-stops")
+       for n in range(4, 9)]))
+def test_exchange_graph_agrees_with_reference_on_families(s):
+    assert _views(s) == _reference_views(s)

@@ -5,14 +5,16 @@ import weakref
 
 import pytest
 
-from mpst import (Action, ChoiceOwnership, LabelledNet, Machine, ParseError,
-                  ResourceLimit, dot_net, gg_participants, gparticipants,
-                  gproject, gsynthesize, gto_machine, gtraces_global,
-                  gtraces_local, is_safe, make_system, mixed_parallel,
+from mpst import (Action, ChoiceOwnership, EndEq, GeneralGlobal, GeneralLocal,
+                  Indir, LabelledNet, Machine, ParseError, ResourceLimit,
+                  dot_net, gg_participants, gparticipants, gproject,
+                  gsynthesize, gto_machine, gtraces_global, gtraces_local,
+                  is_safe, make_system, mixed_parallel,
                   multiparty_compatible, parse_gglobal, parse_global,
                   parse_glocal, parse_system, print_gglobal, print_glocal,
-                  project, receiver_property, session_compatible, to_machine,
-                  to_petri, trace_equiv, trie_flatten, unique_sender)
+                  project, receiver_property, session_compatible, synthesize,
+                  to_machine, to_petri, trace_equiv, trie_flatten,
+                  unique_sender)
 from mpst import cfsm, compat, generalized
 from mpst.cfsm import _trie
 from conftest import DATA, load
@@ -51,6 +53,15 @@ def test_validation_errors():
         parse_gglobal("init x0; x0 = A -> B : m ; x9;")
     with pytest.raises(ParseError, match="entry variable"):
         parse_gglobal("init x9; x0 = end;")
+
+
+def test_a_system_built_in_code_has_no_position():
+    for build, eqs in ((GeneralGlobal, (Indir("x0", "x1"),)),
+                       (GeneralLocal, (EndEq("x0"), EndEq("x0")))):
+        with pytest.raises(ParseError) as err:
+            build("x0", eqs)
+        assert (err.value.line, err.value.col) == (None, None)
+        assert not str(err.value)[0].isdigit()
 
 
 def test_projection_keeps_structure(data_transfer_type):
@@ -384,6 +395,12 @@ def test_session_compatible_explores_rs1_once(monkeypatch):
     s = parse_system(load("commit.cfsm"))
     assert [ok for _, ok, _ in session_compatible(s).items] == [True] * 5
     assert calls == [1]
+    # compatibility, synthesis and the synchronous execution read the same
+    # RS_1, each call exploring it once
+    for check in (multiparty_compatible, synthesize, gsynthesize):
+        calls.clear()
+        assert check(s)
+        assert calls == [1], check.__name__
 
 
 def test_receiver_property_searches_receiver_sets_once(monkeypatch):

@@ -97,6 +97,32 @@ def test_merge_homomorphic_on_rec():
     assert merge(t1, t2) == parse_local("rec t. B?{a. t, b. t}")
 
 
+# a loop of C and D after each of A's choices, bound by two names or one
+LOOPS_TWO_BINDERS = "A->B:{x. rec t0. C->D:x. t0, y. rec t1. C->D:x. t1}"
+LOOPS_ONE_BINDER = "A->B:{x. rec t0. C->D:x. t0, y. rec t0. C->D:x. t0}"
+
+
+@pytest.mark.parametrize("text", [LOOPS_TWO_BINDERS, LOOPS_ONE_BINDER])
+def test_merge_is_up_to_binder_names(text):
+    g = parse_global(text)
+    assert well_formed(g).ok
+    assert str(project(g, "C")) == "rec t0. D!x. t0"
+    assert str(project(g, "D")) == "rec t0. C?x. t0"
+
+
+def test_merge_renames_binders_only_when_it_cannot_capture():
+    t1 = parse_local("rec t. B?{a. t}")
+    assert merge(t1, parse_local("rec u. B?{b. u}")) == \
+        parse_local("rec t. B?{a. t, b. t}")
+    # t2's body binds t1's variable itself: renaming u to t would capture
+    with pytest.raises(MergeFailure):
+        merge(t1, parse_local("rec u. B?{b. rec t. B?{c. u}}"))
+    # under a selection, binders are compared up to their names too
+    assert merge(parse_local("C!x. rec t. B!a. t"),
+                 parse_local("C!x. rec u. B!a. u")) == \
+        parse_local("C!x. rec t. B!a. t")
+
+
 def test_subtype_reflexive_and_receive_widening(commit_type):
     for p in "ABC":
         t = project(commit_type, p)

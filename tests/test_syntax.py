@@ -466,28 +466,32 @@ PARSE_ERRORS = {
     "glocal-bad-character-after-comment": (
         "init x0; // c ^\n// d\nx0 = B ! a ; x1;\n x1 = end; ^",
         "unexpected character '^'", 4, 12),
-    # the checks on a whole equation system carry no position
+    # the checks on a whole equation system point at the equation they
+    # name, the first in sorted order, or at the entry variable
     "gglobal-self-message": (
         "init x0;\nx0 = A -> A : a ; x1;\nx1 = end;",
-        "x0: a participant cannot message itself", None, None),
+        "x0: a participant cannot message itself", 2, 1),
     "gglobal-defined-twice": (
         "init x0; x0 = end; x0 = end;",
-        "variable x0 is defined more than once", None, None),
+        "variable x0 is defined more than once", 1, 20),
     "glocal-defined-twice": (
         "init x0; x0 = end;\nx0 = end;",
-        "variable x0 is defined more than once", None, None),
+        "variable x0 is defined more than once", 2, 1),
     "gglobal-undefined-entry": (
         "init x9; x0 = end;", "entry variable x9 has no defining equation",
-        None, None),
+        1, 6),
     "glocal-undefined-entry": (
         "init x1; x0 = end;", "entry variable x1 has no defining equation",
-        None, None),
+        1, 6),
     "gglobal-undefined-variable": (
         "init x0; x0 = x1;", "variable x1 is used but never defined",
-        None, None),
+        1, 10),
     "glocal-undefined-variable": (
         "init x0; x0 = x1 | x2; x1 = end;",
-        "variable x2 is used but never defined", None, None),
+        "variable x2 is used but never defined", 1, 10),
+    "gglobal-defined-twice-sorted": (
+        "init x0;\nx1 = x0;\nx0 = A -> B : a ; x1;\nx1 = end;",
+        "variable x1 is defined more than once", 2, 1),
 }
 
 

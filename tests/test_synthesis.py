@@ -74,6 +74,18 @@ def test_roundtrip_verification_accepts_a_candidate(commit_type,
     assert not bad and witness is not None
 
 
+@pytest.mark.parametrize("text", [
+    "A->B:{x. rec t0. C->D:x. t0, y. rec t1. C->D:x. t1}",
+    "A->B:{x. rec t0. C->D:x. t0, y. rec t0. C->D:x. t0}"])
+def test_loops_bound_apart_in_branches_round_trip(text):
+    # merge is up to binder names, so the type synthesised from the
+    # projections, whose binders alpha_canonical numbers apart, is
+    # well-formed
+    g = parse_global(text)
+    assert print_type(synthesize(_projections(g))) == (
+        "A->B:{x. rec t0. C->D:x. t0, y. rec t1. C->D:x. t1}")
+
+
 @pytest.mark.xfail(strict=True, raises=SynthesisFailure, reason=(
     "fault 2a: a loop closes only when every participant has moved or is "
     "final, so loops of independent pairs never close; fix: close loops "
