@@ -30,11 +30,11 @@ _EXPORTS = {
     "cfsm": (
         "BAD_FLAGS", "Config", "ReachSet", "SafetyReport", "check_safety",
         "classify", "dot_machine", "dot_reach", "dot_system", "fire",
-        "initial", "is_basic", "reach", "traces", "trie_flatten"),
+        "initial", "is_basic", "reach", "trie_flatten"),
     "translate": ("isomorphic", "to_local", "to_machine"),
     "semantics": (
         "LocalConfig", "gbuffers", "local_config", "project_config",
-        "step_global", "trace_equiv", "traces_global", "traces_local"),
+        "step_global", "trace_equiv", "traces"),
     "compat": ("CompatFailure", "CompatReport", "dual",
                "multiparty_compatible"),
     "synthesis": ("synthesize", "verify_roundtrip"),
@@ -43,10 +43,9 @@ _EXPORTS = {
         "GLRecv", "GLSend", "GeneralGlobal", "GeneralLocal", "Indir", "Join",
         "LabelledNet", "Merge", "SessionReport", "dot_net",
         "gg_participants", "gproject", "gsynthesize", "gto_machine",
-        "gtraces_global", "gtraces_local", "is_safe", "mixed_parallel",
-        "parse_gglobal", "parse_glocal", "print_gglobal", "print_glocal",
-        "receiver_property", "session_compatible", "to_petri",
-        "unique_sender"),
+        "is_safe", "mixed_parallel", "parse_gglobal", "parse_glocal",
+        "print_gglobal", "print_glocal", "receiver_property",
+        "session_compatible", "to_petri", "unique_sender"),
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -224,8 +224,7 @@ class _Table:
             for ch, j in reversed(chans.items()):
                 if ch[1] == m.owner:
                     w = c.buffers[self.chans[j]] if c is not None else ()
-                    n = len(used[ch].union(w))
-                    bits = (sum(n ** e for e in range(max(k, len(w)) + 1))
+                    bits = (_words(len(used[ch].union(w)), max(k, len(w)))
                             - 1).bit_length()
                     self.shift[j], self.top[j] = low, 1 << bits
                     nonempty |= 1 << low + bits
@@ -250,6 +249,13 @@ class _Table:
         self.cand, self.nonempty = final >> 2 | nonempty, nonempty
         self.final, self.receiving = final, final >> 1
         self.start = _key(self, initial(s))
+
+
+def _words(n: int, m: int) -> int:
+    """The number of words of at most m labels over n labels."""
+    if n < 2:
+        return m + 1 if n else 1
+    return (n ** (m + 1) - 1) // (n - 1)
 
 
 def _table(s: System, k: int | None, c: Config | None = None) -> _Table:
@@ -674,17 +680,12 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
 
 
 # --------------------------------------------------------------------------
-# Trace tries (see `_trie`).
+# Trace tries: `_trie` builds them, `semantics.traces` for every view.
 
-def traces(s: System, max_len: int, k: int) -> dict:
-    t = _table(s, k)
-    return _trie(t.start, lambda key, k: _steps(t, key), max_len, k)
-
-
-def trie_flatten(trie: dict, prefix: tuple = ()) -> set[tuple]:
+def trie_flatten(trie: dict) -> set[tuple]:
     """All traces in the trie (prefix-closed set of action tuples)."""
     out = set()
-    todo = [(prefix, trie)]
+    todo = [((), trie)]
     while todo:
         pre, node = todo.pop()
         out.add(pre)

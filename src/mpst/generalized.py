@@ -14,7 +14,8 @@ tokens: it crosses its silent transitions freely, and its sends and
 receives are the moves of a machine built by subset construction over
 the closures of hole positions (`gto_machine`).  A system, global or a
 family of local ones, runs as the machine system of its participants'
-views, on the one FIFO step of `cfsm`.  The same transitions, compiled
+views (`_view_system`), on the one FIFO step of `cfsm`; this is how
+`semantics.traces` takes its traces.  The same transitions, compiled
 per system and participant by `_net`, drive projection's choice of
 deciding senders, the subset translation to machines and the emitted
 Petri net with its safety check.
@@ -25,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 
 from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _parents,
-                   _path, _preds, _states, _table, node_cap, traces)
+                   _path, _preds, _states, _table, node_cap)
 from .compat import (_exchange_graph, _multiparty_compatible, _synchronous,
                      dual, multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
@@ -456,19 +457,16 @@ def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
         for act, j in zip(row[::2], row[1::2])))
 
 
-def gtraces_global(g: GeneralGlobal, max_len: int, k: int) -> dict:
-    """The traces of g run as the system of its participants' machines
-    (`gto_machine` of g read from each side)."""
-    s = make_system([gto_machine(g, p) for p in gg_participants(g)])
-    return traces(s, max_len, k)
-
-
-def gtraces_local(family: dict[Participant, GeneralLocal], max_len: int,
-                  k: int) -> dict:
-    """The traces of a family of local systems run as the system of their
-    machines."""
-    s = make_system([gto_machine(t, p) for p, t in family.items()])
-    return traces(s, max_len, k)
+def _view_system(x) -> System:
+    """The system of the machines of an equation system's participants'
+    views: a `GeneralGlobal` read from each side, or a dict of
+    `GeneralLocal`s by participant.  Raises TypeError for anything else."""
+    if isinstance(x, GeneralGlobal):
+        return make_system([gto_machine(x, p) for p in gg_participants(x)])
+    if isinstance(x, dict) and all(isinstance(v, GeneralLocal)
+                                   for v in x.values()):
+        return make_system([gto_machine(t, p) for p, t in x.items()])
+    raise TypeError(f"cannot take traces of {type(x).__name__}")
 
 
 # --------------------------------------------------------------------------

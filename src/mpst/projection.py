@@ -65,8 +65,7 @@ def _same(t1: Local, t2: Local) -> bool:
     return t1 == t2
 
 
-def project(g: Global, p: Participant,
-            _memo: dict | None = None) -> Local:
+def project(g: Global, p: Participant) -> Local:
     """Project a global type onto one participant (Def-3.1 equations).
 
     Senders see a selection, receivers a branching, third parties the merge
@@ -74,22 +73,24 @@ def project(g: Global, p: Participant,
     with the receiver still seeing the full branching while everyone else
     sees the chosen branch.
     """
-    memo = _memo if _memo is not None else {}
-    key = (g, p)
-    if key in memo:
-        return memo[key]
-    out = _project(g, p, memo)
-    memo[key] = out
+    return _project(g, p, {})
+
+
+def _project(g: Global, p: Participant, memo: dict) -> Local:
+    """project(g, p), with memo mapping each subterm to its projection."""
+    out = memo.get(g)
+    if out is None:
+        out = memo[g] = _rule(g, p, memo)
     return out
 
 
-def _project(g: Global, p: Participant, memo) -> Local:
+def _rule(g: Global, p: Participant, memo: dict) -> Local:
     if isinstance(g, GEnd):
         return LEnd()
     if isinstance(g, GVar):
         return LVar(g.var)
     if isinstance(g, GRec):
-        body = project(g.body, p, memo)
+        body = _project(g.body, p, memo)
         # p's view of the body is a bare variable when p has no action in
         # it: its own one ends the loop, an outer one leaves it unused
         if isinstance(body, LVar):
@@ -99,15 +100,15 @@ def _project(g: Global, p: Participant, memo) -> Local:
     if g.mid is not None:
         chosen = g.branches[g.mid][1]
         if p == g.dst:
-            return LRecv(g.src, tuple((l, project(b, p, memo)) for l, b in g.branches))
-        return project(chosen, p, memo)
+            return LRecv(g.src, tuple((l, _project(b, p, memo)) for l, b in g.branches))
+        return _project(chosen, p, memo)
     if p == g.src:
-        return LSend(g.dst, tuple((l, project(b, p, memo)) for l, b in g.branches))
+        return LSend(g.dst, tuple((l, _project(b, p, memo)) for l, b in g.branches))
     if p == g.dst:
-        return LRecv(g.src, tuple((l, project(b, p, memo)) for l, b in g.branches))
+        return LRecv(g.src, tuple((l, _project(b, p, memo)) for l, b in g.branches))
     acc = None
     for l, b in g.branches:
-        t = project(b, p, memo)
+        t = _project(b, p, memo)
         acc = t if acc is None else merge(acc, t, (l,))
     return acc
 

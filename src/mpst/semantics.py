@@ -7,16 +7,18 @@ uniformly across uncommitted branches for participants not involved in it,
 and inside a committed branch for everyone but its receiver.  Buffer contents
 are recoverable from the markers, which is how send bounding works.
 
-A collection of local types runs as the system of its types' machines
-(`to_machine`), from its buffers, on the FIFO step and bounding discipline
-of `cfsm`, so trace sets of the two sides can be compared, as well as
-against the trace sets of machine systems.
+Every other view runs as a system of machines on the FIFO step and
+bounding discipline of `cfsm`: a machine system itself, a collection of
+local types as the system of its types' machines (`to_machine`) from its
+buffers, and an equation system as that of its participants' views
+(`generalized.gto_machine`).  `traces` is the one function that tells the
+views apart: it gives each as the (start, step) pair of the trace trie
+`cfsm._trie`, so `trace_equiv` compares any two views.
 """
 
 from __future__ import annotations
 
-from .cfsm import (Config, _key, _steps, _table, _trie, initial,
-                   traces as system_traces)
+from .cfsm import Config, _key, _steps, _table, _trie, initial
 from .projection import project
 from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, Local,
                      Participant, System, channels, gparticipants,
@@ -150,48 +152,41 @@ def project_config(g: Global) -> LocalConfig:
 # --------------------------------------------------------------------------
 # Trace tries and trace equivalence
 
-def traces_global(g: Global, max_len: int, k: int) -> dict:
-    return _trie(g, step_global, max_len, k)
-
-
-def traces_local(c: LocalConfig, max_len: int, k: int) -> dict:
-    """The traces of c's types run as the system of their machines, from
-    c's buffers."""
-    # imported here: `mpst synth --verify` and `mpst simulate` load this
-    # module but never translate a local type
-    from .translate import to_machine
-    s = make_system([to_machine(t, p) for p, t in c.types])
-    start = Config(initial(s).states, c.buffers)
-    t = _table(s, k, start)
-    return _trie(_key(t, start), lambda key, k: _steps(t, key), max_len, k)
-
-
-def _as_trie(x, max_len: int, k: int) -> dict:
+def traces(x, max_len: int, k: int) -> dict:
+    """The trace trie (see `cfsm._trie`) of a view: a global type steps by
+    `step_global`; every other view runs as a system of machines on the
+    FIFO step `_steps`: a `System` itself, a `LocalConfig` as the system of
+    its types' `to_machine`s from its buffers, and an equation system (a
+    `GeneralGlobal` or a dict of `GeneralLocal`s) as the system of its
+    participants' `gto_machine`s.  Raises TypeError for anything else,
+    ValueError for k < 1 and ResourceLimit as the searches do."""
     if isinstance(x, (GEnd, GVar, GRec, GBranch)):
-        return traces_global(x, max_len, k)
+        return _trie(x, step_global, max_len, k)
     if isinstance(x, LocalConfig):
-        return traces_local(x, max_len, k)
-    if isinstance(x, System):
-        return system_traces(x, max_len, k)
-    # Imported here, not at the top, and not for a cycle (generalized does
-    # not import this module): generalized is the largest module, and
-    # `mpst synth --verify` and `mpst simulate`, which load this one, never
-    # see an equation system.
-    from .generalized import (GeneralGlobal, GeneralLocal, gtraces_global,
-                              gtraces_local)
-    if isinstance(x, GeneralGlobal):
-        return gtraces_global(x, max_len, k)
-    if isinstance(x, dict) and all(isinstance(v, GeneralLocal)
-                                   for v in x.values()):
-        return gtraces_local(x, max_len, k)
-    raise TypeError(f"cannot take traces of {type(x).__name__}")
+        # imported here: `mpst synth --verify` and `mpst simulate` load this
+        # module but never translate a local type
+        from .translate import to_machine
+        s = make_system([to_machine(t, p) for p, t in x.types])
+        c = Config(initial(s).states, x.buffers)
+    elif isinstance(x, System):
+        s, c = x, initial(x)
+    else:
+        # Imported here, not at the top, and not for a cycle (generalized
+        # does not import this module): generalized is the largest module,
+        # and `mpst synth --verify` and `mpst simulate`, which load this
+        # one, never see an equation system.
+        from .generalized import _view_system
+        s = _view_system(x)
+        c = initial(s)
+    t = _table(s, k, c)
+    return _trie(_key(t, c), lambda key, k: _steps(t, key), max_len, k)
 
 
 def trace_equiv(x, y, max_len: int, k: int) -> tuple[bool, tuple[Action, ...] | None]:
     """Compare bounded trace sets; on mismatch return a shortest
     distinguishing trace (ties broken lexicographically)."""
-    tx = _as_trie(x, max_len, k)
-    ty = _as_trie(y, max_len, k)
+    tx = traces(x, max_len, k)
+    ty = traces(y, max_len, k)
     # BFS over the union of both tries for the first point of divergence
     frontier = [((), tx, ty)]
     while frontier:

@@ -6,11 +6,10 @@ import time
 
 from mpst import (GBranch, GEnd, GRec, GVar, alpha_equiv, check_safety, dual,
                   gg_participants, gproject, gsynthesize, gto_machine,
-                  gtraces_global, gtraces_local, is_basic, is_safe,
-                  isomorphic, make_system, multiparty_compatible,
-                  parse_global, print_glocal, project,
+                  is_basic, is_safe, isomorphic, make_system,
+                  multiparty_compatible, parse_global, print_glocal, project,
                   project_config, synthesize, to_machine, to_petri,
-                  trace_equiv, traces_global, trie_flatten, well_formed)
+                  trace_equiv, traces, trie_flatten, well_formed)
 from conftest import DATA, load
 
 LABELS = ["a", "b", "c", "d", "e", "f"]
@@ -100,7 +99,7 @@ def test_criterion_2_remark_discrimination(remark_abc, remark_aprime):
 def test_criterion_3_projection_preserves_traces(commit_type):
     t0 = time.time()
     g2 = parse_global("A -> B : a. A -> C : b. end")
-    flat = trie_flatten(traces_global(g2, 4, 1))
+    flat = trie_flatten(traces(g2, 4, 1))
     complete = {"·".join(map(str, w)) for w in flat if len(w) == 4}
     assert complete == {
         "AB!a·AB?a·AC!b·AC?b",
@@ -178,8 +177,8 @@ def test_criterion_7_generalized_tier(data_transfer_type):
     ok, marking = is_safe(net)
     assert ok and time.time() - t0 < 1.0
     fam = {p: gproject(g, p) for p in gg_participants(g)}
-    tg = set(trie_flatten(gtraces_global(g, 10, 1)))
-    tl = set(trie_flatten(gtraces_local(fam, 10, 1)))
+    tg = set(trie_flatten(traces(g, 10, 1)))
+    tl = set(trie_flatten(traces(fam, 10, 1)))
     assert tg == tl, "global and local graph traces differ at n=10"
     _verdict(7, True, "data-transfer graph projects, compiles to a safe "
                       "net, and runs consistently")

@@ -10,9 +10,9 @@ from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   SafetyReport, check_safety, classify, dot_machine,
                   dot_reach, dot_system, fire, initial, is_basic,
                   local_config, make_system, parse_local, parse_system,
-                  reach, to_machine, traces, traces_local, trie_flatten)
+                  reach, to_machine, traces, trie_flatten)
 from mpst.cfsm import (_components, _explore, _factors, _product_safety,
-                       _table)
+                       _table, _words)
 from conftest import load
 import mpst
 import oracles
@@ -212,9 +212,12 @@ def _loops(n):
 
 
 def _capped_searches():
-    """(search, public function, arguments[, case]) for every search the
+    """(search, public function, arguments[, id]) for every search the
     node cap bounds, each with an input on which it finds more than two
-    nodes; a case names a second input of the same function."""
+    nodes.  A row's id is its function's name, or its fourth field for a
+    second input of the same function: the ids of `traces` of a global
+    type, a local configuration and an equation system are traces_global,
+    traces_local and gtraces_global."""
     s = mpst.parse_system(load("commit.cfsm"))
     g = mpst.parse_global(load("commit.gt"))
     t = mpst.project(g, "A")
@@ -225,27 +228,29 @@ def _capped_searches():
         (rs, "multiparty_compatible", (s,)),
         (rs, "session_compatible", (s,)), (rs, "receiver_property", (s,)),
         (rs, "unique_sender", (s,)), (rs, "gsynthesize", (s,)),
-        (trie, "traces", (s, 4, 1)), (trie, "traces_global", (g, 4, 1)),
+        (trie, "traces", (s, 4, 1)),
+        (trie, "traces", (g, 4, 1), "traces_global"),
         (trie, "trace_equiv", (g, s, 4, 1)),
         (trie, "verify_roundtrip", (s, g)),
-        ("local type translation", "traces_local",
-         (mpst.local_config({"A": t}), 4, 1)),
+        ("local type translation", "traces",
+         (mpst.local_config({"A": t}), 4, 1), "traces_local"),
         ("local type translation", "to_machine", (t, "A")),
         ("subset construction", "gto_machine",
          (mpst.parse_glocal(load("data_transfer_a.glt")), "A")),
-        ("subset construction", "gtraces_global", (gg, 4, 1)),
+        ("subset construction", "traces", (gg, 4, 1), "gtraces_global"),
         ("deciding-sender search", "gproject", (gg, "A")),
         ("marking graph", "is_safe", (mpst.to_petri(gg),)),
         ("canonical renaming", "isomorphic",
          (s.machine("A"), s.machine("A"))),
         # two independent loops of two configurations each: every
         # component fits under the cap, their product does not
-        (rs, "check_safety", (make_system(_loops(2)), 1), "disconnected"),
+        (rs, "check_safety", (make_system(_loops(2)), 1),
+         "check_safety-disconnected"),
     ]
 
 
 @pytest.mark.parametrize("search,fn,args", [
-    pytest.param(*row[:3], id="-".join(row[1:2] + row[3:]))
+    pytest.param(*row[:3], id=row[-1] if len(row) > 3 else row[1])
     for row in _capped_searches()])
 def test_every_search_obeys_the_node_cap(monkeypatch, search, fn, args):
     monkeypatch.setenv("MPST_NODE_CAP", "2")
@@ -270,7 +275,7 @@ def test_a_peer_without_a_machine_is_a_value_error():
     with pytest.raises(ValueError, match=msg):
         traces(make_system([to_machine(t, "A")]), 3, 1)
     with pytest.raises(ValueError, match=msg):
-        traces_local(local_config({"A": t}), 3, 1)
+        traces(local_config({"A": t}), 3, 1)
 
 
 def test_a_move_parse_system_rejects_is_a_value_error():
@@ -650,6 +655,24 @@ def test_words_are_interned_lazily():
     assert t.top[t.chans.index(ab)] == 1 << 32  # 1 + 40 + ... + 40^6 words
 
 
+def test_word_counts_are_the_geometric_sums():
+    assert all(_words(n, m) == sum(n ** e for e in range(m + 1))
+               for n in range(9) for m in range(200))
+
+
+def test_a_huge_bound_costs_a_loop_free_system_little():
+    # A sends x or y to B once, B takes either: the field width at a bound
+    # of a million comes from the closed form of 2^0 + ... + 2^1000000,
+    # which summed term by term did not finish in 45 s
+    s = make_system([
+        Machine("A", "q0", (("q0", _send("A", "B", "x"), "q1"),
+                            ("q0", _send("A", "B", "y"), "q1"))),
+        Machine("B", "q0", (("q0", _recv("A", "B", "x"), "q1"),
+                            ("q0", _recv("A", "B", "y"), "q1")))])
+    rep = check_safety(s, 10 ** 6, check_liveness=True)
+    assert rep.ok and not rep.violations and rep.liveness is True
+
+
 def _loop():
     # A sends x or y to B forever; B takes only x
     return make_system([
@@ -708,7 +731,7 @@ def test_traces_local_from_words_longer_than_the_bound_agrees_with_oracle():
     assert max(map(len, c.buffers)) == 3
     for k in (1, 2, 3):
         want = mpst.cfsm._trie((c.types, c.buffers), oracles.local_steps, 4, k)
-        assert oracles.plain_trie(traces_local(c, 4, k)) == want
+        assert oracles.plain_trie(traces(c, 4, k)) == want
 
 
 def _bound_calls(k):
@@ -716,14 +739,15 @@ def _bound_calls(k):
     g = mpst.parse_global(load("commit.gt"))
     gg = mpst.parse_gglobal(load("data_transfer.ggt"))
     fam = {p: mpst.gproject(gg, p) for p in mpst.gg_participants(gg)}
+    # `traces` on each kind of view, named as in the node-cap table
     return {
         "fire": lambda: fire(initial(s), s, k),
         "step_global": lambda: mpst.step_global(g, k),
         "traces": lambda: traces(s, 4, k),
-        "traces_global": lambda: mpst.traces_global(g, 4, k),
-        "traces_local": lambda: traces_local(mpst.project_config(g), 4, k),
-        "gtraces_global": lambda: mpst.gtraces_global(gg, 4, k),
-        "gtraces_local": lambda: mpst.gtraces_local(fam, 4, k),
+        "traces_global": lambda: traces(g, 4, k),
+        "traces_local": lambda: traces(mpst.project_config(g), 4, k),
+        "gtraces_global": lambda: traces(gg, 4, k),
+        "gtraces_local": lambda: traces(fam, 4, k),
         "trace_equiv": lambda: mpst.trace_equiv(g, s, 4, k),
     }
 

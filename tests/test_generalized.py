@@ -8,13 +8,12 @@ import pytest
 from mpst import (Action, ChoiceOwnership, EndEq, GeneralGlobal, GeneralLocal,
                   Indir, LabelledNet, Machine, ParseError, ResourceLimit,
                   dot_net, gg_participants, gparticipants, gproject,
-                  gsynthesize, gto_machine, gtraces_global, gtraces_local,
-                  is_safe, make_system, mixed_parallel,
-                  multiparty_compatible, parse_gglobal, parse_global,
-                  parse_glocal, parse_system, print_gglobal, print_glocal,
-                  project, receiver_property, session_compatible, synthesize,
-                  to_machine, to_petri, trace_equiv, trie_flatten,
-                  unique_sender)
+                  gsynthesize, gto_machine, is_safe, make_system,
+                  mixed_parallel, multiparty_compatible, parse_gglobal,
+                  parse_global, parse_glocal, parse_system, print_gglobal,
+                  print_glocal, project, receiver_property,
+                  session_compatible, synthesize, to_machine, to_petri,
+                  trace_equiv, traces, trie_flatten, unique_sender)
 from mpst import cfsm, compat, generalized
 from mpst.cfsm import _trie
 from conftest import DATA, load
@@ -117,7 +116,7 @@ def test_a_local_system_that_messages_its_owner_is_a_value_error():
     with pytest.raises(ValueError, match=msg):
         gto_machine(t, "A")
     with pytest.raises(ValueError, match=msg):
-        gtraces_local({"A": t}, 3, 1)
+        traces({"A": t}, 3, 1)
     with pytest.raises(ValueError, match=msg):
         to_petri(t, "A")
     assert len(gto_machine(t, "B").states) == 2
@@ -156,7 +155,7 @@ def test_unsafe_net_yields_a_marking():
 
 
 def test_global_stepping(data_transfer_type):
-    trie = gtraces_global(data_transfer_type, 2, 1)
+    trie = traces(data_transfer_type, 2, 1)
     assert sorted(str(a) for a in trie) == ["AB!data", "AC!log"]
     after = {str(a): sub for a, sub in trie.items()}
     # A forked and can still log; channel (A, B) holds the data
@@ -166,7 +165,7 @@ def test_global_stepping(data_transfer_type):
 def test_local_family_stepping(data_transfer_type):
     fam = {p: gproject(data_transfer_type, p)
            for p in gg_participants(data_transfer_type)}
-    assert {str(a) for a in gtraces_local(fam, 1, 1)} == {"AB!data",
+    assert {str(a) for a in traces(fam, 1, 1)} == {"AB!data",
                                                           "AC!log"}
 
 
@@ -174,8 +173,8 @@ def test_global_and_local_traces_agree(data_transfer_type):
     fam = {p: gproject(data_transfer_type, p)
            for p in gg_participants(data_transfer_type)}
     for k in (1, 2):
-        tg = trie_flatten(gtraces_global(data_transfer_type, 6, k))
-        tl = trie_flatten(gtraces_local(fam, 6, k))
+        tg = trie_flatten(traces(data_transfer_type, 6, k))
+        tl = trie_flatten(traces(fam, 6, k))
         assert set(tg) == set(tl)
 
 
@@ -196,7 +195,7 @@ def test_local_family_and_its_machines_have_the_same_traces(
     for k in (1, 2):
         want = _trie(start, step, 6, k)
         assert len(trie_flatten(want)) > 6
-        assert oracles.plain_trie(gtraces_local(fam, 6, k)) == want
+        assert oracles.plain_trie(traces(fam, 6, k)) == want
 
 
 def test_stepping_keeps_no_equation_system_alive():
@@ -204,8 +203,8 @@ def test_stepping_keeps_no_equation_system_alive():
     # nothing refers to any more is freed with it
     g = parse_gglobal(DIAMOND)
     fam = {p: gproject(g, p) for p in gg_participants(g)}
-    assert gtraces_global(g, 2, 1)
-    assert gtraces_local(fam, 2, 1)
+    assert traces(g, 2, 1)
+    assert traces(fam, 2, 1)
     refs = [weakref.ref(t) for t in (g, *fam.values())]
     del g, fam
     gc.collect()
@@ -247,9 +246,9 @@ def test_fork_join_traces_grow_with_the_actions_only():
         ps = gg_participants(g)
         assert {p: len(gto_machine(gproject(g, p), p).states)
                 for p in ps} == dict.fromkeys(ps, 3)
-    assert len(trie_flatten(gtraces_global(g2, 6, 1))) - 1 == 274
+    assert len(trie_flatten(traces(g2, 6, 1))) - 1 == 274
     start = time.perf_counter()
-    gtraces_global(g3, 4, 1)
+    traces(g3, 4, 1)
     assert time.perf_counter() - start < 5
     s = make_system([gto_machine(gproject(g3, p), p)
                      for p in gg_participants(g3)])

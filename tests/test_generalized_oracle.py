@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from mpst import (ChoiceOwnership, ResourceLimit, gg_participants, gproject,
-                  gto_machine, gtraces_global, gtraces_local, is_safe,
-                  parse_gglobal, to_petri)
+                  gto_machine, is_safe, parse_gglobal, to_petri, traces)
 from mpst.cfsm import _trie
 
 PARTS = ("A", "B", "C")
@@ -115,7 +114,7 @@ def _global_traces(g, k):
     """`_same_traces` for the global reading of g."""
     defs = oracles.eq_defs(g.equations)
     ps = gg_participants(g)
-    return _same_traces(g, lambda: gtraces_global(g, MAX_LEN, k),
+    return _same_traces(g, lambda: traces(g, MAX_LEN, k),
                         lambda: _reference_traces({p: defs for p in ps}, ps,
                                                   g.entry, k, True))
 
@@ -153,7 +152,7 @@ def test_equation_systems_agree_with_the_reference(text, k):
     assume(ps)
     _global_traces(g, k)
     local_defs = {p: oracles.eq_defs(t.equations) for p, t in fam.items()}
-    _same_traces(g, lambda: gtraces_local(fam, MAX_LEN, k),
+    _same_traces(g, lambda: traces(fam, MAX_LEN, k),
                  lambda: _reference_traces(local_defs, ps, g.entry, k,
                                            False))
     for p, t in fam.items():

@@ -113,7 +113,7 @@ def test_session_loads_generalized():
 
 
 def test_all_is_sorted_and_complete():
-    assert len(mpst.__all__) == 102
+    assert len(mpst.__all__) == 98
     assert mpst.__all__ == sorted(set(mpst.__all__))
 
 

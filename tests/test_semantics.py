@@ -4,8 +4,8 @@ import pytest
 import oracles
 from mpst import (Action, GBranch, local_config, parse_global, parse_local,
                   parse_system, print_type, project_config, gbuffers,
-                  step_global, trace_equiv, traces, traces_global,
-                  traces_local, trie_flatten, unfold, well_formed)
+                  step_global, trace_equiv, traces, trie_flatten, unfold,
+                  well_formed)
 from mpst.cfsm import _trie
 from conftest import DATA
 
@@ -70,7 +70,7 @@ def test_a_loop_branch_under_blocked_exchanges_steps_nothing(text, trace):
     g = parse_global(text)
     assert acts(step_global(g, 1)) == ["AB!x", "AB!y"]
     assert trace in {" ".join(map(str, t))
-                     for t in trie_flatten(traces_global(g, 4, 1))}
+                     for t in trie_flatten(traces(g, 4, 1))}
 
 
 def test_send_respects_buffer_bound():
@@ -82,7 +82,7 @@ def test_send_respects_buffer_bound():
 
 def test_g2_has_exactly_three_complete_interleavings():
     g2 = parse_global("A -> B : a. A -> C : b. end")
-    flat = trie_flatten(traces_global(g2, 4, 1))
+    flat = trie_flatten(traces(g2, 4, 1))
     complete = sorted("·".join(map(str, w)) for w in flat if len(w) == 4)
     assert complete == [
         "AB!a·AB?a·AC!b·AC?b",
@@ -109,7 +109,7 @@ def test_local_collection_stepping_is_fifo():
         "A": parse_local("B!x. B!y. end"),
         "B": parse_local("A?x. A?y. end"),
     })
-    trie = traces_local(fam, 3, 2)
+    trie = traces(fam, 3, 2)
     assert acts(trie.items()) == ["AB!x"]
     after_x = dict((str(a), sub) for a, sub in trie.items())["AB!x"]
     assert acts(after_x.items()) == ["AB!y", "AB?x"]
@@ -123,7 +123,7 @@ def test_local_collection_unfolds_recursion_on_the_fly():
         "A": parse_local("rec t. B!x. t"),
         "B": parse_local("rec t. A?x. t"),
     })
-    flat = trie_flatten(traces_local(fam, 4, 1))
+    flat = trie_flatten(traces(fam, 4, 1))
     assert max(len(w) for w in flat) == 4
 
 
@@ -155,11 +155,14 @@ def test_trace_equiv_rejects_dicts_of_other_than_equation_systems(
         commit_type, commit_system):
     # a dict is a family of local equation systems; a family of local
     # types must come as a LocalConfig, and a trie is no input
-    for x in ({"A": parse_local("B!x. end")},
+    for x in (3, {"A": parse_local("B!x. end")},
               traces(commit_system, 6, 1)):
-        with pytest.raises(TypeError, match="^cannot take traces of dict$"):
+        msg = f"^cannot take traces of {type(x).__name__}$"
+        with pytest.raises(TypeError, match=msg):
+            traces(x, 3, 1)
+        with pytest.raises(TypeError, match=msg):
             trace_equiv(x, commit_type, 3, 1)
-        with pytest.raises(TypeError, match="^cannot take traces of dict$"):
+        with pytest.raises(TypeError, match=msg):
             trace_equiv(commit_system, x, 3, 1)
 
 
@@ -203,7 +206,7 @@ def test_local_types_and_their_machines_have_the_same_traces():
             c = project_config(m)
             for k in (1, 2, 3):
                 want = _trie((c.types, c.buffers), oracles.local_steps, 3, k)
-                assert oracles.plain_trie(traces_local(c, 3, k)) == want, (m, k)
+                assert oracles.plain_trie(traces(c, 3, k)) == want, (m, k)
             checked += 1
     assert checked == 380
 

@@ -3,7 +3,7 @@ import pytest
 
 from mpst import (Action, Machine, NotBasic, alpha_equiv, isomorphic,
                   local_config, parse_local, project, to_local, to_machine,
-                  traces_local)
+                  traces)
 
 
 REFERENCE = {
@@ -108,7 +108,7 @@ def test_to_machine_rejects_a_type_that_messages_its_owner(text):
     with pytest.raises(ValueError, match=msg):
         to_machine(parse_local(text), "A")
     with pytest.raises(ValueError, match=msg):  # not a KeyError
-        traces_local(local_config({"A": parse_local(text)}), 3, 1)
+        traces(local_config({"A": parse_local(text)}), 3, 1)
 
 
 def test_isomorphic_distinguishes_structure():
