@@ -12,13 +12,14 @@ its inputs, outputs and the message equation that labels it (None for a
 silent move).  A participant's view places holes on the variables as
 tokens: it crosses its silent transitions freely, and its sends and
 receives are the moves of a machine built by subset construction over
-the closures of hole positions (`gto_machine`).  A system, global or a
+the closures of hole positions (`gto_machine`).  Each hole multiset is
+stepped once per system and its projections, in the table of `_net`,
+which labels its moves for each participant.  A system, global or a
 family of local ones, runs as the machine system of its participants'
 views (`_view_system`), on the one FIFO step of `cfsm`; this is how
-`semantics.traces` takes its traces.  The same transitions, compiled
-per system and participant by `_net`, drive projection's choice of
-deciding senders, the subset translation to machines and the emitted
-Petri net with its safety check.
+`semantics.traces` takes its traces.  The same transitions drive
+projection's choice of deciding senders and the emitted Petri net with
+its safety check.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def _fault(entry: Var, equations, allowed) -> tuple[str, int | None] | None:
 class _EquationSystem(_Record):
     """Equations and the variable `entry` where execution starts; the
     equations are kept sorted by their printed form.  The `__dict__`
-    holds the compiled nets of `_net`."""
+    holds the nets of `_net`, their hole table and deciding senders."""
 
     __slots__ = ("entry", "equations", "__dict__")
 
@@ -212,23 +213,30 @@ class GeneralLocal(_EquationSystem):
 
 
 def _net(t: GeneralGlobal | GeneralLocal, p: Participant) -> tuple:
-    """The transitions of t as two indexes by input place, of (inputs,
-    outputs, action) triples: the moves silent for p (action None) and p's
-    own sends and receives, the only code that tells the two apart.  Kept
-    on the instance per participant, so a system nothing refers to any
-    more is freed with its nets.  Raises ValueError when a local system
-    messages p itself."""
+    """t's hole table, and p's action on leaving each place x (all moves
+    out of x belong to the equation defining x): p's send or receive, or
+    None for a move silent for p, the only code that tells the two apart.
+    The table, label-free and shared by `gproject` with t's projections,
+    holds the transitions (ins, outs) by input place, the hole multisets
+    met (id 0: the entry), their ids, and the (x, id') moves of each one
+    `_gclosure` stepped.  Both are kept on t, so a system nothing refers
+    to any more is freed with them.  Raises ValueError when a local
+    system messages p itself."""
     nets = t.__dict__.setdefault("_nets", {})
     net = nets.get(p)
     if net is None:
-        silent, acting = net = {}, {}
-        for eq in t.equations:
-            for ins, outs, msg in _transitions(eq):
-                act = None if msg is None else _action(msg, p)
-                index = silent if act is None else acting
-                for x in ins:
-                    index.setdefault(x, []).append((ins, outs, act))
-        nets[p] = net
+        if "_holes" not in t.__dict__:
+            index: dict = {}
+            for eq in t.equations:
+                for ins, outs, _ in _transitions(eq):
+                    for x in ins:
+                        index.setdefault(x, []).append((ins, outs))
+            start = (t.entry,)
+            t.__dict__["_holes"] = (index, [start], {start: 0}, {})
+        net = nets[p] = (t.__dict__["_holes"], {
+            x: None if msg is None else _action(msg, p)
+            for eq in t.equations for ins, _, msg in _transitions(eq)
+            for x in ins})
     return net
 
 
@@ -336,16 +344,20 @@ def parse_glocal(text: str) -> GeneralLocal:
 
 def _asend(g: GeneralGlobal, x: Var) -> frozenset[Participant]:
     """Participants whose first own action reachable from x is a send,
-    after `_bfs` over the moves silent for each."""
-    out = set()
-    for p in gg_participants(g):
-        silent, acting = _net(g, p)
-        vs = _bfs(x, lambda v: [(None, w) for _, outs, _ in silent.get(v, ())
-                                for w in outs],
-                  "deciding-sender search")[0]
-        if any(act.op == "!" for v in vs for _, _, act in acting.get(v, ())):
-            out.add(p)
-    return frozenset(out)
+    after `_bfs` over the moves silent for each; found once per choice x
+    and kept on g."""
+    deciders = g.__dict__.setdefault("_deciders", {})
+    if x not in deciders:
+        out = set()
+        for p in gg_participants(g):
+            (index, *_), acts = _net(g, p)
+            vs = _bfs(x, lambda v: [(None, w) for _, outs in index.get(v, ())
+                                    if acts[v] is None for w in outs],
+                      "deciding-sender search")[0]
+            if any(getattr(acts.get(v), "op", None) == "!" for v in vs):
+                out.add(p)
+        deciders[x] = frozenset(out)
+    return deciders[x]
 
 
 def gproject(g: GeneralGlobal, p: Participant) -> GeneralLocal:
@@ -369,7 +381,9 @@ def gproject(g: GeneralGlobal, p: Participant) -> GeneralLocal:
             eqs.append(cls(eq.lhs, eq.left, eq.right))
         else:
             eqs.append(eq)
-    return GeneralLocal(g.entry, tuple(eqs))
+    t = GeneralLocal(g.entry, tuple(eqs))
+    t.__dict__["_holes"] = _net(g, p)[0]  # the same net, other labels
+    return t
 
 
 # --------------------------------------------------------------------------
@@ -396,38 +410,44 @@ def _fire(ps: ParState, ins: tuple[Var, ...],
 
 
 def _enabled(index: dict, ps: ParState) -> list[tuple]:
-    """The (action, holes') pairs of the moves of index, one of `_net`'s
-    two, enabled in the hole multiset ps."""
+    """The (x, holes') pairs of the transitions of index, the first field
+    of `_net`'s hole table, enabled in the hole multiset ps, where x is
+    the input place by which index lists the transition."""
     out = []
     for i, x in enumerate(ps):
         if i and ps[i - 1] == x:
             continue  # identical hole, identical moves
-        for ins, outs, act in index.get(x, ()):
+        for ins, outs in index.get(x, ()):
             nxt = _fire(ps, ins, outs)
             if nxt is not None:
-                out.append((act, nxt))
+                out.append((x, nxt))
     return out
 
 
-def _gclosure(silent: dict, seeds) -> frozenset[ParState]:
-    """Hole positions reachable from any of seeds by the silent moves of
-    `_net`: structural equations, and in the global reading the exchanges
-    that do not involve the participant.  Choices branch the closure
-    rather than the hole multiset.  It keeps its own loop: it closes a
-    whole subset and returns a set, not a graph, and stops at the first
-    multiset of more than DEFAULT_FORK_CAP holes.
-    """
+def _gclosure(net: tuple, seeds) -> frozenset[int]:
+    """The ids of the hole positions reachable from any of seeds by the
+    moves silent in net (see `_net`); choices branch the closure, not the
+    multiset.  The first closure to meet a multiset steps it for the
+    table; one of more than DEFAULT_FORK_CAP holes gets no row, so every
+    closure that meets it raises ResourceLimit."""
+    (index, holes, ids, rows), acts = net
     seen = set(seeds)
-    dq = deque(seen)
-    while dq:
-        cur = dq.popleft()
-        if len(cur) > DEFAULT_FORK_CAP:
-            raise ResourceLimit(f"more than {DEFAULT_FORK_CAP} parallel "
-                                f"branches for one participant")
-        for _, nxt in _enabled(silent, cur):
-            if nxt not in seen:
-                seen.add(nxt)
-                dq.append(nxt)
+    todo = list(seen)
+    for i in todo:
+        row = rows.get(i)
+        if row is None:
+            if len(holes[i]) > DEFAULT_FORK_CAP:
+                raise ResourceLimit(f"more than {DEFAULT_FORK_CAP} parallel "
+                                    f"branches for one participant")
+            moves = _enabled(index, holes[i])
+            for _, nxt in moves:  # a new multiset takes the next id
+                if ids.setdefault(nxt, len(holes)) == len(holes):
+                    holes.append(nxt)
+            row = rows[i] = [(x, ids[nxt]) for x, nxt in moves]
+        for x, j in row:
+            if j not in seen and acts[x] is None:
+                seen.add(j)
+                todo.append(j)
     return frozenset(seen)
 
 
@@ -441,17 +461,18 @@ def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
     are silent (see `_net`): `_bfs` over closed sets of hole positions,
     state s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
     states or DEFAULT_FORK_CAP holes, ValueError as `_net` does."""
-    silent, acting = _net(t, owner)
+    table, acts = net = _net(t, owner)
 
-    def step(cur: frozenset[ParState]) -> list:
-        moves: dict[Action, set[ParState]] = {}
-        for ps in cur:
-            for act, holes in _enabled(acting, ps):
-                moves.setdefault(act, set()).add(holes)
-        return [(act, _gclosure(silent, moves[act])) for act in sorted(moves)]
+    def step(cur: frozenset[int]) -> list:
+        moves: dict[Action, set[int]] = {}
+        for i in cur:  # a closure has stepped every member
+            for x, j in table[3][i]:
+                act = acts[x]
+                if act is not None:
+                    moves.setdefault(act, set()).add(j)
+        return [(act, _gclosure(net, moves[act])) for act in sorted(moves)]
 
-    _, rows = _bfs(_gclosure(silent, {(t.entry,)}), step,
-                   "subset construction")
+    _, rows = _bfs(_gclosure(net, {0}), step, "subset construction")
     return Machine(owner, "s0", tuple(
         (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
         for act, j in zip(row[::2], row[1::2])))
@@ -504,7 +525,7 @@ def _transition_label(msg, owner: Participant | None) -> str | None:
 def is_safe(net: LabelledNet) -> tuple[bool, dict | None]:
     """Exhaustively check that no reachable marking puts two tokens on a
     place; returns the offending marking otherwise.  A marking is the
-    sorted tuple of its tokens' places, fired by `_fire` as `_gclosure`
+    sorted tuple of its tokens' places, fired by `_fire` as `_enabled`
     fires hole multisets, transitions taken in the net's order.  It keeps
     its own loop, which stops at the first unsafe marking.  Raises
     ResourceLimit past `node_cap()` markings."""

@@ -279,8 +279,7 @@ class Machine(_Record):
                 sts.add(s)
                 sts.add(d)
             states = frozenset(sts)
-        transitions = tuple(sorted(transitions,
-                                   key=lambda e: (e[0], e[1], e[2])))
+        transitions = tuple(sorted(transitions))
         super().__init__(owner, initial, transitions, states)
 
     @cached_property

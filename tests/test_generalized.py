@@ -6,14 +6,14 @@ import weakref
 import pytest
 
 from mpst import (Action, ChoiceOwnership, EndEq, GeneralGlobal, GeneralLocal,
-                  Indir, LabelledNet, Machine, ParseError, ResourceLimit,
-                  dot_net, gg_participants, gparticipants, gproject,
-                  gsynthesize, gto_machine, is_safe, make_system,
+                  GGChoice, Indir, LabelledNet, Machine, ParseError,
+                  ResourceLimit, dot_net, gg_participants, gparticipants,
+                  gproject, gsynthesize, gto_machine, is_safe, make_system,
                   mixed_parallel, multiparty_compatible, parse_gglobal,
                   parse_global, parse_glocal, parse_system, print_gglobal,
-                  print_glocal, project, receiver_property,
-                  session_compatible, synthesize, to_machine, to_petri,
-                  trace_equiv, traces, trie_flatten, unique_sender)
+                  print_glocal, project, receiver_property, session_compatible,
+                  synthesize, to_machine, to_petri, trace_equiv, traces,
+                  trie_flatten, unique_sender)
 from mpst import cfsm, compat, generalized
 from mpst.cfsm import _trie
 from conftest import DATA, load
@@ -205,6 +205,9 @@ def test_stepping_keeps_no_equation_system_alive():
     fam = {p: gproject(g, p) for p in gg_participants(g)}
     assert traces(g, 2, 1)
     assert traces(fam, 2, 1)
+    # the projections share g's hole table; g's own machines step it too
+    for p in fam:
+        assert gto_machine(fam[p], p) == gto_machine(g, p)
     refs = [weakref.ref(t) for t in (g, *fam.values())]
     del g, fam
     gc.collect()
@@ -275,6 +278,43 @@ def test_subset_construction_closes_each_subset_once(monkeypatch):
         sizes[p] = (len(m.states), len(calls))
     assert sizes == {"S": (3 ** 4, 325),
                      **{f"B{i}": (3, 4) for i in range(4)}}
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_each_hole_multiset_is_stepped_once_per_system(monkeypatch, shared):
+    # the projections share g's table, so every participant's machine is
+    # built on the multisets that the ones before it have stepped
+    calls = []
+    enabled = generalized._enabled
+
+    def counting(index, ps):
+        calls.append(ps)
+        return enabled(index, ps)
+
+    monkeypatch.setattr(generalized, "_enabled", counting)
+    g = parse_gglobal(fork_join(4, shared))
+    for p in gg_participants(g):
+        gto_machine(gproject(g, p), p)
+    assert len(calls) == len(set(calls)) == 1446
+
+
+def test_deciding_senders_are_searched_once_per_choice(monkeypatch):
+    # one search per choice and participant, however many projections
+    searches = []
+    bfs = generalized._bfs
+
+    def counting(start, step, what):
+        searches.append(what)
+        return bfs(start, step, what)
+
+    monkeypatch.setattr(generalized, "_bfs", counting)
+    g = parse_gglobal(load("data_transfer.ggt"))
+    ps = gg_participants(g)
+    for p in ps * 2:
+        gproject(g, p)
+    choices = sum(isinstance(eq, GGChoice) for eq in g.equations)
+    assert choices and searches == ["deciding-sender search"] * (
+        choices * len(ps))
 
 
 def test_mixed_parallel_rejects_noncommuting_actions():

@@ -2,13 +2,20 @@
 traces of global systems and of their projections, subset construction,
 and the labelled net with its safety verdict, on random small global
 systems with forks, joins, choices and merges."""
+import random
+from itertools import permutations
+
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import load
 from mpst import (ChoiceOwnership, ResourceLimit, gg_participants, gproject,
-                  gto_machine, is_safe, parse_gglobal, to_petri, traces)
+                  gto_machine, is_safe, parse_gglobal, parse_glocal,
+                  print_gglobal, print_glocal, to_petri, traces)
 from mpst.cfsm import _trie
+from test_generalized import fork_join
 
 PARTS = ("A", "B", "C")
 FORMS = ("end", "msg", "msg", "msg", "choice", "fork", "join", "merge",
@@ -178,3 +185,63 @@ def test_the_examples_cover_unsafe_nets_and_the_fork_cap():
                              True)
     assert _global_traces(g, 1) == "limit"
     assert is_safe(to_petri(parse_gglobal(DIAMOND))) == (True, None)
+
+
+def _sharing_changes_no_machine(text, rnd):
+    """Every machine of g and of its projections, built on the hole table
+    that `gproject` shares, equals the machine of a fresh copy, which
+    shares nothing; the participants go in rnd's order, with g's own
+    machines built first, then last.  A projection's machine is also g's
+    machine for its participant."""
+    for g_first in (True, False):
+        g = parse_gglobal(text)
+        ps = list(gg_participants(g))
+        try:
+            fam = {p: gproject(g, p) for p in ps}
+        except ChoiceOwnership:
+            fam = {}
+        assert all(t._holes is g._holes for t in fam.values())
+        rnd.shuffle(ps)
+        own = [(g, p) for p in ps]
+        views = [(fam[p], p) for p in ps if p in fam]
+        got = {}
+        for t, p in own + views if g_first else views + own:
+            fresh = (parse_gglobal(print_gglobal(t)) if t is g
+                     else parse_glocal(print_glocal(t)))
+            got[t is g, p] = _outcome(lambda: gto_machine(t, p),
+                                      ResourceLimit)
+            assert got[t is g, p] == _outcome(lambda: gto_machine(fresh, p),
+                                              ResourceLimit), p
+        for p in fam:
+            assert got[False, p] == got[True, p]
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems(), st.randoms(use_true_random=False))
+@example(FORK_LOOP, random.Random(1))
+@example(DIAMOND, random.Random(1))
+@example(SEND_LOOP, random.Random(1))
+def test_sharing_the_hole_table_changes_no_machine(text, rnd):
+    _sharing_changes_no_machine(text, rnd)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(fork_join(n, shared), id=f"fj{n}-{kind}")
+    for n in (1, 2, 3, 4)
+    for shared, kind in ((True, "shared"), (False, "per-branch"))]
+    + [pytest.param(load("data_transfer.ggt"), id="data_transfer")])
+def test_sharing_changes_no_machine_of_the_corpus_and_fork_joins(text):
+    for seed in range(2):
+        _sharing_changes_no_machine(text, random.Random(seed))
+
+
+def test_the_fork_cap_holds_for_every_view_in_any_order():
+    # a multiset past the cap keeps no row in the shared table, so a view
+    # stepped after another one raised still raises
+    ps = gg_participants(parse_gglobal(FORK_LOOP))
+    for order in permutations([(True, p) for p in ps]
+                              + [(False, p) for p in ps]):
+        g = parse_gglobal(FORK_LOOP)
+        for own, p in order:
+            with pytest.raises(ResourceLimit, match="more than 8 parallel"):
+                gto_machine(g if own else gproject(g, p), p)
