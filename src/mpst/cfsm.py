@@ -3,7 +3,8 @@
 Configurations pair the joint control state with one FIFO word per ordered
 participant pair.  Exploration is k-bounded: a send is enabled only while its
 channel holds fewer than k messages.  It steps int keys (see `_Table`) by
-adding deltas; keys hold only the channels that some transition uses.  All
+adding deltas; a key holds every channel that some transition uses, and a
+configuration's own table also every channel it holds a word on.  All
 iteration orders are deterministic so reports and golden tests are stable.
 """
 
@@ -195,16 +196,16 @@ class _Table:
     """A system compiled at the send bound k, each configuration one int:
     from the highest bits down, one region per participant in sorted order,
     its state code (flags final, receiving and has-sends over the index in
-    `names`), then for each channel some move uses (`chans`) that it
-    receives on, a non-empty bit over the id of its word in `words[j]`,
-    interned on first sight; a field holds any word of at most k labels sent
-    on it (and, in a table of c, c's word).  `at` maps a bit_length to (mask
-    under the region, state shift and mask, moves by state index, region
-    mask, unspecified reception by region value), a move being (action,
-    field shift, field mask, deltas, (is_send, channel, label, code
+    `names`), then for each channel that it receives on and that some move
+    uses or c holds a word on (`chans`), a non-empty bit over the id of its
+    word in `words[j]`, interned on first sight; a field holds any word of
+    at most k labels sent on it, and c's word.  `at` maps a bit_length to
+    (mask under the region, state shift and mask, moves by state index,
+    region mask, unspecified reception by region value), a move being
+    (action, field shift, field mask, deltas, (is_send, channel, label, code
     change)).  s is checked by `_check`."""
 
-    __slots__ = ("k", "width", "chans", "sent", "codes", "names", "at",
+    __slots__ = ("k", "width", "chans", "codes", "names", "at",
                  "shift", "top", "words", "ids", "cand", "nonempty", "final",
                  "receiving", "start")
 
@@ -212,9 +213,9 @@ class _Table:
         machines = [s.machine(p) for p in s.participants]
         used = _check(s)
         self.k, self.width = k, len(s.channels)
-        self.chans = tuple(i for i, ch in enumerate(s.channels) if ch in used)
+        self.chans = tuple(i for i, ch in enumerate(s.channels)
+                           if ch in used or c is not None and c.buffers[i])
         chans = {s.channels[i]: j for j, i in enumerate(self.chans)}
-        self.sent = [tuple(used[ch]) for ch in chans]
         self.shift, self.top = [0] * len(chans), [0] * len(chans)
         self.words, self.ids = [[()] for _ in chans], [{} for _ in chans]
         self.codes, self.names, self.at, regions = [], [], [None], []
@@ -224,8 +225,8 @@ class _Table:
             for ch, j in reversed(chans.items()):
                 if ch[1] == m.owner:
                     w = c.buffers[self.chans[j]] if c is not None else ()
-                    bits = (_words(len(used[ch].union(w)), max(k, len(w)))
-                            - 1).bit_length()
+                    bits = (_words(len(set(w).union(used.get(ch, ()))),
+                                   max(k, len(w))) - 1).bit_length()
                     self.shift[j], self.top[j] = low, 1 << bits
                     nonempty |= 1 << low + bits
                     low += bits + 1
@@ -261,7 +262,8 @@ def _words(n: int, m: int) -> int:
 def _table(s: System, k: int | None, c: Config | None = None) -> _Table:
     """The table of s at bound k (None: the least power of two above c's
     longest word), kept on s.  A c is checked; a word of c longer than k or
-    with a label never sent on its channel gets c a table of its own."""
+    with a label never sent on its channel (any label, on a channel that no
+    move uses) gets c a table of its own, so that c has a key."""
     if k is None:
         k = 1 << max(map(len, c.buffers), default=0).bit_length()
     if k < 1:
@@ -277,8 +279,9 @@ def _table(s: System, k: int | None, c: Config | None = None) -> _Table:
     for p, q, codes in zip(s.participants, c.states, t.codes):
         if q not in codes:
             raise ValueError(f"{q!r} is not a state of {p}")
-    if any(len(c.buffers[i]) > k or not set(c.buffers[i]).issubset(t.sent[j])
-           for j, i in enumerate(t.chans)):
+    used = _check(s)
+    if any(len(w) > k or not used.get(ch, set()).issuperset(w)
+           for ch, w in zip(s.channels, c.buffers) if w):
         t = _Table(s, k, c)
     return t
 
@@ -293,7 +296,7 @@ def _field(t: _Table, j: int, w: tuple) -> int:
 
 
 def _key(t: _Table, c: Config) -> int:
-    """The key of c, without its words on channels no move uses."""
+    """The key of c, for a t of `_table(s, k, c)`; `_config` inverts it."""
     return sum(codes[q] << sh for (sh, _, _), codes, q
                in zip(t.names, t.codes, c.states)) \
         + sum(_field(t, j, c.buffers[i]) << t.shift[j]
@@ -304,9 +307,9 @@ def _states(t: _Table, key: int) -> tuple[str, ...]:
     return tuple(states[key >> sh & mask] for sh, mask, states in t.names)
 
 
-def _config(t: _Table, key: int, buffers: tuple | None = None) -> Config:
-    """The configuration of key, with buffers (or nothing) elsewhere."""
-    bufs = list(buffers) if buffers else [()] * t.width
+def _config(t: _Table, key: int) -> Config:
+    """The configuration of key, empty words on the channels t leaves out."""
+    bufs = [()] * t.width
     for i, sh, top, words in zip(t.chans, t.shift, t.top, t.words):
         bufs[i] = words[key >> sh & top - 1]
     return Config(_states(t, key), tuple(bufs))
@@ -358,8 +361,7 @@ def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Conf
     """All enabled transitions from c (k-bounded when k is given).  Raises
     ValueError for k < 1 and for a c that is not a configuration of s."""
     t = _table(s, k, c)
-    return tuple((act, _config(t, key, c.buffers))
-                 for act, key in _steps(t, _key(t, c)))
+    return tuple((act, _config(t, key)) for act, key in _steps(t, _key(t, c)))
 
 
 class ReachSet(_Record):
@@ -405,13 +407,13 @@ _UNSPECIFIED = ("unspecified_reception",)
 
 
 def _flags(t: _Table, key: int) -> tuple[str, ...]:
-    """The sorted flags of the configuration of key, with nothing on the
-    channels the key leaves out, () when it is intermediate.  Stable: every
-    buffer is empty.  Final: stable, every participant final.  Deadlock:
-    stable, every participant receiving.  Orphan: every participant final,
-    some buffer non-empty.  Unspecified reception: a receiving participant
-    finds another label first on every channel (checked per region value
-    for the receivers of non-empty channels only)."""
+    """The sorted flags of the configuration of key, () when it is
+    intermediate.  Stable: every buffer is empty.  Final: stable, every
+    participant final.  Deadlock: stable, every participant receiving.
+    Orphan: every participant final, some buffer non-empty.  Unspecified
+    reception: a receiving participant finds another label first on every
+    channel (checked per region value for the receivers of non-empty
+    channels only)."""
     final = t.final
     if not key & t.nonempty:
         if key & final == final:
@@ -442,11 +444,7 @@ def classify(c: Config, s: System) -> frozenset[str]:
     """Configuration flags: stable/final/deadlock/orphan/unspecified_reception,
     or intermediate when none apply.  Multiple flags may hold."""
     t = _table(s, None, c)
-    flags = _flags(t, _key(t, c))
-    if "stable" in flags and not c.is_stable():
-        # words wait only on channels that no move uses: nothing takes them
-        flags = _ORPHAN if flags == _FINAL else ()
-    return frozenset(flags or ("intermediate",))
+    return frozenset(_flags(t, _key(t, c)) or ("intermediate",))
 
 
 BAD_FLAGS = frozenset({"deadlock", "orphan", "unspecified_reception"})

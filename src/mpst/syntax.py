@@ -15,16 +15,17 @@ runtime-only: it prints in debug form `A ~> B : [a] {...}` and is rejected
 by the parser.
 
 Global and local types share one core.  Their node classes share printing
-(`_Type`) and branch lookup (`_Branching`); one parser, `_parse_type`,
-reads both grammars, which differ only in the exchange after a
-participant name; `_guarded`, `_subst`, `print_type` and `glabels` each
-serve both languages.
+(`_Type`), and `_Branching` marks the nodes with labelled branches; one
+parser, `_parse_type`, reads both grammars, which differ only in the
+exchange after a participant name; `_guarded`, `_subst`, `print_type`,
+`glabels` and `alpha_canonical` each serve both languages.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import cached_property, total_ordering
+from itertools import count
 from operator import attrgetter
 
 from .errors import ParseError
@@ -123,6 +124,7 @@ def _getter(fields: tuple[str, ...]):
     return lambda r: ()
 
 
+@total_ordering
 class Action(_Record):
     """A send or receive pq!a / pq?a; subject is the acting participant.
     Actions are ordered as the tuples of their fields."""
@@ -132,21 +134,6 @@ class Action(_Record):
     def __lt__(self, other):
         if other.__class__ is self.__class__:
             return self._values < other._values
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values <= other._values
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values > other._values
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values >= other._values
         return NotImplemented
 
     @property
@@ -178,15 +165,6 @@ class _Branching(_Type):
     """A node with labelled continuations: GBranch, LSend or LRecv."""
 
     __slots__ = ()
-
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(l for l, _ in self.branches)
-
-    def branch(self, label: Label):
-        for l, t in self.branches:
-            if l == label:
-                return t
-        raise KeyError(label)
 
 
 class GEnd(_Type):
@@ -621,13 +599,6 @@ def parse_system(text: str) -> System:
 # --------------------------------------------------------------------------
 # Unfolding and substitution
 
-def _with_branches(t: _Branching, branches) -> _Branching:
-    """The branching node t, global or local, with other branches."""
-    if isinstance(t, GBranch):
-        return GBranch(t.src, t.dst, branches, t.mid)
-    return type(t)(t.peer, branches)
-
-
 def _subst(t, var: str, repl):
     """t, global or local, with repl for the free occurrences of var."""
     if isinstance(t, (GVar, LVar)):
@@ -665,26 +636,17 @@ def print_type(t) -> str:
         return t.var
     if isinstance(t, (GRec, LRec)):
         return f"rec {t.var}. {print_type(t.body)}"
-    if isinstance(t, GBranch):
-        inner = sorted((l, print_type(b)) for l, b in t.branches)
-        if t.mid is not None:
-            mid_label = t.branches[t.mid][0]
-            body = ", ".join(f"{l}. {s}" for l, s in inner)
-            return f"{t.src} ~> {t.dst} : [{mid_label}] {{{body}}}"
-        if len(inner) == 1:
-            l, s = inner[0]
-            return f"{t.src}->{t.dst}:{l}. {s}"
-        body = ", ".join(f"{l}. {s}" for l, s in inner)
-        return f"{t.src}->{t.dst}:{{{body}}}"
-    if isinstance(t, (LSend, LRecv)):
-        op = "!" if isinstance(t, LSend) else "?"
-        inner = sorted((l, print_type(b)) for l, b in t.branches)
-        if len(inner) == 1:
-            l, s = inner[0]
-            return f"{t.peer}{op}{l}. {s}"
-        body = ", ".join(f"{l}. {s}" for l, s in inner)
-        return f"{t.peer}{op}{{{body}}}"
-    raise TypeError(f"not a type: {t!r}")
+    if not isinstance(t, _Branching):
+        raise TypeError(f"not a type: {t!r}")
+    inner = sorted((l, print_type(b)) for l, b in t.branches)
+    body = ", ".join(f"{l}. {s}" for l, s in inner)
+    if not isinstance(t, GBranch):
+        head = t.peer + ("!" if isinstance(t, LSend) else "?")
+    elif t.mid is None:
+        head = f"{t.src}->{t.dst}:"
+    else:
+        return f"{t.src} ~> {t.dst} : [{t.branches[t.mid][0]}] {{{body}}}"
+    return head + (body if len(t.branches) == 1 else f"{{{body}}}")
 
 
 def print_system(s: System) -> str:
@@ -716,7 +678,7 @@ def gparticipants(g: Global) -> frozenset[Participant]:
 def glabels(g: Global) -> frozenset[Label]:
     """The labels of every exchange in a global or local type."""
     if isinstance(g, _Branching):
-        out = set(g.labels())
+        out = {l for l, _ in g.branches}
         for _, b in g.branches:
             out |= glabels(b)
         return frozenset(out)
@@ -725,35 +687,28 @@ def glabels(g: Global) -> frozenset[Label]:
     return frozenset()
 
 
-def _sort_branches(t):
-    if isinstance(t, (GRec, LRec)):
-        return type(t)(t.var, _sort_branches(t.body))
-    if not isinstance(t, _Branching):
-        return t
-    bs = tuple(sorted((l, _sort_branches(b)) for l, b in t.branches))
-    if isinstance(t, GBranch) and t.mid is not None:
-        # keep mid pointing at the same label after sorting
-        mid = [l for l, _ in bs].index(t.branches[t.mid][0])
-        return GBranch(t.src, t.dst, bs, mid)
-    return _with_branches(t, bs)
-
-
 def alpha_canonical(t):
-    """Branches sorted, binders renamed t0,t1,... in traversal order."""
+    """Branches sorted by label, binders renamed t0,t1,... in the traversal
+    order of the sorted tree; an in-flight mark stays on its label."""
+    fresh = (f"t{i}" for i in count())
 
-    def walk(u, env, counter):
+    def walk(u, env):
         if isinstance(u, (GVar, LVar)):
             return type(u)(env[u.var])
         if isinstance(u, (GRec, LRec)):
-            fresh = f"t{counter[0]}"
-            counter[0] += 1
-            return type(u)(fresh, walk(u.body, {**env, u.var: fresh}, counter))
-        if isinstance(u, _Branching):
-            return _with_branches(
-                u, tuple((l, walk(b, env, counter)) for l, b in u.branches))
-        return u
+            var = next(fresh)
+            return type(u)(var, walk(u.body, {**env, u.var: var}))
+        if not isinstance(u, _Branching):
+            return u
+        order = sorted(range(len(u.branches)), key=lambda i: u.branches[i][0])
+        bs = tuple((u.branches[i][0], walk(u.branches[i][1], env))
+                   for i in order)
+        if not isinstance(u, GBranch):
+            return type(u)(u.peer, bs)
+        return GBranch(u.src, u.dst, bs,
+                       None if u.mid is None else order.index(u.mid))
 
-    return walk(_sort_branches(t), {}, [0])
+    return walk(t, {})
 
 
 def alpha_equiv(t1, t2) -> bool:

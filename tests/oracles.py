@@ -1,9 +1,11 @@
 """Independent brute-force oracles, written before the main engines.
 
 Everything here works on plain tuples/dicts and deliberately imports nothing
-from the package under test, except the last section: the compatibility
-check as first written, which runs on the package's machines and builds its
-report records, so that their reprs compare.  Systems are encoded as
+from the package under test, except the last two sections: the
+compatibility check as first written, which runs on the package's machines
+and builds its report records, so that their reprs compare, and the printer
+and canonical form of types as first written, on the package's type nodes.
+Systems are encoded as
 
     {participant: (initial_state, ((src, sender, receiver, op, label, dst), ...)), ...}
 
@@ -932,8 +934,8 @@ def synthesize(sys_enc):
 # `_exchanges`, rather than reading the exchanges off the rows of RS_1.
 # They take `System`s of deterministic machines.
 
-from mpst.cfsm import (_bfs, _explore, _nondeterminism, _states,  # noqa: E402
-                       _table, is_basic)
+from mpst.cfsm import (_bfs, _explore, _flags, _nondeterminism,  # noqa: E402
+                       _states, _table, is_basic)
 from mpst.compat import CompatFailure, CompatReport, dual  # noqa: E402
 from mpst.errors import NotBasic  # noqa: E402
 from mpst.syntax import Action  # noqa: E402
@@ -1093,7 +1095,7 @@ def multiparty_compatible(s, allow_nonbasic=False):
     closure_cache = {}
     fed_cache = {}
     for key in _explore(s, 1)[0]:
-        if key & t.nonempty:
+        if "stable" not in _flags(t, key):
             continue
         states = _states(t, key)
         for i, p in enumerate(ps):
@@ -1108,3 +1110,81 @@ def multiparty_compatible(s, allow_nonbasic=False):
             seen.add(fkey)
             unique.append(f)
     return CompatReport(not unique, tuple(unique))
+
+
+# ---------------------------------------------------------------------------
+# Printing and the canonical form of types as first written: one printing
+# case per kind of branching, and a canonical form that sorts every
+# branching's branches in a walk of its own before numbering the binders.
+# They take the package's global and local type nodes.
+
+from mpst.syntax import (GBranch, GEnd, GRec, GVar, LEnd, LRec,  # noqa: E402
+                         LRecv, LSend, LVar, _Branching)
+
+
+def print_type(t):
+    """Canonical text for a global or local type (labels sorted)."""
+    if isinstance(t, (GEnd, LEnd)):
+        return "end"
+    if isinstance(t, (GVar, LVar)):
+        return t.var
+    if isinstance(t, (GRec, LRec)):
+        return f"rec {t.var}. {print_type(t.body)}"
+    if isinstance(t, GBranch):
+        inner = sorted((l, print_type(b)) for l, b in t.branches)
+        if t.mid is not None:
+            mid_label = t.branches[t.mid][0]
+            body = ", ".join(f"{l}. {s}" for l, s in inner)
+            return f"{t.src} ~> {t.dst} : [{mid_label}] {{{body}}}"
+        if len(inner) == 1:
+            l, s = inner[0]
+            return f"{t.src}->{t.dst}:{l}. {s}"
+        body = ", ".join(f"{l}. {s}" for l, s in inner)
+        return f"{t.src}->{t.dst}:{{{body}}}"
+    if isinstance(t, (LSend, LRecv)):
+        op = "!" if isinstance(t, LSend) else "?"
+        inner = sorted((l, print_type(b)) for l, b in t.branches)
+        if len(inner) == 1:
+            l, s = inner[0]
+            return f"{t.peer}{op}{l}. {s}"
+        body = ", ".join(f"{l}. {s}" for l, s in inner)
+        return f"{t.peer}{op}{{{body}}}"
+    raise TypeError(f"not a type: {t!r}")
+
+
+def _with_branches(t, branches):
+    """The branching node t, global or local, with other branches."""
+    if isinstance(t, GBranch):
+        return GBranch(t.src, t.dst, branches, t.mid)
+    return type(t)(t.peer, branches)
+
+
+def _sort_branches(t):
+    if isinstance(t, (GRec, LRec)):
+        return type(t)(t.var, _sort_branches(t.body))
+    if not isinstance(t, _Branching):
+        return t
+    bs = tuple(sorted((l, _sort_branches(b)) for l, b in t.branches))
+    if isinstance(t, GBranch) and t.mid is not None:
+        # keep mid pointing at the same label after sorting
+        mid = [l for l, _ in bs].index(t.branches[t.mid][0])
+        return GBranch(t.src, t.dst, bs, mid)
+    return _with_branches(t, bs)
+
+
+def alpha_canonical(t):
+    """Branches sorted, binders renamed t0,t1,... in traversal order."""
+
+    def walk(u, env, counter):
+        if isinstance(u, (GVar, LVar)):
+            return type(u)(env[u.var])
+        if isinstance(u, (GRec, LRec)):
+            fresh = f"t{counter[0]}"
+            counter[0] += 1
+            return type(u)(fresh, walk(u.body, {**env, u.var: fresh}, counter))
+        if isinstance(u, _Branching):
+            return _with_branches(
+                u, tuple((l, walk(b, env, counter)) for l, b in u.branches))
+        return u
+
+    return walk(_sort_branches(t), {}, [0])

@@ -11,8 +11,8 @@ from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   dot_reach, dot_system, fire, initial, is_basic,
                   local_config, make_system, parse_local, parse_system,
                   reach, to_machine, traces, trie_flatten)
-from mpst.cfsm import (_components, _explore, _factors, _product_safety,
-                       _table, _words)
+from mpst.cfsm import (_components, _config, _explore, _factors, _key,
+                       _product_safety, _table, _words)
 from conftest import load
 import mpst
 import oracles
@@ -441,6 +441,16 @@ def test_fire_and_classify_agree_with_oracle_anywhere(data, s, k):
     want = oracles.successors(enc, as_tuple(c), 4 if k is None else k)
     assert [(act_tuple(a), as_tuple(c2)) for a, c2 in fire(c, s, k)] == want
     assert classify(c, s) == oracles.classify(enc, as_tuple(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), small_systems(), st.sampled_from([None, 1, 2, 3]))
+def test_a_configuration_round_trips_through_its_key(data, s, k):
+    # words on channels that no move uses, longer than k or of labels never
+    # sent all get c a table of its own, in whose key they are kept
+    c = data.draw(any_configs(s))
+    t = _table(s, k, c)
+    assert _config(t, _key(t, c)) == c
 
 
 # --- RS_k sizes of the benchmark families, from their closed forms -----------

@@ -156,6 +156,42 @@ def test_check_verdicts():
     assert j["violations"] == [] and j["liveness"] is False
 
 
+PRODUCER = """machine A {
+  init q0;
+  q0 -- A B ! x --> q0;
+}
+machine B {
+  init q0;
+  q0 -- A B ? x --> q0;
+}
+"""
+
+
+def _limit_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="RLIMIT_AS bounds the child's memory on Linux only")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "each channel interns its words as tuples, one per length, so RS_k of "
+    "a one-label loop, 20,001 configurations at k = 20,000, takes memory "
+    "in k^2 and the check dies with a MemoryError under 1 GB; fix: store "
+    "each word as (first label, id of the rest, length), O(1) per word "
+    "(ROADMAP item 3)"))
+def test_a_long_producer_loop_is_checked_within_a_gigabyte(tmp_path):
+    path = tmp_path / "producer.cfsm"
+    path.write_text(PRODUCER)
+    cmd = [sys.executable, "-c",
+           "from mpst.cli import main; raise SystemExit(main())",
+           "check", str(path), "--bound", "20000"]
+    r = subprocess.run(cmd, capture_output=True, text=True,
+                       preexec_fn=_limit_address_space)
+    assert r.returncode == 0, r.stderr[-300:]
+    assert json.loads(r.stdout)["violations"] == []
+
+
 def test_simulate_is_deterministic():
     rc, out, _ = run("simulate", DATA / "commit.cfsm",
                      "--steps", "6", "--bound", "1")

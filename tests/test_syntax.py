@@ -13,11 +13,12 @@ from mpst import (Action, GBranch, GEnd, GRec, GVar, LEnd, LRecv, LSend,
                   ParseError, alpha_canonical, alpha_equiv, glabels,
                   gparticipants, make_system, parse_gglobal, parse_global,
                   parse_glocal, parse_local, parse_system, print_system,
-                  print_type, unfold)
+                  print_type, project, step_global, unfold)
 from mpst.syntax import _Parser, tokenize
 
 import oracles
 from conftest import DATA
+from global_types import global_types
 
 
 def test_package_exports_no_submodules():
@@ -186,6 +187,35 @@ def _locals(depth):
 @given(_locals(3))
 def test_print_parse_roundtrip_random_local(t):
     assert parse_local(print_type(t)) == t
+
+
+def _shuffled(g, data):
+    """g with the branches of each exchange in a drawn order."""
+    if isinstance(g, GRec):
+        return GRec(g.var, _shuffled(g.body, data))
+    if isinstance(g, GBranch):
+        return GBranch(g.src, g.dst, tuple(
+            (l, _shuffled(b, data))
+            for l, b in data.draw(st.permutations(g.branches))))
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(global_types(), st.data())
+def test_printing_and_canonical_forms_agree_with_the_first_written(g, data):
+    # the branches out of label order, so that sorting them moves the
+    # binders' numbers and, in a marked type, the in-flight index
+    g = _shuffled(g, data)
+    views = [g, *(project(g, p) for p in sorted(gparticipants(g)))]
+    for _ in range(data.draw(st.integers(0, 8))):
+        steps = step_global(g, 2)
+        if not steps:
+            break
+        g = data.draw(st.sampled_from(steps))[1]
+        views.append(g)
+    for t in views:
+        assert print_type(t) == oracles.print_type(t)
+        assert alpha_canonical(t) == oracles.alpha_canonical(t)
 
 
 def test_make_system_sorts_by_owner(commit_system):
