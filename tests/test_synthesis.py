@@ -6,10 +6,9 @@ import oracles
 from mpst import (GBranch, GEnd, GRec, GVar, MPSTError, NotBasic,
                   NotCompatible, SynthesisFailure, alpha_canonical,
                   alpha_equiv, check_safety, gparticipants, is_basic,
-                  isomorphic, make_system,
-                  multiparty_compatible, parse_global, parse_system,
-                  print_type, project, synthesize, to_machine,
-                  verify_roundtrip, well_formed)
+                  isomorphic, make_system, multiparty_compatible,
+                  parse_global, parse_system, print_type, project,
+                  synthesize, to_machine, verify_roundtrip, well_formed)
 from conftest import DATA, load
 from global_types import global_types
 
@@ -113,7 +112,7 @@ def test_projections_of_well_formed_types_are_basic_compatible_and_safe(g):
     # ROADMAP item 2, theorems (i) and (iii): the projections are basic and
     # multiparty compatible, and safe at every bound tried.  Liveness
     # depends on the type, so it is not asserted.  Theorem (ii) is not part
-    # of this property: it fails on about 0.7% of the draws, in the shapes
+    # of this property: it fails on under 1% of the draws, in the shapes
     # of faults 2a and 2b and of THEOREM_II_FAULTS below.
     s = _projections(g)
     assert all(is_basic(m)[0] for _, m in s.machines)
@@ -131,11 +130,11 @@ THEOREM_II_FAULTS = {
     "ill-formed": ("rec t. A->C:x. A->C:{x. B->D:x. t, y. C->A:x. B->D:x. t}",
                    ("SynthesisFailure", "synthesised type is not "
                     "well-formed: cannot merge D!x. t1 with D!x. t0 (at y)")),
-    # a loop of independent pairs taking uneven turns: the loop closes one
-    # round late, so A's and B's machines are unrolled
+    # a loop of independent pairs taking uneven turns: the loop is entered
+    # after A->B, so A's and B's machines are unrolled
     "uneven-pairs": ("rec t. A->B:x. C->D:x. C->D:x. t",
                      "A->B:x. rec t0. C->D:x. A->B:x. C->D:x. t0"),
-    # B can enter its loop before D->A: the loop closes one round late, so
+    # B can enter its loop before D->A: the loop is entered after B->C, so
     # B's and C's machines are unrolled
     "late-entry": ("D->B:x. C->A:x. D->A:x. rec t0. B->C:x. t0",
                    "C->A:x. D->B:x. B->C:x. D->A:x. rec t0. B->C:x. t0"),
@@ -152,8 +151,8 @@ def test_theorem_ii_faults_are_as_recorded(name):
 
 @pytest.mark.xfail(
     strict=True, raises=(AssertionError, SynthesisFailure), reason=(
-        "theorem (ii) fails on these types: synthesis closes loops of "
-        "independent participants one round late, or orders their "
+        "theorem (ii) fails on these types: synthesis enters a loop of "
+        "independent participants one exchange late, or orders their "
         "exchanges differently per branch; fix: synthesise per component "
         "of the participants that interact and close a loop where it was "
         "entered (ROADMAP item 2a and 2b)"))
