@@ -406,6 +406,11 @@ _ORPHAN = ("orphan",)
 _UNSPECIFIED = ("unspecified_reception",)
 
 
+def _stable(t: _Table, key: int) -> bool:
+    """Whether every buffer of the configuration of key is empty."""
+    return not key & t.nonempty
+
+
 def _flags(t: _Table, key: int) -> tuple[str, ...]:
     """The sorted flags of the configuration of key, () when it is
     intermediate.  Stable: every buffer is empty.  Final: stable, every
@@ -415,7 +420,7 @@ def _flags(t: _Table, key: int) -> tuple[str, ...]:
     channel (checked per region value for the receivers of non-empty
     channels only)."""
     final = t.final
-    if not key & t.nonempty:
+    if _stable(t, key):
         if key & final == final:
             return _FINAL
         if key & t.receiving == t.receiving:

@@ -17,7 +17,7 @@ synthesis walks is read off the same graph (`_synchronous`).
 
 from __future__ import annotations
 
-from .cfsm import (_bfs, _explore, _flags, _nondeterminism, _states, _table,
+from .cfsm import (_bfs, _explore, _nondeterminism, _stable, _states, _table,
                    is_basic)
 from .errors import NotBasic
 from .syntax import Action, Participant, System, _Record
@@ -83,7 +83,7 @@ def _exchange_graph(s: System, keys: list, rows: list) -> dict:
     return {i: (_states(t, key),
                 [(a, b, l) for a, j in zip(rows[i][::2], rows[i][1::2])
                  for b, l in zip(rows[j][::2], rows[j][1::2]) if b.op == "?"])
-            for i, key in enumerate(keys) if "stable" in _flags(t, key)}
+            for i, key in enumerate(keys) if _stable(t, key)}
 
 
 def _multiparty_compatible(s: System, graph: dict) -> CompatReport:

@@ -934,7 +934,7 @@ def synthesize(sys_enc):
 # `_exchanges`, rather than reading the exchanges off the rows of RS_1.
 # They take `System`s of deterministic machines.
 
-from mpst.cfsm import (_bfs, _explore, _flags, _nondeterminism,  # noqa: E402
+from mpst.cfsm import (_bfs, _explore, _nondeterminism, _stable,  # noqa: E402
                        _states, _table, is_basic)
 from mpst.compat import CompatFailure, CompatReport, dual  # noqa: E402
 from mpst.errors import NotBasic  # noqa: E402
@@ -1095,7 +1095,7 @@ def multiparty_compatible(s, allow_nonbasic=False):
     closure_cache = {}
     fed_cache = {}
     for key in _explore(s, 1)[0]:
-        if "stable" not in _flags(t, key):
+        if not _stable(t, key):
             continue
         states = _states(t, key)
         for i, p in enumerate(ps):

@@ -188,6 +188,11 @@ def test_a_long_producer_loop_is_checked_within_a_gigabyte(tmp_path):
            "check", str(path), "--bound", "20000"]
     r = subprocess.run(cmd, capture_output=True, text=True,
                        preexec_fn=_limit_address_space)
+    # Only the recorded fault is the expected failure: anything else fails
+    # the test, since pytest.fail is not the AssertionError xfail expects.
+    if r.returncode and (r.returncode != 1 or "MemoryError" not in r.stderr):
+        pytest.fail(f"exit {r.returncode}, not the recorded MemoryError:\n"
+                    f"{r.stderr[-300:]}")
     assert r.returncode == 0, r.stderr[-300:]
     assert json.loads(r.stdout)["violations"] == []
 
