@@ -2,10 +2,10 @@
 
 Configurations pair the joint control state with one FIFO word per ordered
 participant pair.  Exploration is k-bounded: a send is enabled only while its
-channel holds fewer than k messages.  It steps int keys (see `_Table`) by
-adding deltas; a key holds every channel that some transition uses, and a
-configuration's own table also every channel it holds a word on.  All
-iteration orders are deterministic so reports and golden tests are stable.
+channel holds fewer than k messages.  It steps int keys (see `_Table`), each
+word written out in its channel's field, by adding deltas; a key holds every
+channel some transition uses, and a configuration's own table also every
+channel it holds a word on.  Iteration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -196,18 +196,19 @@ class _Table:
     """A system compiled at the send bound k, each configuration one int:
     from the highest bits down, one region per participant in sorted order,
     its state code (flags final, receiving and has-sends over the index in
-    `names`), then for each channel that it receives on and that some move
-    uses or c holds a word on (`chans`), a non-empty bit over the id of its
-    word in `words[j]`, interned on first sight; a field holds any word of
-    at most k labels sent on it, and c's word.  `at` maps a bit_length to
-    (mask under the region, state shift and mask, moves by state index,
-    region mask, unspecified reception by region value), a move being
-    (action, field shift, field mask, deltas, (is_send, channel, label, code
-    change)).  s is checked by `_check`."""
+    `names`), then the field of each channel that it receives on and that
+    some move uses or c holds a word on (`chans`).  A field is the word: m =
+    max(k, len of c's word) digits of b bits, head lowest, a digit being a
+    label's index in `fields[j]` = (shift, mask, b, length shift, sorted
+    labels, words decoded by value), under the length in m.bit_length() bits
+    (the channel's bits in `nonempty`).  `at` maps a bit_length to (mask
+    under the region, state shift and mask, moves by state index, region
+    mask, unspecified reception by region value), a move being (action,
+    field shift, field mask, deltas, (is_send, channel, digit, code change)).
+    s is checked by `_check`."""
 
-    __slots__ = ("k", "width", "chans", "codes", "names", "at",
-                 "shift", "top", "words", "ids", "cand", "nonempty", "final",
-                 "receiving", "start")
+    __slots__ = ("k", "width", "chans", "codes", "names", "at", "fields",
+                 "cand", "nonempty", "final", "receiving", "start")
 
     def __init__(self, s: System, k: int, c: Config | None = None):
         machines = [s.machine(p) for p in s.participants]
@@ -216,20 +217,23 @@ class _Table:
         self.chans = tuple(i for i, ch in enumerate(s.channels)
                            if ch in used or c is not None and c.buffers[i])
         chans = {s.channels[i]: j for j, i in enumerate(self.chans)}
-        self.shift, self.top = [0] * len(chans), [0] * len(chans)
-        self.words, self.ids = [[()] for _ in chans], [{} for _ in chans]
+        self.fields = [None] * len(chans)
         self.codes, self.names, self.at, regions = [], [], [None], []
         low = nonempty = final = 0
+        digit = {}  # (channel, label): the label's digit on the channel
         for m in reversed(machines):
             base = low
             for ch, j in reversed(chans.items()):
                 if ch[1] == m.owner:
                     w = c.buffers[self.chans[j]] if c is not None else ()
-                    bits = (_words(len(set(w).union(used.get(ch, ()))),
-                                   max(k, len(w))) - 1).bit_length()
-                    self.shift[j], self.top[j] = low, 1 << bits
-                    nonempty |= 1 << low + bits
-                    low += bits + 1
+                    labels = tuple(sorted(set(w).union(used.get(ch, ()))))
+                    digit.update(((ch, x), i) for i, x in enumerate(labels))
+                    n = max(k, len(w))
+                    b = max(len(labels) - 1, 0).bit_length()
+                    lsh, bits = n * b, n * b + n.bit_length()
+                    self.fields[j] = (low, (1 << bits) - 1, b, lsh, labels, {})
+                    nonempty |= (1 << bits) - (1 << lsh) << low
+                    low += bits
             states = sorted(m.states | {m.initial})
             bits = (len(states) - 1).bit_length()
             ops = [{a.op for _, a, _ in m.outgoing(q)} for q in states]
@@ -241,8 +245,9 @@ class _Table:
             low += bits + 3
             regions.append((m, self.codes[0], self.names[0], base, low))
         for m, codes, (sh, mask, states), base, top in regions:
-            table = [tuple((a, self.shift[j], 2 * self.top[j] - 1, {},
-                            (a.op == "!", j, a.label, codes[d] - codes[q]))
+            table = [tuple((a, *self.fields[j][:2], {},
+                            (a.op == "!", j, digit.get((a.channel, a.label)),
+                             codes[d] - codes[q]))
                            for _, a, d in m.outgoing(q)
                            for j in (chans[a.channel],)) for q in states]
             self.at += [((1 << base) - 1, sh, mask, table,
@@ -250,13 +255,6 @@ class _Table:
         self.cand, self.nonempty = final >> 2 | nonempty, nonempty
         self.final, self.receiving = final, final >> 1
         self.start = _key(self, initial(s))
-
-
-def _words(n: int, m: int) -> int:
-    """The number of words of at most m labels over n labels."""
-    if n < 2:
-        return m + 1 if n else 1
-    return (n ** (m + 1) - 1) // (n - 1)
 
 
 def _table(s: System, k: int | None, c: Config | None = None) -> _Table:
@@ -286,21 +284,15 @@ def _table(s: System, k: int | None, c: Config | None = None) -> _Table:
     return t
 
 
-def _field(t: _Table, j: int, w: tuple) -> int:
-    """Channel j's field when it holds w, which is interned."""
-    x = t.ids[j].get(w)
-    if x is None and w:
-        x = t.ids[j][w] = len(t.words[j])
-        t.words[j].append(w)
-    return x | t.top[j] if w else 0
-
-
 def _key(t: _Table, c: Config) -> int:
     """The key of c, for a t of `_table(s, k, c)`; `_config` inverts it."""
-    return sum(codes[q] << sh for (sh, _, _), codes, q
-               in zip(t.names, t.codes, c.states)) \
-        + sum(_field(t, j, c.buffers[i]) << t.shift[j]
-              for j, i in enumerate(t.chans))
+    key = sum(codes[q] << sh for (sh, _, _), codes, q
+              in zip(t.names, t.codes, c.states))
+    for i, (sh, _, b, lsh, labels, _) in zip(t.chans, t.fields):
+        w = c.buffers[i]
+        key += sum(labels.index(x) << y * b for y, x in enumerate(w)) \
+            + (len(w) << lsh) << sh
+    return key
 
 
 def _states(t: _Table, key: int) -> tuple[str, ...]:
@@ -310,20 +302,28 @@ def _states(t: _Table, key: int) -> tuple[str, ...]:
 def _config(t: _Table, key: int) -> Config:
     """The configuration of key, empty words on the channels t leaves out."""
     bufs = [()] * t.width
-    for i, sh, top, words in zip(t.chans, t.shift, t.top, t.words):
-        bufs[i] = words[key >> sh & top - 1]
+    for i, (sh, mask, b, lsh, labels, words) in zip(t.chans, t.fields):
+        v = key >> sh & mask
+        if v not in words:
+            words[v] = tuple(labels[v >> y * b & (1 << b) - 1]
+                             for y in range(v >> lsh))
+        bufs[i] = words[v]
     return Config(_states(t, key), tuple(bufs))
 
 
 def _delta(t: _Table, deltas: dict, v: int, move: tuple, sh: int):
-    """The FIFO rule: the delta of a move (its participant's state at sh) from
-    a field holding v, None when the move is not enabled; kept in deltas."""
-    send, j, label, dcode = move
-    w = t.words[j][v & t.top[j] - 1]
-    d = None
-    if send and len(w) < t.k or not send and w and w[0] == label:
-        w = w + (label,) if send else w[1:]
-        d = (dcode << sh) + (_field(t, j, w) - v << t.shift[j])
+    """The FIFO rules GGR1/GGR2 on a field holding v: a send below the bound
+    puts its label's digit x at the word's length n and adds 1 to n, and a
+    receive of x at the head shifts the digits down by b and takes 1 from n.
+    The delta of the move (its participant's state at sh), None when it is
+    not enabled; kept in deltas."""
+    send, j, x, dcode = move
+    fsh, _, b, lsh, _, _ = t.fields[j]
+    n, d = v >> lsh, None
+    if send and n < t.k or not send and n and v & (1 << b) - 1 == x:
+        w = v + (1 << lsh | x << n * b) if send \
+            else n - 1 << lsh | (v & (1 << lsh) - 1) >> b
+        d = (dcode << sh) + (w - v << fsh)
     deltas[v] = d
     return d
 
@@ -381,7 +381,7 @@ def reach(s: System, k: int) -> ReachSet:
     ResourceLimit when more than `node_cap()` configurations are found."""
     keys, rows = _explore(s, k)
     t = _table(s, k)
-    fields = sum(2 * top - 1 << sh for sh, top in zip(t.shift, t.top))
+    fields = sum(mask << sh for sh, mask, *_ in t.fields)
     states: dict[int, tuple] = {}  # one copy of equal local states, and of
     words: dict[int, tuple] = {}  # equal buffers, by their bits in the key
     configs = []
@@ -435,9 +435,9 @@ def _flags(t: _Table, key: int) -> tuple[str, ...]:
         u = memo.get(key & region)
         if u is None:
             u = bool(key & region & t.receiving)
-            for _, fsh, fmask, _, (_, j, label, _) in table[key >> sh & mask]:
+            for _, fsh, fmask, _, (_, j, x, _) in table[key >> sh & mask]:
                 v = key >> fsh & fmask
-                if not v or t.words[j][v & t.top[j] - 1][0] == label:
+                if not v or v & (1 << t.fields[j][2]) - 1 == x:
                     u = False
             memo[key & region] = u
         if u:

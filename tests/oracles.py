@@ -16,7 +16,7 @@ Configurations are ((state, ...) in sorted-participant order,
 
 import re
 from collections import deque
-from itertools import count, product
+from itertools import count
 
 
 def participants(sys_enc):
@@ -134,10 +134,6 @@ def classify(sys_enc, config):
             flags.add("unspecified_reception")
             break
     return flags or {"intermediate"}
-
-
-def stable_configs(sys_enc, k=1):
-    return {c for c in rs(sys_enc, k)[0] if all(not b for b in c[1])}
 
 
 # ---------------------------------------------------------------------------
@@ -762,15 +758,6 @@ def subtype(t1, t2):
                 ok.discard(pair)
                 changed = True
     return start in ok
-
-
-def product_states(sys_enc, names):
-    """Full product state space over the named machines (associated CFSM)."""
-    sets = []
-    for p in names:
-        sts = {sys_enc[p][0]} | {e[0] for e in sys_enc[p][1]} | {e[5] for e in sys_enc[p][1]}
-        sets.append(sorted(sts))
-    return list(product(*sets))
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
                   dot_reach, dot_system, fire, initial, is_basic,
                   local_config, make_system, parse_local, parse_system,
                   reach, to_machine, traces, trie_flatten)
-from mpst.cfsm import (_components, _config, _explore, _factors, _key,
-                       _product_safety, _table, _words)
+from mpst.cfsm import (_Table, _components, _config, _explore, _factors,
+                       _key, _product_safety, _table)
 from conftest import load
 import mpst
 import oracles
@@ -628,7 +628,7 @@ def test_explored_keys_carry_only_the_channels_moves_use(s, n, used, k,
     # can ever fill, so only those have a field in the int key
     keys = _explore(s, k)[0]
     t = _table(s, k)
-    assert len(t.shift) == len(t.words) == used
+    assert len(t.chans) == len(t.fields) == used
     assert len(t.names) == n
     assert keys[0] == t.start
     assert explored_sizes(s, k) == sizes
@@ -643,9 +643,9 @@ def test_ring64_reach_size_matches_closed_form(k):
 
 
 def test_words_are_interned_lazily():
-    # A picks one of 40 labels and waits for B's ack: at k=6 a field must
-    # hold any of the 40^6 words, but only the 40 single labels and the
-    # empty word are ever reached, so only those get an id
+    # A picks one of 40 labels and waits for B's ack: at k=6 a field holds
+    # any of the 40^6 words as six 6-bit digits under a 3-bit length, and
+    # only the 40 single labels and the empty word are ever reached
     labels = [f"l{i}" for i in range(40)]
     a = Machine("A", "q0", tuple(("q0", _send("A", "B", x), "q1")
                                  for x in labels)
@@ -659,21 +659,16 @@ def test_words_are_interned_lazily():
     assert explored_sizes(s, 6) == (len(labels) + 3, 2 * len(labels) + 2)
     assert check_safety(s, 6).ok
     t = _table(s, 6)
-    ab = s.channels.index(("A", "B"))
-    assert sorted(map(len, t.words)) == [2, len(labels) + 1]
-    assert len(t.words[t.chans.index(ab)]) == len(labels) + 1
-    assert t.top[t.chans.index(ab)] == 1 << 32  # 1 + 40 + ... + 40^6 words
-
-
-def test_word_counts_are_the_geometric_sums():
-    assert all(_words(n, m) == sum(n ** e for e in range(m + 1))
-               for n in range(9) for m in range(200))
+    _, mask, b, lsh, field_labels, _ = t.fields[t.chans.index(
+        s.channels.index(("A", "B")))]
+    assert (b, lsh, mask) == (6, 36, (1 << 39) - 1)
+    assert field_labels == tuple(sorted(labels))
 
 
 def test_a_huge_bound_costs_a_loop_free_system_little():
-    # A sends x or y to B once, B takes either: the field width at a bound
-    # of a million comes from the closed form of 2^0 + ... + 2^1000000,
-    # which summed term by term did not finish in 45 s
+    # A sends x or y to B once, B takes either: at a bound of a million the
+    # field is a million 1-bit digits under a 20-bit length, and no step
+    # walks the words a field could hold
     s = make_system([
         Machine("A", "q0", (("q0", _send("A", "B", "x"), "q1"),
                             ("q0", _send("A", "B", "y"), "q1"))),
@@ -689,6 +684,21 @@ def _loop():
         Machine("A", "q0", (("q0", _send("A", "B", "x"), "q0"),
                             ("q0", _send("A", "B", "y"), "q0"))),
         Machine("B", "q0", (("q0", _recv("A", "B", "x"), "q0"),))])
+
+
+def test_a_key_is_a_function_of_the_configuration():
+    # two tables meet the same words in opposite orders: a key holds the
+    # word itself, so it does not depend on which word was met first
+    s = _loop()
+    words = [("y",), ("x",), ("x", "y"), ("y", "y", "x")]
+    keys = []
+    for order in (words, words[::-1]):
+        t = _Table(s, 3)
+        got = {w: _key(t, Config(("q0", "q0"), (w, ()))) for w in order}
+        assert all(_config(t, key) == Config(("q0", "q0"), (w, ()))
+                   for w, key in got.items())
+        keys.append([got[w] for w in words])
+    assert keys[0] == keys[1]
 
 
 @pytest.mark.parametrize("k", [None, 1, 2, 3])
