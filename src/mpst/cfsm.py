@@ -290,8 +290,8 @@ def _key(t: _Table, c: Config) -> int:
               in zip(t.names, t.codes, c.states))
     for i, (sh, _, b, lsh, labels, _) in zip(t.chans, t.fields):
         w = c.buffers[i]
-        key += sum(labels.index(x) << y * b for y, x in enumerate(w)) \
-            + (len(w) << lsh) << sh
+        key += (sum(labels.index(x) << y * b for y, x in enumerate(w))
+                + (len(w) << lsh)) << sh
     return key
 
 
