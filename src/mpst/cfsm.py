@@ -674,7 +674,7 @@ def is_basic(m: Machine) -> tuple[bool, tuple[str, ...]]:
     """Deterministic + directed + no mixed states, with reasons when not."""
     reasons = _nondeterminism(m)
     for q in sorted(m.states):
-        peers = m._sends(q).keys() | m._receives(q).keys()
+        peers = {_peer(a) for _, a, _ in m.outgoing(q)}
         if len(peers) > 1:
             reasons.append(f"not directed: state {q} talks to {sorted(peers)}")
         if m.is_mixed(q):

@@ -177,6 +177,8 @@ def _cmd_session(args, s) -> int:
 
 def _cmd_petri(args, t) -> int:
     from .generalized import dot_net, is_safe, to_petri
+    if args.participant and args.file.endswith(".ggt"):
+        raise ParseError("a global equation system (.ggt) takes no -p")
     net = to_petri(t, owner=args.participant)
     if args.dot:
         sys.stdout.write(dot_net(net))
@@ -193,19 +195,26 @@ def _cmd_petri(args, t) -> int:
 
 
 def _cmd_dot(args, obj) -> int:
-    if args.file.endswith(".cfsm"):
-        from .cfsm import dot_reach, dot_system, reach
+    p = args.participant
+    if args.bound is not None and (p or not args.file.endswith(".cfsm")):
+        raise ParseError("dot --bound draws the reachability set of "
+                         "machines (.cfsm), and takes no -p")
+    if args.file.endswith((".glt", ".ggt")):
+        args.dot = True  # a net is drawn as `petri --dot` draws it
+        return _cmd_petri(args, obj)
+    from .cfsm import dot_machine, dot_reach, dot_system, reach
+    if args.file.endswith(".lt"):
+        if not p:
+            raise ParseError("drawing a local type needs -p OWNER")
+        from .translate import to_machine
+        sys.stdout.write(dot_machine(to_machine(obj, p)))
+    elif p:
+        if p not in obj.participants:
+            raise ParseError(f"no machine for participant {p}")
+        sys.stdout.write(dot_machine(obj.machine(p)))
+    else:
         sys.stdout.write(dot_system(obj) if args.bound is None
                          else dot_reach(reach(obj, args.bound)))
-    elif args.file.endswith(".lt"):
-        if not args.participant:
-            raise ParseError("drawing a local type needs -p OWNER")
-        from .cfsm import dot_machine
-        from .translate import to_machine
-        sys.stdout.write(dot_machine(to_machine(obj, args.participant)))
-    else:
-        from .generalized import dot_net, to_petri
-        sys.stdout.write(dot_net(to_petri(obj, owner=args.participant)))
     return 0
 
 

@@ -11,16 +11,19 @@ configuration followed by the receive of that message, so the exchanges
 are read off the rows of `_explore(s, 1)` (`_exchange_graph`).  The check
 walks each machine against the closure of its context under the exchanges
 of the others, visiting each stable configuration once per walk, so it
-decides compatibility in finite time.  The synchronous execution that
+decides compatibility in finite time.  Only the walked machine is asked
+for its moves: every context is read off RS_1's rows, which hold what each
+participant sends at a stable configuration and, in the exchanges, which
+of those sends their receivers accept.  The synchronous execution that
 synthesis walks is read off the same graph (`_synchronous`).
 """
 
 from __future__ import annotations
 
-from .cfsm import (_bfs, _explore, _nondeterminism, _stable, _states, _table,
-                   is_basic)
+from .cfsm import (_bfs, _explore, _nondeterminism, _peer, _stable, _states,
+                   _table, is_basic)
 from .errors import NotBasic
-from .syntax import Action, Participant, System, _Record
+from .syntax import Action, Machine, Participant, System, _Record
 
 
 def dual(a: Action) -> Action:
@@ -73,14 +76,15 @@ def _compatible(s: System, allow_nonbasic: bool = False
 
 def _exchange_graph(s: System, keys: list, rows: list) -> dict:
     """The exchanges of RS_1, given its keys and rows (see `_explore`): the
-    BFS index of each stable key mapped to its local states and its
-    exchanges (send, receive, l), a send edge of its row followed by a
-    receive edge of the row that the send leads to.  l is stable again: on
-    a stable key every edge is a send, and after it only the send's channel
-    is non-empty, so every receive there takes that message.  No two
-    stable keys share their local states."""
+    BFS index of each stable key mapped to its local states, its row's
+    actions and its exchanges (send, receive, l), a send edge of its row
+    followed by a receive edge of the row that the send leads to.  At k = 1
+    a stable key's row holds every send of every participant and no
+    receive.  l is stable again: after a send only its channel is
+    non-empty, so every receive there takes that message.  No two stable
+    keys share their local states."""
     t = _table(s, 1)
-    return {i: (_states(t, key),
+    return {i: (_states(t, key), rows[i][::2],
                 [(a, b, l) for a, j in zip(rows[i][::2], rows[i][1::2])
                  for b, l in zip(rows[j][::2], rows[j][1::2]) if b.op == "?"])
             for i, key in enumerate(keys) if _stable(t, key)}
@@ -89,13 +93,12 @@ def _exchange_graph(s: System, keys: list, rows: list) -> dict:
 def _multiparty_compatible(s: System, graph: dict) -> CompatReport:
     """`multiparty_compatible` of a system of deterministic machines, given
     its `_exchange_graph`: a walk of each participant from each node."""
-    ps, ms = s.participants, tuple(m for _, m in s.machines)
     first: dict = {}  # each failure's first report
     closure_cache: dict = {}
     fed_cache: dict = {}
     for i in graph:
-        for pi in range(len(ms)):
-            for f in _walk(ps, ms, pi, i, graph, closure_cache, fed_cache):
+        for pi, (p, m) in enumerate(s.machines):
+            for f in _walk(p, pi, m, i, graph, closure_cache, fed_cache):
                 key = (f.participant, f.state, f.kind, f.witness)
                 first.setdefault(key, f)
     return CompatReport(not first, tuple(first.values()))
@@ -105,9 +108,9 @@ def _synchronous(graph: dict) -> tuple[list, list]:
     """The synchronous execution: `_bfs` from the initial local states over
     the sorted (send, local states') of each node's exchanges in graph, an
     `_exchange_graph`, whose nodes it numbers in BFS order."""
-    index = {states: i for i, (states, _) in graph.items()}
+    index = {states: i for i, (states, _, _) in graph.items()}
     return _bfs(graph[0][0], lambda states: sorted(
-        (a, graph[l][0]) for a, _, l in graph[index[states]][1]),
+        (a, graph[l][0]) for a, _, l in graph[index[states]][2]),
         "synchronous execution")
 
 
@@ -122,25 +125,25 @@ def _closure(p: Participant, i: int, graph: dict, cache: dict) -> dict:
         out = cache[key] = {i: ()}
         todo = [i]
         for cur in todo:
-            for a, b, l in graph[cur][1]:
+            for a, b, l in graph[cur][2]:
                 if p not in a.channel and l not in out:
                     out[l] = out[cur] + (a, b)
                     todo.append(l)
     return out
 
 
-def _walk(ps: tuple[Participant, ...], ms: tuple, pi: int, i0: int,
-          graph: dict, closure_cache: dict,
-          fed_cache: dict) -> list[CompatFailure]:
-    """Check participant ps[pi]'s machine ms[pi] from node i0 of graph, an
-    `_exchange_graph`, against every context reachable from there.  It
-    steps along graph's exchanges, and reads the failures off the
-    machines' states.  Whether some context of a closure sends to p is
-    decided once per closure and kept in fed_cache under the closure's key
-    in closure_cache.  It keeps its own loop: it records failures as it
-    walks, and each step extends the path by a context path and an
-    exchange, not by one label."""
-    p, m = ps[pi], ms[pi]
+def _walk(p: Participant, pi: int, m: Machine, i0: int, graph: dict,
+          closure_cache: dict, fed_cache: dict) -> list[CompatFailure]:
+    """Check p's machine m, the pi-th of the system, from node i0 of graph,
+    an `_exchange_graph`, against every context reachable from there.  m
+    gives only p's moves; the context is read off graph.  A send of p to r
+    is uncovered when no closure node has an exchange on (p, r) of each of
+    its labels; a send to p is unhandled when p reads from its sender but
+    refuses its label; a receiving p has no dual when no closure node has a
+    send to p, which is decided once per closure and kept in fed_cache
+    under the closure's key in closure_cache.  It keeps its own loop: it
+    records failures as it walks, and each step extends the path by a
+    context path and an exchange, not by one label."""
     failures: list[CompatFailure] = []
     visited = {i0}
     todo = [(i0, ())]  # the BFS queue, walked while it grows
@@ -152,49 +155,50 @@ def _walk(ps: tuple[Participant, ...], ms: tuple, pi: int, i0: int,
 
     for i, path in todo:
         q = graph[i][0][pi]
-        sends, recvs = m._sends(q), m._receives(q)
+        sends, recvs = moves = ({}, {})  # labels by receiver, by sender
+        for _, a, _ in m.outgoing(q):
+            moves[a.op == "?"].setdefault(_peer(a), set()).add(a.label)
         if not sends and not recvs:
             continue
         clo = _closure(p, i, graph, closure_cache)
 
         for r, labels in sends.items():
-            ri = ps.index(r)
             best, best_cover = None, -1
             for i2, cpath in clo.items():
-                J = ms[ri]._receives(graph[i2][0][ri]).get(p, {})
-                if labels.keys() <= J.keys():
+                got = {a.label for a, _, _ in graph[i2][2]
+                       if a.channel == (p, r)}
+                if len(got) == len(labels):
                     break
-                cover = len(labels.keys() & J.keys())
-                if cover > best_cover:
-                    best, best_cover = (cpath, J), cover
+                if len(got) > best_cover:
+                    best, best_cover = (cpath, got), len(got)
             else:
-                cpath, J = best
-                missing = sorted(labels.keys() - J.keys())
+                cpath, got = best
+                missing = sorted(labels - got)
                 failures.append(CompatFailure(
                     p, q, "uncovered",
                     f"{p} offers {sorted(labels)} to {r} but no reachable "
                     f"context of {r} accepts {missing}",
                     Action(p, r, "!", missing[0]), path + cpath))
                 continue
-            for a, b, l in graph[i2][1]:
+            for a, b, l in graph[i2][2]:
                 if a.channel == (p, r):
                     push(l, path + cpath + (a, b))
 
         # the senders p reads from here: a message from any other one
         # waits in its buffer rather than being refused
-        peers = [(ri, r, recvs[r]) for ri, r in enumerate(ps) if r in recvs]
-        for i2, cpath in clo.items() if peers else ():
-            states = graph[i2][0]
-            for ri, r, accepted in peers:
-                offers = ms[ri]._sends(states[ri]).get(p, {})
-                bad = sorted(offers.keys() - accepted.keys())
-                if bad:
-                    failures.append(CompatFailure(
-                        p, q, "unhandled",
-                        f"{r} may send {bad[0]} to {p}, which accepts "
-                        f"only {sorted(accepted)} from {r} at state {q}",
-                        Action(r, p, "!", bad[0]), path + cpath))
-            for a, b, l in graph[i2][1]:
+        for i2, cpath in clo.items() if recvs else ():
+            refused: dict = {}  # sender: its least refused label, as the
+            for a in graph[i2][1]:  # row is in participant, then label, order
+                if (a.receiver == p and a.sender in recvs
+                        and a.label not in recvs[a.sender]):
+                    refused.setdefault(a.sender, a.label)
+            for r, x in refused.items():
+                failures.append(CompatFailure(
+                    p, q, "unhandled",
+                    f"{r} may send {x} to {p}, which accepts "
+                    f"only {sorted(recvs[r])} from {r} at state {q}",
+                    Action(r, p, "!", x), path + cpath))
+            for a, b, l in graph[i2][2]:
                 if a.receiver == p:
                     push(l, path + cpath + (a, b))
         if sends:
@@ -202,8 +206,7 @@ def _walk(ps: tuple[Participant, ...], ms: tuple, pi: int, i0: int,
         fed = fed_cache.get((p, i))
         if fed is None:
             fed = fed_cache[(p, i)] = any(
-                p in mr._sends(q2) for i2 in clo
-                for mr, q2 in zip(ms, graph[i2][0]))
+                a.receiver == p for i2 in clo for a in graph[i2][1])
         if not fed:
             failures.append(CompatFailure(
                 p, q, "no_dual",

@@ -576,11 +576,7 @@ def _moves(m: Machine, q: str, op: str) -> list[tuple[Action, str]]:
 
 def _targets(m: Machine, q: str, a: Action) -> tuple[str, ...]:
     """The states m reaches from q by a."""
-    if a.op == "!":
-        by_label = m._sends(q).get(a.receiver)
-    else:
-        by_label = m._receives(q).get(a.sender)
-    return by_label.get(a.label, ()) if by_label else ()
+    return tuple(d for _, b, d in m.outgoing(q) if b == a)
 
 
 def _commute(m: Machine, a1: Action, d1: str, a2: Action, d2: str) -> bool:

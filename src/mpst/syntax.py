@@ -237,14 +237,13 @@ Local = LEnd | LVar | LRec | LSend | LRecv
 # Machines and systems
 
 
-_NO_MOVES: tuple[dict, dict] = ({}, {})  # a state that is not in the machine
-
-
 class Machine(_Record):
     """CFSM: finite control, transitions labelled with send/receive actions.
-    The transitions, (source, Action, target) triples, are kept sorted;
-    states defaults to the initial state and every endpoint of a
-    transition.  The `__dict__` holds the cached properties."""
+    The transitions, (source, Action, target) triples, are kept sorted,
+    each transition once; `outgoing` lists a state's moves, and every
+    reading of them filters it.  states defaults to the initial state and
+    every endpoint of a transition.  The `__dict__` holds the cached
+    properties."""
 
     __slots__ = ("owner", "initial", "transitions", "states", "__dict__")
 
@@ -257,7 +256,7 @@ class Machine(_Record):
                 sts.add(s)
                 sts.add(d)
             states = frozenset(sts)
-        transitions = tuple(sorted(transitions))
+        transitions = tuple(sorted(set(transitions)))
         super().__init__(owner, initial, transitions, states)
 
     @cached_property
@@ -270,38 +269,11 @@ class Machine(_Record):
     def outgoing(self, q: str) -> tuple[tuple[str, Action, str], ...]:
         return self._out.get(q, ())
 
-    @cached_property
-    def _by_peer(self) -> dict[str, tuple[dict, dict]]:
-        """The moves from each state by peer: (sends, receives), each
-        {peer: {label: targets}} in `outgoing` order, that is sorted by
-        peer, label and target.  Every target is kept, so a
-        nondeterministic machine loses none."""
-        out = {}
-        for q, es in self._out.items():
-            sends: dict = {}
-            recvs: dict = {}
-            for _, a, d in es:
-                if a.op == "!":
-                    by = sends.setdefault(a.receiver, {})
-                else:
-                    by = recvs.setdefault(a.sender, {})
-                by[a.label] = by.get(a.label, ()) + (d,)
-            out[q] = (sends, recvs)
-        return out
-
-    def _sends(self, q: str) -> dict:
-        """What q sends to each receiver: {receiver: {label: targets}}."""
-        return self._by_peer.get(q, _NO_MOVES)[0]
-
-    def _receives(self, q: str) -> dict:
-        """What q accepts from each sender: {sender: {label: targets}}."""
-        return self._by_peer.get(q, _NO_MOVES)[1]
-
     def is_final(self, q: str) -> bool:
         return not self.outgoing(q)
 
     def is_mixed(self, q: str) -> bool:
-        return bool(self._sends(q) and self._receives(q))
+        return len({a.op for _, a, _ in self.outgoing(q)}) == 2
 
     @cached_property
     def final_states(self) -> frozenset[str]:

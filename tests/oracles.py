@@ -928,6 +928,20 @@ from mpst.errors import NotBasic  # noqa: E402
 from mpst.syntax import Action  # noqa: E402
 
 
+def _by_peer(m, q):
+    """The moves of m from q by peer, (sends, receives), each {peer:
+    {label: targets}} in `Machine.outgoing` order; every target is kept,
+    so a nondeterministic machine loses none."""
+    sends, recvs = {}, {}
+    for _, a, d in m.outgoing(q):
+        if a.op == "!":
+            by = sends.setdefault(a.receiver, {})
+        else:
+            by = recvs.setdefault(a.sender, {})
+        by[a.label] = by.get(a.label, ()) + (d,)
+    return sends, recvs
+
+
 def _exchanges(names, machines, states, skip=None):
     """The matched exchanges from states, the local states of machines,
     which belong to the participants names: each send not addressed to
@@ -936,11 +950,11 @@ def _exchanges(names, machines, states, skip=None):
     order."""
     out = []
     for i, (p, m) in enumerate(zip(names, machines)):
-        for r, labels in m._sends(states[i]).items():
+        for r, labels in _by_peer(m, states[i])[0].items():
             if r == skip:
                 continue
             j = names.index(r)
-            accepts = machines[j]._receives(states[j]).get(p)
+            accepts = _by_peer(machines[j], states[j])[1].get(p)
             if not accepts:
                 continue
             for label, targets in labels.items():
@@ -998,7 +1012,7 @@ def _walk(p, m, q0, others, ctx_machines, ctx0, closure_cache, fed_cache):
 
     while dq:
         q, ctx, path = dq.popleft()
-        sends, recvs = m._sends(q), m._receives(q)
+        sends, recvs = _by_peer(m, q)
         if not sends and not recvs:
             continue
         clo = _closure(p, others, ctx_machines, ctx, closure_cache)
@@ -1008,7 +1022,7 @@ def _walk(p, m, q0, others, ctx_machines, ctx0, closure_cache, fed_cache):
             mr = ctx_machines[ri]
             best, best_cover = None, -1
             for ctx2, cpath in clo.items():
-                J = mr._receives(ctx2[ri]).get(p, {})
+                J = _by_peer(mr, ctx2[ri])[1].get(p, {})
                 if labels.keys() <= J.keys():
                     break
                 cover = len(labels.keys() & J.keys())
@@ -1034,7 +1048,7 @@ def _walk(p, m, q0, others, ctx_machines, ctx0, closure_cache, fed_cache):
                  if r in recvs]
         for ctx2, cpath in clo.items() if peers else ():
             for ri, r, accepted in peers:
-                offers = ctx_machines[ri]._sends(ctx2[ri]).get(p)
+                offers = _by_peer(ctx_machines[ri], ctx2[ri])[0].get(p)
                 if not offers:
                     continue
                 bad = sorted(offers.keys() - accepted.keys())
@@ -1057,7 +1071,7 @@ def _walk(p, m, q0, others, ctx_machines, ctx0, closure_cache, fed_cache):
         fed = fed_cache.get((p, ctx))
         if fed is None:
             fed = fed_cache[(p, ctx)] = any(
-                p in mr._sends(ctx2[ri])
+                p in _by_peer(mr, ctx2[ri])[0]
                 for ctx2 in clo for ri, mr in enumerate(ctx_machines))
         if not fed:
             failures.append(CompatFailure(

@@ -242,8 +242,63 @@ def test_dot():
     rc, out, _ = run("dot", DATA / "commit.cfsm", "-p", "A")
     assert rc == 0
     assert out.startswith('digraph "A" {') and "doublecircle" in out
+    assert out.count("digraph") == 1  # A's machine alone
     rc, _, err = run("dot", DATA / "commit.gt")
     assert rc == 2 and "dot expects" in err
+
+
+@pytest.mark.parametrize("args,message", [
+    (("dot", "commit_c.lt", "-p", "C", "--bound", "0"),
+     "dot --bound draws the reachability set of machines (.cfsm), and "
+     "takes no -p"),
+    (("dot", "data_transfer.ggt", "--bound", "1"),
+     "dot --bound draws the reachability set of machines (.cfsm), and "
+     "takes no -p"),
+    (("dot", "commit.cfsm", "-p", "A", "--bound", "1"),
+     "dot --bound draws the reachability set of machines (.cfsm), and "
+     "takes no -p"),
+    (("dot", "commit.cfsm", "-p", "Z"), "no machine for participant Z"),
+    (("dot", "data_transfer.ggt", "-p", "Z"),
+     "a global equation system (.ggt) takes no -p"),
+    (("petri", "data_transfer.ggt", "-p", "Z"),
+     "a global equation system (.ggt) takes no -p"),
+], ids=["dot-lt-bound", "dot-ggt-bound", "dot-cfsm-p-bound", "dot-cfsm-p-Z",
+        "dot-ggt-p", "petri-ggt-p"])
+def test_an_option_a_verb_cannot_use_is_a_usage_error(capsys, args, message):
+    # not drawn as if it had not been given
+    cmd, name, *rest = args
+    rc = main([cmd, str(DATA / name), *rest])
+    assert (rc, *capsys.readouterr()) == (2, "", f"mpst: {message}\n")
+
+
+REPEATED = """machine A {
+  init q0;
+  q0 -- A B ! x --> q1;
+  q0 -- A B ! x --> q1;
+  q1 -- A B ! y --> q0;
+}
+machine B {
+  init q0;
+  q0 -- A B ? x --> q1;
+  q1 -- A B ? y --> q0;
+}
+"""
+
+
+def test_a_repeated_transition_is_kept_once(tmp_path, capsys):
+    # once as a branch of the synthesised type, which then projects, once as
+    # an equation, and once as a move
+    path, gt = tmp_path / "repeated.cfsm", tmp_path / "repeated.gt"
+    path.write_text(REPEATED)
+    assert main(["synth", str(path), "-o", str(gt)]) == 0
+    assert gt.read_text() == "rec t0. A->B:x. A->B:y. t0\n"
+    assert main(["wf", str(gt)]) == 0
+    assert main(["gsynth", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", str(path), "--steps", "0", "--bound", "1"]) == 0
+    assert main(["dot", str(path), "--bound", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.count('"c0" -> "c1" [label="AB!x"]') == 1
 
 
 @pytest.mark.parametrize("args,message", [

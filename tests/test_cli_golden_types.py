@@ -4,17 +4,11 @@ stdout, stderr and exit code of every verb that reads a .gt, .lt, .ggt or
 underscore (commit_c.lt is C's type).  After a deliberate change of
 output, rewrite the tests/golden/*.{gt,lt,ggt,glt}.txt files with
 `PYTHONPATH=src python tests/test_cli_golden_types.py`."""
-import contextlib
-import io
-from pathlib import Path
-
 import pytest
+from cli_golden import DATA, GOLDEN, render, rewrite
 
 from mpst import gg_participants, gparticipants, parse_gglobal, parse_global
-from mpst.cli import main
 
-DATA = Path(__file__).parent / "data"
-GOLDEN = Path(__file__).parent / "golden"
 SUFFIXES = (".gt", ".lt", ".ggt", ".glt")
 FILES = sorted(p.name for p in DATA.iterdir() if p.suffix in SUFFIXES)
 
@@ -40,26 +34,14 @@ def commands(name: str) -> list[tuple[str, ...]]:
             ("petri", "-p", owner), ("dot",), ("dot", "-p", owner)]
 
 
-def render(name: str) -> str:
-    """Each command's exit code, stdout and stderr on tests/data/name."""
-    parts = []
-    for cmd, *opts in commands(name):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main([cmd, str(DATA / name), *opts])
-        parts.append(f"$ mpst {' '.join([cmd, name, *opts])}\nexit {rc}\n"
-                     f"--- stdout\n{out.getvalue()}"
-                     f"--- stderr\n{err.getvalue()}")
-    return "".join(parts)
+def golden(name: str):
+    return GOLDEN / f"{name}.txt"
 
 
 @pytest.mark.parametrize("name", FILES)
 def test_type_verbs_match_golden_bytes(name):
-    want = (GOLDEN / f"{name}.txt").read_bytes()
-    assert render(name).encode() == want
+    assert render(name, commands(name)).encode() == golden(name).read_bytes()
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name in FILES:
-        (GOLDEN / f"{name}.txt").write_bytes(render(name).encode())
+    rewrite(FILES, golden, commands)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import mpst
 from mpst import (Action, GBranch, GEnd, GRec, GVar, LEnd, LRecv, LSend,
-                  ParseError, alpha_canonical, alpha_equiv, glabels,
+                  Machine, ParseError, alpha_canonical, alpha_equiv, glabels,
                   gparticipants, make_system, parse_gglobal, parse_global,
                   parse_glocal, parse_local, parse_system, print_system,
                   print_type, project, step_global, unfold)
@@ -98,6 +98,12 @@ def test_machine_state_predicates(commit_system):
     assert b.is_final("q3")
     assert not b.is_mixed("q0")
     assert b.final_states == frozenset({"q3"})
+
+
+def test_a_machine_keeps_each_transition_once():
+    t = ("q0", Action("A", "B", "!", "x"), "q1")
+    m = Machine("A", "q0", (t, t))
+    assert m.transitions == m.outgoing("q0") == (t,)
 
 
 def test_unfold_substitutes_binder(commit_type):
