@@ -1,7 +1,8 @@
 """Golden output of the machine verbs that read a system and print it, its
 local types, a run or a graph: `parse`, `translate` (bare and with each
-`-p`), `simulate --steps 12 --bound 2`, `dot` and `dot --bound 2` on every
-machine file in tests/data, exit code, stdout and stderr byte for byte.
+`-p`), `simulate --steps 12 --bound 2`, `dot`, `dot --bound 1` and `dot
+--bound 2` on every machine file in tests/data, exit code, stdout and
+stderr byte for byte.
 They run `fire`, `classify` and `reach`.  After a deliberate change of
 output, rewrite the tests/golden/*.cfsm.verbs.txt files with
 `PYTHONPATH=src python tests/test_cli_golden_machines.py`."""
@@ -19,7 +20,7 @@ def commands(name: str) -> list[tuple[str, ...]]:
     return [("parse",), ("translate",),
             *(("translate", "-p", p) for p in ps),
             ("simulate", "--steps", "12", "--bound", "2"),
-            ("dot",), ("dot", "--bound", "2")]
+            ("dot",), ("dot", "--bound", "1"), ("dot", "--bound", "2")]
 
 
 def golden(name: str):
