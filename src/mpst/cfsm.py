@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from .errors import ResourceLimit
 from .syntax import Action, Machine, System, _Record
 
@@ -364,38 +365,65 @@ def fire(c: Config, s: System, k: int | None = None) -> tuple[tuple[Action, Conf
     return tuple((act, _config(t, key)) for act, key in _steps(t, _key(t, c)))
 
 
-class ReachSet(_Record):
-    """k-bounded reachability set with its transition edges, (Config,
-    Action, Config) triples."""
+class _Configs(Sequence):
+    """RS_k's configurations in BFS order, each decoded from its key by
+    `_config` on first use, then one shared object."""
 
-    __slots__ = ("k", "initial", "configs", "edges")
+    def __init__(self, t: _Table, keys: list):
+        self._t, self._keys, self._seen = t, keys, [None] * len(keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        c = self._seen[i]
+        if c is None:
+            c = self._seen[i] = _config(self._t, self._keys[i])
+        return c
+
+
+class _Edges:
+    """RS_k's transitions, (Config, Action, Config) triples built while
+    walking: each configuration's in `fire` order, in BFS order."""
+
+    def __init__(self, configs: _Configs, rows: list):
+        self._configs, self._rows = configs, rows
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows)) // 2
+
+    def __iter__(self):
+        for c, row in zip(self._configs, self._rows):
+            for act, j in zip(row[::2], row[1::2]):
+                yield c, act, self._configs[j]
+
+
+class ReachSet(_Record):
+    """RS_k of system, equal and hashed by (system, k), of which it is a
+    function.  The constructor explores it (ValueError for k < 1,
+    ResourceLimit past `node_cap()` configurations) and keeps `_explore`'s
+    keys and rows in the `__dict__`, with the views `configs` and `edges`
+    over them; `dot_reach` reads the keys and rows alone."""
+
+    __slots__ = ("system", "k", "__dict__")
+
+    def __init__(self, system: System, k: int):
+        super().__init__(system, k)
+        keys, rows = _explore(system, k)
+        configs = _Configs(_table(system, k), keys)
+        self.__dict__.update(_keys=keys, _rows=rows, configs=configs,
+                             edges=_Edges(configs, rows))
+
+    @property
+    def initial(self) -> Config:
+        return self.configs[0]
 
 
 def reach(s: System, k: int) -> ReachSet:
-    """BFS closure of k-bounded firing from the initial configuration.
-
-    `configs` is in BFS order; `edges` lists each configuration's outgoing
-    transitions in `fire` order, configurations in BFS order.  Each
-    configuration is one object, decoded from an `_explore` key and shared
-    by `configs` and `edges`.  Raises ValueError for k < 1 and
-    ResourceLimit when more than `node_cap()` configurations are found."""
-    keys, rows = _explore(s, k)
-    t = _table(s, k)
-    fields = sum(mask << sh for sh, mask, *_ in t.fields)
-    states: dict[int, tuple] = {}  # one copy of equal local states, and of
-    words: dict[int, tuple] = {}  # equal buffers, by their bits in the key
-    configs = []
-    for key in keys:
-        qs, ws = states.get(key & ~fields), words.get(key & fields)
-        if qs is None or ws is None:
-            c = _config(t, key)
-            qs = states.setdefault(key & ~fields, c.states)
-            ws = words.setdefault(key & fields, c.buffers)
-        configs.append(Config(qs, ws))
-    configs = tuple(configs)
-    edges = tuple((c, act, configs[j]) for c, row in zip(configs, rows)
-                  for act, j in zip(row[::2], row[1::2]))
-    return ReachSet(k, configs[0], configs, edges)
+    """RS_k of s, explored at the call (see `ReachSet`)."""
+    return ReachSet(s, k)
 
 
 # The flag sets `_flags` can return, sorted; no other combination holds.
@@ -717,13 +745,14 @@ def dot_system(s: System) -> str:
 
 
 def dot_reach(rs: ReachSet) -> str:
-    names = {c: f"c{i}" for i, c in enumerate(rs.configs)}
+    t = _table(rs.system, rs.k)
     lines = ["digraph reach {", "  rankdir=LR;"]
-    for c in rs.configs:
-        label = ",".join(c.states)
-        shape = "doublecircle" if c == rs.initial else "circle"
-        lines.append(f'  "{names[c]}" [shape={shape}, label="{label}"];')
-    for a, act, b in rs.edges:
-        lines.append(f'  "{names[a]}" -> "{names[b]}" [label="{act}"];')
+    for i, key in enumerate(rs._keys):
+        label = ",".join(_states(t, key))
+        shape = "doublecircle" if i == 0 else "circle"
+        lines.append(f'  "c{i}" [shape={shape}, label="{label}"];')
+    for i, row in enumerate(rs._rows):
+        lines.extend(f'  "c{i}" -> "c{j}" [label="{act}"];'
+                     for act, j in zip(row[::2], row[1::2]))
     lines.append("}")
     return "\n".join(lines) + "\n"

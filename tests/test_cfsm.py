@@ -1,16 +1,17 @@
 """Configurations, bounded reachability, classification, safety."""
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpst import (BAD_FLAGS, Action, Config, Machine, ResourceLimit,
-                  SafetyReport, check_safety, classify, dot_machine,
-                  dot_reach, dot_system, fire, initial, is_basic,
-                  local_config, make_system, parse_local, parse_system,
-                  reach, to_machine, traces, trie_flatten)
+from mpst import (BAD_FLAGS, Action, Config, Machine, ReachSet,
+                  ResourceLimit, SafetyReport, check_safety, classify,
+                  dot_machine, dot_reach, dot_system, fire, initial,
+                  is_basic, local_config, make_system, parse_local,
+                  parse_system, reach, to_machine, traces, trie_flatten)
 from mpst.cfsm import (_Table, _components, _config, _explore, _factors,
                        _key, _product_safety, _table)
 from conftest import load
@@ -510,6 +511,38 @@ def test_pairs_reach_sizes_match_closed_form(n, k, c, e):
     rs = reach(pairs(n), k)
     assert (len(rs.configs), len(rs.edges)) == (c ** n, n * e * c ** (n - 1))
     assert explored_sizes(pairs(n), k) == (c ** n, n * e * c ** (n - 1))
+
+
+def test_reach_keeps_keys_and_decodes_configurations_on_use():
+    # 4 independent pairs at k=2: 10,000 configurations, 64,000 edges.
+    # The sizes are read without building a Config or an edge triple, so
+    # the peak is about that of _explore's keys and rows (2.8 MB), not the
+    # 11.4 MB of decoding every configuration
+    s = pairs(4)
+    tracemalloc.start()
+    try:
+        rs = reach(s, 2)
+        sizes = len(rs.configs), len(rs.edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == (10 ** 4, 64 * 10 ** 3)
+    assert peak < 5 * 2 ** 20
+
+
+def test_reach_set_is_a_view_of_its_system_and_bound(monkeypatch):
+    s = pairs(2)
+    rs = reach(s, 2)
+    assert rs == reach(s, 2) == ReachSet(s, 2) != reach(s, 1)
+    assert hash(rs) == hash((s, 2))
+    c = rs.configs[5]
+    assert rs.configs[5] is c and rs.configs[-95] is c
+    assert rs.configs[4:6] == [rs.configs[4], c] and c in rs.configs
+    assert rs.initial is rs.configs[0] == initial(s)
+    assert sum(1 for _ in rs.edges) == len(rs.edges) == 2 * 16 * 10
+    # the graph of RS_k reads local states alone: it builds no Config
+    monkeypatch.setattr(mpst.cfsm, "_config", None)
+    assert dot_reach(reach(pairs(3), 2)).count(" -> ") == 3 * 16 * 100
 
 
 @pytest.mark.parametrize("k,c", [(1, 5), (2, 10), (3, 18)])
