@@ -20,7 +20,8 @@ def commands(name: str) -> list[tuple[str, ...]]:
     if suffix == ".gt":
         ps = sorted(gparticipants(parse_global(path.read_text())))
         return [("parse",), ("wf",), *(("project", "-p", p) for p in ps),
-                ("simulate", "--steps", "12", "--bound", "1"), ("dot",)]
+                ("simulate", "--steps", "12", "--bound", "1"),
+                ("simulate", "--steps", "12", "--bound", "2"), ("dot",)]
     if suffix == ".ggt":
         ps = gg_participants(parse_gglobal(path.read_text()))
         return [("parse",), *(("gproject", "-p", p) for p in ps),
