@@ -10,8 +10,8 @@ Such an exchange is a path of two edges in RS_1, a send from a stable
 configuration followed by the receive of that message, so the exchanges
 are read off the rows of `_explore(s, 1)` (`_exchange_graph`).  The check
 walks each machine against the closure of its context under the exchanges
-of the others, visiting each stable configuration once per walk, so it
-decides compatibility in finite time.  Only the walked machine is asked
+of the others, visiting each stable configuration once per participant, so
+it decides compatibility in finite time.  Only the walked machine is asked
 for its moves: every context is read off RS_1's rows, which hold what each
 participant sends at a stable configuration and, in the exchanges, which
 of those sends their receivers accept.  The synchronous execution that
@@ -92,13 +92,16 @@ def _exchange_graph(s: System, keys: list, rows: list) -> dict:
 
 def _multiparty_compatible(s: System, graph: dict) -> CompatReport:
     """`multiparty_compatible` of a system of deterministic machines, given
-    its `_exchange_graph`: a walk of each participant from each node."""
+    its `_exchange_graph`: a walk of each participant from each node that
+    no earlier walk of that participant took.  What a walk checks and
+    pushes at a node depends only on the participant and the node, and a
+    node an earlier walk took leads only to nodes it took, so skipping
+    them drops only repeats of failures already reported."""
     first: dict = {}  # each failure's first report
-    closure_cache: dict = {}
-    fed_cache: dict = {}
+    visited = [set() for _ in s.machines]  # the nodes each participant took
     for i in graph:
         for pi, (p, m) in enumerate(s.machines):
-            for f in _walk(p, pi, m, i, graph, closure_cache, fed_cache):
+            for f in _walk(p, pi, m, i, graph, visited[pi]):
                 key = (f.participant, f.state, f.kind, f.witness)
                 first.setdefault(key, f)
     return CompatReport(not first, tuple(first.values()))
@@ -114,45 +117,42 @@ def _synchronous(graph: dict) -> tuple[list, list]:
         "synchronous execution")
 
 
-def _closure(p: Participant, i: int, graph: dict, cache: dict) -> dict:
+def _closure(p: Participant, i: int, graph: dict) -> dict:
     """The nodes of graph reachable from node i by exchanges not involving
     p, mapped to the shortest path of (send, receive) edges reaching them
     (discovery order).  It keeps its own loop: on `_bfs`, with the paths
     rebuilt from parents, it was longer and slower."""
-    key = (p, i)
-    out = cache.get(key)
-    if out is None:
-        out = cache[key] = {i: ()}
-        todo = [i]
-        for cur in todo:
-            for a, b, l in graph[cur][2]:
-                if p not in a.channel and l not in out:
-                    out[l] = out[cur] + (a, b)
-                    todo.append(l)
+    out = {i: ()}
+    todo = [i]
+    for cur in todo:
+        for a, b, l in graph[cur][2]:
+            if p not in a.channel and l not in out:
+                out[l] = out[cur] + (a, b)
+                todo.append(l)
     return out
 
 
 def _walk(p: Participant, pi: int, m: Machine, i0: int, graph: dict,
-          closure_cache: dict, fed_cache: dict) -> list[CompatFailure]:
+          visited: set) -> list[CompatFailure]:
     """Check p's machine m, the pi-th of the system, from node i0 of graph,
-    an `_exchange_graph`, against every context reachable from there.  m
-    gives only p's moves; the context is read off graph.  A send of p to r
-    is uncovered when no closure node has an exchange on (p, r) of each of
-    its labels; a send to p is unhandled when p reads from its sender but
+    an `_exchange_graph`, against every context reachable from there,
+    entering no node of visited and adding each node it enters.  m gives
+    only p's moves; the context is read off graph.  A send of p to r is
+    uncovered when no closure node has an exchange on (p, r) of each of its
+    labels; a send to p is unhandled when p reads from its sender but
     refuses its label; a receiving p has no dual when no closure node has a
-    send to p, which is decided once per closure and kept in fed_cache
-    under the closure's key in closure_cache.  It keeps its own loop: it
-    records failures as it walks, and each step extends the path by a
-    context path and an exchange, not by one label."""
+    send to p.  It keeps its own loop: it records failures as it walks,
+    and each step extends the path by a context path and an exchange, not
+    by one label."""
     failures: list[CompatFailure] = []
-    visited = {i0}
-    todo = [(i0, ())]  # the BFS queue, walked while it grows
+    todo: list = []  # the BFS queue, walked while it grows
 
     def push(i, path):
         if i not in visited:
             visited.add(i)
             todo.append((i, path))
 
+    push(i0, ())
     for i, path in todo:
         q = graph[i][0][pi]
         sends, recvs = moves = ({}, {})  # labels by receiver, by sender
@@ -160,7 +160,7 @@ def _walk(p: Participant, pi: int, m: Machine, i0: int, graph: dict,
             moves[a.op == "?"].setdefault(_peer(a), set()).add(a.label)
         if not sends and not recvs:
             continue
-        clo = _closure(p, i, graph, closure_cache)
+        clo = _closure(p, i, graph)
 
         for r, labels in sends.items():
             best, best_cover = None, -1
@@ -201,13 +201,8 @@ def _walk(p: Participant, pi: int, m: Machine, i0: int, graph: dict,
             for a, b, l in graph[i2][2]:
                 if a.receiver == p:
                     push(l, path + cpath + (a, b))
-        if sends:
-            continue
-        fed = fed_cache.get((p, i))
-        if fed is None:
-            fed = fed_cache[(p, i)] = any(
-                a.receiver == p for i2 in clo for a in graph[i2][1])
-        if not fed:
+        if not sends and not any(a.receiver == p
+                                 for i2 in clo for a in graph[i2][1]):
             failures.append(CompatFailure(
                 p, q, "no_dual",
                 f"{p} waits at state {q} but no reachable context "

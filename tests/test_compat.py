@@ -1,5 +1,6 @@
 """Multiparty compatibility and duality."""
 import json
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -13,7 +14,7 @@ from mpst import (Action, Machine, MPSTError, NotBasic, dual, gparticipants,
                   gsynthesize, make_system, multiparty_compatible,
                   parse_system, print_gglobal, print_system, print_type,
                   project, synthesize, to_machine)
-from mpst import generalized, synthesis
+from mpst import compat, generalized, synthesis
 from mpst.cli import main
 from mpst.compat import _compatible, _synchronous
 from test_reach_oracle import encodings, system
@@ -154,6 +155,23 @@ def test_compat_json_on_ring8(tmp_path, capsys, stop_at, failures):
     assert (rc, capsys.readouterr().out) == (
         1 if failures else 0,
         json.dumps(want, sort_keys=True, indent=2) + "\n")
+
+
+def test_each_participant_takes_each_stable_configuration_once(remark_abc):
+    # what a walk checks at a node depends only on the participant and the
+    # node, so no later walk of a participant asks for a closure again
+    calls = Counter()
+    closure = compat._closure
+
+    def counted(p, i, *rest):
+        calls[p, i] += 1
+        return closure(p, i, *rest)
+
+    for s in (_ring(8), _ring(8, "P4"), remark_abc):
+        calls.clear()
+        with patch.object(compat, "_closure", counted):
+            multiparty_compatible(s)
+        assert calls and max(calls.values()) == 1
 
 
 # --- against the check that stepped joint states itself ----------------------
