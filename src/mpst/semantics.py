@@ -41,15 +41,14 @@ def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global],
 
 def _step(g: Global, blocked: frozenset = frozenset(),
           unfolded: frozenset = frozenset()) -> tuple[tuple[Action, Global], ...]:
-    # `blocked` holds participants pinned down by enclosing exchanges; once
-    # a subterm involves only blocked participants nothing inside it can
-    # surface, which also grounds the recursion on recursive types.
+    # `blocked` holds participants pinned down by enclosing exchanges; a
+    # blocked participant never acts, so no step's subject is in it.
     # `unfolded` holds the (recursion, blocked) pairs unfolded on the way
     # down; a pair met again steps nothing, since any step through it would
-    # need a step of the same pair first.
+    # need a step of the same pair first.  A closed type has finitely many
+    # such pairs and blocked only grows on the way down, so every descent
+    # meets one again: these pairs end the recursion on recursive types.
     if isinstance(g, (GEnd, GVar)):
-        return ()
-    if blocked and gparticipants(g) <= blocked:
         return ()
     if isinstance(g, GRec):
         if (g, blocked) in unfolded:
@@ -63,22 +62,21 @@ def _step(g: Global, blocked: frozenset = frozenset(),
             for j, (label, _) in enumerate(g.branches):
                 act = Action(g.src, g.dst, "!", label)
                 out.append((act, GBranch(g.src, g.dst, g.branches, j)))
-        # step uniformly under every branch for uninvolved participants
+        # step uniformly under every branch for uninvolved participants:
+        # an action of the first branch, taken in each later one by its
+        # first successor there
         inner = blocked | {g.src, g.dst}
-        for act, g0 in _step(g.branches[0][1], inner, unfolded):
-            if act.subject in (g.src, g.dst):
-                continue
-            newbranches = [(g.branches[0][0], g0)]
-            okay = True
-            for label, gi in g.branches[1:]:
-                succ = [h for a2, h in _step(gi, inner, unfolded)
-                        if a2 == act]
-                if not succ:
-                    okay = False
-                    break
-                newbranches.append((label, succ[0]))
-            if okay:
-                out.append((act, GBranch(g.src, g.dst, tuple(newbranches))))
+        later = []
+        for label, gi in g.branches[1:]:
+            first: dict = {}
+            for act, h in _step(gi, inner, unfolded):
+                first.setdefault(act, h)
+            later.append((label, first))
+        for act, h0 in _step(g.branches[0][1], inner, unfolded):
+            if all(act in first for _, first in later):
+                branches = ((g.branches[0][0], h0),) + tuple(
+                    (label, first[act]) for label, first in later)
+                out.append((act, GBranch(g.src, g.dst, branches)))
     else:
         label, cont = g.branches[g.mid]
         if g.dst not in blocked:
@@ -86,8 +84,6 @@ def _step(g: Global, blocked: frozenset = frozenset(),
             out.append((act, cont))
         # inside the committed branch everyone but the receiver may move
         for a2, c2 in _step(cont, blocked | {g.dst}, unfolded):
-            if a2.subject == g.dst:
-                continue
             newbranches = list(g.branches)
             newbranches[g.mid] = (label, c2)
             out.append((a2, GBranch(g.src, g.dst, tuple(newbranches), g.mid)))

@@ -1,4 +1,7 @@
 """Execution of global types and local-type collections, trace equivalence."""
+from collections import Counter
+from unittest.mock import patch
+
 import pytest
 
 import oracles
@@ -6,6 +9,7 @@ from mpst import (Action, GBranch, local_config, parse_global, parse_local,
                   parse_system, print_type, project_config, gbuffers,
                   step_global, trace_equiv, traces, trie_flatten, unfold,
                   well_formed)
+from mpst import semantics
 from mpst.cfsm import _trie
 from conftest import DATA
 
@@ -56,6 +60,30 @@ def test_uninvolved_pair_steps_under_unresolved_choice():
 def test_uninvolved_pair_blocked_when_branches_differ():
     g = parse_global("A -> B : { l. C -> D : m. end, r. C -> D : n. end }")
     assert acts(step_global(g, 1)) == ["AB!l", "AB!r"]
+
+
+def test_each_branch_is_stepped_once_and_no_participants_are_collected():
+    # C and D step under A -> B in all three branches: each later branch
+    # is stepped once, not once per action of the first, and no subterm's
+    # participants are collected to find what cannot move
+    g = parse_global("A -> B : { l. C -> D : { x. end, y. end }, "
+                     "m. C -> D : { x. end, y. end }, "
+                     "n. C -> D : { x. end, y. end } }")
+    calls = Counter()
+    step = semantics._step
+
+    def counted(u, blocked=frozenset(), *rest):
+        calls[id(u), blocked] += 1
+        return step(u, blocked, *rest)
+
+    def collect(u):
+        raise AssertionError("participants collected")
+
+    with patch.object(semantics, "_step", counted), \
+            patch.object(semantics, "gparticipants", collect):
+        steps = step_global(g, 1)
+    assert [str(a) for a, _ in steps] == "AB!l AB!m AB!n CD!x CD!y".split()
+    assert set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("text,trace", [
