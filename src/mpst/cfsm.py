@@ -98,6 +98,15 @@ def _bfs(start, step, what: str) -> tuple[list, list]:
     return nodes, rows
 
 
+def _machine(owner: str, start, step, what: str, prefix: str) -> Machine:
+    """The machine of owner over `_bfs(start, step, what)`: the i-th node
+    is state prefix + i, and each row entry (action, j) a transition."""
+    _, rows = _bfs(start, step, what)
+    return Machine(owner, f"{prefix}0", tuple(
+        (f"{prefix}{i}", act, f"{prefix}{j}") for i, row in enumerate(rows)
+        for act, j in zip(row[::2], row[1::2])))
+
+
 def _preds(rows: list) -> list[list[int]]:
     """The predecessors of each `_bfs` node, read off its successor rows."""
     preds: list[list[int]] = [[] for _ in rows]

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .cfsm import (_bfs, _can_reach, _explore, _nondeterminism, _parents,
-                   _path, _preds, _states, _table, node_cap)
+from .cfsm import (_bfs, _can_reach, _explore, _machine, _nondeterminism,
+                   _parents, _path, _preds, _states, _table, node_cap)
 from .compat import (_exchange_graph, _multiparty_compatible, _synchronous,
                      dual, multiparty_compatible)
 from .errors import (ChoiceOwnership, NotCompatible,
@@ -458,9 +458,10 @@ def _gclosure(net: tuple, seeds) -> frozenset[int]:
 def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
     """The machine of owner's view of t, a local system or a global one
     read from owner's side, where the exchanges that do not involve owner
-    are silent (see `_net`): `_bfs` over closed sets of hole positions,
-    state s{i} the i-th set found.  Raises ResourceLimit past `node_cap()`
-    states or DEFAULT_FORK_CAP holes, ValueError as `_net` does."""
+    are silent (see `_net`): `_machine` over closed sets of hole
+    positions, state s{i} the i-th set found.  Raises ResourceLimit past
+    `node_cap()` states or DEFAULT_FORK_CAP holes, ValueError as `_net`
+    does."""
     table, acts = net = _net(t, owner)
 
     def step(cur: frozenset[int]) -> list:
@@ -472,10 +473,8 @@ def gto_machine(t: GeneralGlobal | GeneralLocal, owner: Participant) -> Machine:
                     moves.setdefault(act, set()).add(j)
         return [(act, _gclosure(net, moves[act])) for act in sorted(moves)]
 
-    _, rows = _bfs(_gclosure(net, {0}), step, "subset construction")
-    return Machine(owner, "s0", tuple(
-        (f"s{i}", act, f"s{j}") for i, row in enumerate(rows)
-        for act, j in zip(row[::2], row[1::2])))
+    return _machine(owner, _gclosure(net, {0}), step, "subset construction",
+                    "s")
 
 
 def _view_system(x) -> System:

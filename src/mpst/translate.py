@@ -11,7 +11,7 @@ from __future__ import annotations
 from .errors import NotBasic
 from .syntax import (Action, LEnd, LRec, LRecv, LSend, LVar, Local, Machine,
                      Participant, alpha_canonical)
-from .cfsm import _bfs, _nondeterminism, is_basic
+from .cfsm import _machine, _nondeterminism, is_basic
 
 
 def to_machine(t: Local, owner: Participant) -> Machine:
@@ -50,12 +50,8 @@ def to_machine(t: Local, owner: Participant) -> Machine:
 
     init = denote(t, (), {})
     # Rename states q0, q1, ... in BFS order with action-sorted edges.
-    order = _bfs(init, lambda path: sorted(succ[path]),
-                 "local type translation")[0]
-    names = {path: f"q{i}" for i, path in enumerate(order)}
-    return Machine(owner, "q0", tuple(
-        (names[path], act, names[dst])
-        for path in order for act, dst in succ[path]))
+    return _machine(owner, init, lambda path: sorted(succ[path]),
+                    "local type translation", "q")
 
 
 def to_local(m: Machine) -> Local:
@@ -93,19 +89,14 @@ def to_local(m: Machine) -> Local:
 
 def isomorphic(m1: Machine, m2: Machine) -> bool:
     """Graph isomorphism for deterministic machines via canonical renaming."""
-    if m1.owner != m2.owner:
-        return False
-    c1, c2 = _canonical(m1), _canonical(m2)
-    return c1 == c2
+    return m1.owner == m2.owner and _canonical(m1) == _canonical(m2)
 
 
-def _canonical(m: Machine) -> tuple:
+def _canonical(m: Machine) -> Machine:
+    """m with its states renamed q0, q1, ... in BFS order."""
     if _nondeterminism(m):
         raise NotBasic("isomorphism requires deterministic machines")
     # the machine is deterministic, so (action, dst) pairs sort by action
-    order = _bfs(m.initial,
-                 lambda q: sorted((act, dst) for _, act, dst in m.outgoing(q)),
-                 "canonical renaming")[0]
-    names = {q: i for i, q in enumerate(order)}
-    return (m.owner, tuple(sorted((names[q], act, names[dst]) for q in order
-                                  for _, act, dst in m.outgoing(q))))
+    return _machine(m.owner, m.initial, lambda q: sorted(
+        (act, dst) for _, act, dst in m.outgoing(q)),
+        "canonical renaming", "q")
