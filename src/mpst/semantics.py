@@ -41,17 +41,19 @@ def step_global(g: Global, k: int | None = None) -> tuple[tuple[Action, Global],
 
 def _step(g: Global, blocked: frozenset = frozenset(),
           unfolded: frozenset = frozenset()) -> tuple[tuple[Action, Global], ...]:
-    # `blocked` holds participants pinned down by enclosing exchanges; a
-    # blocked participant never acts, so no step's subject is in it.
+    # `blocked` holds participants pinned down by enclosing exchanges: they
+    # never act, so no step's subject is in it, and a recursion whose
+    # participants are all blocked steps nothing.  It is not unfolded:
+    # walking its unfoldings costs far more than collecting them.
     # `unfolded` holds the (recursion, blocked) pairs unfolded on the way
     # down; a pair met again steps nothing, since any step through it would
     # need a step of the same pair first.  A closed type has finitely many
-    # such pairs and blocked only grows on the way down, so every descent
-    # meets one again: these pairs end the recursion on recursive types.
+    # such pairs and blocked only grows on the way down, so these pairs end
+    # the recursion on recursive types.
     if isinstance(g, (GEnd, GVar)):
         return ()
     if isinstance(g, GRec):
-        if (g, blocked) in unfolded:
+        if (g, blocked) in unfolded or gparticipants(g) <= blocked:
             return ()
         return _step(unfold(g), blocked, unfolded | {(g, blocked)})
     assert isinstance(g, GBranch)

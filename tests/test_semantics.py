@@ -64,8 +64,8 @@ def test_uninvolved_pair_blocked_when_branches_differ():
 
 def test_each_branch_is_stepped_once_and_no_participants_are_collected():
     # C and D step under A -> B in all three branches: each later branch
-    # is stepped once, not once per action of the first, and no subterm's
-    # participants are collected to find what cannot move
+    # is stepped once, not once per action of the first, and no
+    # branching's participants are collected to find what cannot move
     g = parse_global("A -> B : { l. C -> D : { x. end, y. end }, "
                      "m. C -> D : { x. end, y. end }, "
                      "n. C -> D : { x. end, y. end } }")
@@ -84,6 +84,17 @@ def test_each_branch_is_stepped_once_and_no_participants_are_collected():
         steps = step_global(g, 1)
     assert [str(a) for a, _ in steps] == "AB!l AB!m AB!n CD!x CD!y".split()
     assert set(calls.values()) == {1}
+
+
+def test_a_recursion_whose_participants_are_all_blocked_is_not_unfolded():
+    # nothing under A -> B : m can move but A and B, so the loop after it
+    # is left folded: unfolding nested loops until the (recursion,
+    # blocked) pairs repeat costs far more than collecting participants
+    g = parse_global("A -> B : m. rec t. A -> B : { x. t, y. rec u. "
+                     "A -> B : { x. t, y. u } }")
+    with patch.object(semantics, "unfold",
+                      side_effect=AssertionError("unfolded")):
+        assert acts(step_global(g, 1)) == ["AB!m"]
 
 
 @pytest.mark.parametrize("text,trace", [
