@@ -96,7 +96,7 @@ def _multiparty_compatible(s: System, graph: dict) -> CompatReport:
     no earlier walk of that participant took.  What a walk checks and
     pushes at a node depends only on the participant and the node, and a
     node an earlier walk took leads only to nodes it took, so skipping
-    them drops only repeats of failures already reported."""
+    those nodes drops only repeats of failures already reported."""
     first: dict = {}  # each failure's first report
     visited = [set() for _ in s.machines]  # the nodes each participant took
     for i in graph:

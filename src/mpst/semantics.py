@@ -43,8 +43,8 @@ def _step(g: Global, blocked: frozenset = frozenset(),
           unfolded: frozenset = frozenset()) -> tuple[tuple[Action, Global], ...]:
     # `blocked` holds participants pinned down by enclosing exchanges: they
     # never act, so no step's subject is in it, and a recursion whose
-    # participants are all blocked steps nothing.  It is not unfolded:
-    # walking its unfoldings costs far more than collecting them.
+    # participants are all blocked steps nothing and is left folded:
+    # walking its unfoldings costs far more than collecting participants.
     # `unfolded` holds the (recursion, blocked) pairs unfolded on the way
     # down; a pair met again steps nothing, since any step through it would
     # need a step of the same pair first.  A closed type has finitely many
