@@ -87,9 +87,9 @@ def test_each_branch_is_stepped_once_and_no_participants_are_collected():
 
 
 def test_a_recursion_whose_participants_are_all_blocked_is_not_unfolded():
-    # nothing under A -> B : m can move but A and B, so the loop after it
-    # is left folded: unfolding nested loops until the (recursion,
-    # blocked) pairs repeat costs far more than collecting participants
+    # under A -> B : m only participants other than A and B may step, and
+    # the loop after it has none, so it is left folded: unfolding nested
+    # loops until the (recursion, blocked) pairs repeat costs far more
     g = parse_global("A -> B : m. rec t. A -> B : { x. t, y. rec u. "
                      "A -> B : { x. t, y. u } }")
     with patch.object(semantics, "unfold",
