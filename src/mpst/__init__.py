@@ -27,10 +27,10 @@ _EXPORTS = {
         "print_system", "print_type", "unfold"),
     "projection": (
         "WellFormedReport", "merge", "project", "well_formed"),
+    "search": ("dot_machine", "dot_system", "is_basic"),
     "cfsm": (
         "BAD_FLAGS", "Config", "ReachSet", "SafetyReport", "check_safety",
-        "classify", "dot_machine", "dot_reach", "dot_system", "fire",
-        "initial", "is_basic", "reach", "trie_flatten"),
+        "classify", "dot_reach", "fire", "initial", "reach", "trie_flatten"),
     "translate": ("isomorphic", "to_local", "to_machine"),
     "semantics": (
         "LocalConfig", "gbuffers", "local_config", "project_config",
@@ -41,11 +41,12 @@ _EXPORTS = {
     "generalized": (
         "EndEq", "Fork", "GGChoice", "GGMsg", "GLEChoice", "GLIChoice",
         "GLRecv", "GLSend", "GeneralGlobal", "GeneralLocal", "Indir", "Join",
-        "LabelledNet", "Merge", "SessionReport", "dot_net",
-        "gg_participants", "gproject", "gsynthesize", "gto_machine",
-        "is_safe", "mixed_parallel", "parse_gglobal", "parse_glocal",
-        "print_gglobal", "print_glocal", "receiver_property",
-        "session_compatible", "to_petri", "unique_sender"),
+        "LabelledNet", "Merge", "dot_net", "gg_participants", "gproject",
+        "gto_machine", "is_safe", "parse_gglobal", "parse_glocal",
+        "print_gglobal", "print_glocal", "to_petri"),
+    "session": (
+        "SessionReport", "gsynthesize", "mixed_parallel", "receiver_property",
+        "session_compatible", "unique_sender"),
 }
 _OWNER = {name: mod for mod, names in _EXPORTS.items() for name in names}
 

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 # Each command imports the modules it runs inside its own body: a process
-# starts for one command, and loading the others (above all `generalized`)
-# would cost more than most commands spend on their input.
+# starts for one command, and loading the others (above all RS_k, `compat`
+# and `session`) would cost more than most commands spend on their input.
 from . import __version__
 from .errors import MPSTError, ParseError
 from .syntax import (gparticipants, make_system, parse_global, parse_local,
@@ -165,12 +165,13 @@ def _cmd_gproject(args, g) -> int:
 
 
 def _cmd_gsynth(args, s) -> int:
-    from .generalized import gsynthesize, print_gglobal
+    from .generalized import print_gglobal
+    from .session import gsynthesize
     return _emit(print_gglobal(gsynthesize(s)), args.output)
 
 
 def _cmd_session(args, s) -> int:
-    from .generalized import session_compatible
+    from .session import session_compatible
     report = session_compatible(s)
     return _verdict(report.ok, report.to_json())
 
@@ -202,7 +203,7 @@ def _cmd_dot(args, obj) -> int:
     if args.file.endswith((".glt", ".ggt")):
         args.dot = True  # a net is drawn as `petri --dot` draws it
         return _cmd_petri(args, obj)
-    from .cfsm import dot_machine, dot_reach, dot_system, reach
+    from .search import dot_machine, dot_system
     if args.file.endswith(".lt"):
         if not p:
             raise ParseError("drawing a local type needs -p OWNER")
@@ -212,9 +213,11 @@ def _cmd_dot(args, obj) -> int:
         if p not in obj.participants:
             raise ParseError(f"no machine for participant {p}")
         sys.stdout.write(dot_machine(obj.machine(p)))
+    elif args.bound is None:
+        sys.stdout.write(dot_system(obj))
     else:
-        sys.stdout.write(dot_system(obj) if args.bound is None
-                         else dot_reach(reach(obj, args.bound)))
+        from .cfsm import dot_reach, reach
+        sys.stdout.write(dot_reach(reach(obj, args.bound)))
     return 0
 
 

@@ -20,9 +20,9 @@ synthesis walks is read off the same graph (`_synchronous`).
 
 from __future__ import annotations
 
-from .cfsm import (_bfs, _explore, _nondeterminism, _peer, _stable, _states,
-                   _table, is_basic)
+from .cfsm import _explore, _stable, _states, _table
 from .errors import NotBasic
+from .search import _bfs, _nondeterminism, _peer, is_basic
 from .syntax import Action, Machine, Participant, System, _Record
 
 

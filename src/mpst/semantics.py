@@ -13,13 +13,14 @@ local types as the system of its types' machines (`to_machine`) from its
 buffers, and an equation system as that of its participants' views
 (`generalized.gto_machine`).  `traces` is the one function that tells the
 views apart: it gives each as the (start, step) pair of the trace trie
-`cfsm._trie`, so `trace_equiv` compares any two views.
+`search._trie`, so `trace_equiv` compares any two views.
 """
 
 from __future__ import annotations
 
-from .cfsm import Config, _key, _steps, _table, _trie, initial
+from .cfsm import Config, _key, _steps, _table, initial
 from .projection import project
+from .search import _trie
 from .syntax import (Action, GBranch, GEnd, Global, GRec, GVar, Local,
                      Participant, System, channels, gparticipants,
                      _Record, make_system, unfold)
@@ -151,7 +152,7 @@ def project_config(g: Global) -> LocalConfig:
 # Trace tries and trace equivalence
 
 def traces(x, max_len: int, k: int) -> dict:
-    """The trace trie (see `cfsm._trie`) of a view: a global type steps by
+    """The trace trie (see `search._trie`) of a view: a global type steps by
     `step_global`; every other view runs as a system of machines on the
     FIFO step `_steps`: a `System` itself, a `LocalConfig` as the system of
     its types' `to_machine`s from its buffers, and an equation system (a

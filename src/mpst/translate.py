@@ -9,9 +9,9 @@ into a local type, introducing one recursion binder per loop entry.
 from __future__ import annotations
 
 from .errors import NotBasic
+from .search import _machine, _nondeterminism, is_basic
 from .syntax import (Action, LEnd, LRec, LRecv, LSend, LVar, Local, Machine,
                      Participant, alpha_canonical)
-from .cfsm import _machine, _nondeterminism, is_basic
 
 
 def to_machine(t: Local, owner: Participant) -> Machine:

@@ -921,10 +921,10 @@ def synthesize(sys_enc):
 # `_exchanges`, rather than reading the exchanges off the rows of RS_1.
 # They take `System`s of deterministic machines.
 
-from mpst.cfsm import (_bfs, _explore, _nondeterminism, _stable,  # noqa: E402
-                       _states, _table, is_basic)
+from mpst.cfsm import _explore, _stable, _states, _table  # noqa: E402
 from mpst.compat import CompatFailure, CompatReport, dual  # noqa: E402
 from mpst.errors import NotBasic  # noqa: E402
+from mpst.search import _bfs, _nondeterminism, is_basic  # noqa: E402
 from mpst.syntax import Action  # noqa: E402
 
 

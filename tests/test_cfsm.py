@@ -624,6 +624,26 @@ def test_a_machine_is_split_only_into_the_factors_of_a_product(init, moves,
         assert [len(set(rep.values())) for rep in reps] == [2, 3]
 
 
+def test_a_product_with_an_unreachable_state_is_split():
+    # the product case above, with a state u that no move reaches: the gate
+    # and the quotients read only the states reachable from the initial one
+    product = [(f"p{i}", "B", "!", "a", f"p{i + 3}") for i in range(3)] \
+        + [(f"p{3 * j}", "C", "!", x, f"p{3 * j + i}")
+           for j in range(2) for x, i in (("b", 1), ("c", 2))]
+    a = _a_moves("p0", product + [("u", "B", "!", "a", "p0")])
+    assert _factors(a) is not None
+    s = make_system([a, Machine("B", "q0", (
+        ("q0", Action("A", "B", "?", "a"), "q1"),)), Machine("C", "q0", (
+            ("q0", Action("A", "C", "?", "b"), "q1"),
+            ("q0", Action("A", "C", "?", "c"), "q1")))])
+    assert [part.participants for part in _components(s)] == \
+        [("A", "B"), ("A", "C")]
+    for k in (1, 2):
+        for live in (True, False):
+            assert repr(check_safety(s, k, live)) == \
+                repr(_product_safety(s, _table(s, k), live))
+
+
 def test_a_deadlock_of_factors_is_found_in_the_product():
     # P, X and Y each interleave one send to the next with two receives
     # from the previous, so each is split in two factors.  Each of the
@@ -783,7 +803,8 @@ def test_traces_local_from_words_longer_than_the_bound_agrees_with_oracle():
     c = project_config(g)
     assert max(map(len, c.buffers)) == 3
     for k in (1, 2, 3):
-        want = mpst.cfsm._trie((c.types, c.buffers), oracles.local_steps, 4, k)
+        want = mpst.search._trie((c.types, c.buffers), oracles.local_steps,
+                                 4, k)
         assert oracles.plain_trie(traces(c, 4, k)) == want
 
 

@@ -14,7 +14,7 @@ from mpst import (Action, Machine, MPSTError, NotBasic, dual, gparticipants,
                   gsynthesize, make_system, multiparty_compatible,
                   parse_system, print_gglobal, print_system, print_type,
                   project, synthesize, to_machine)
-from mpst import compat, generalized, synthesis
+from mpst import compat, session, synthesis
 from mpst.cli import main
 from mpst.compat import _compatible, _synchronous
 from test_reach_oracle import encodings, system
@@ -226,9 +226,9 @@ def _reference_views(s):
                       lambda s: (oracles.multiparty_compatible(s), None)), \
             patch.object(synthesis, "_synchronous",
                          lambda _: oracles.synchronous(s)), \
-            patch.object(generalized, "_multiparty_compatible",
+            patch.object(session, "_multiparty_compatible",
                          lambda s, _: oracles.multiparty_compatible(s, True)), \
-            patch.object(generalized, "_synchronous",
+            patch.object(session, "_synchronous",
                          lambda _: oracles.synchronous(s)):
         return (
             _outcome(lambda s: repr(oracles.multiparty_compatible(s, True)),

@@ -14,8 +14,8 @@ from mpst import (Action, ChoiceOwnership, EndEq, GeneralGlobal, GeneralLocal,
                   print_glocal, project, receiver_property, session_compatible,
                   synthesize, to_machine, to_petri, trace_equiv, traces,
                   trie_flatten, unique_sender)
-from mpst import cfsm, compat, generalized
-from mpst.cfsm import _trie
+from mpst import cfsm, compat, generalized, search, session
+from mpst.search import _trie
 from conftest import DATA, load
 import oracles
 
@@ -430,7 +430,7 @@ def test_session_compatible_explores_rs1_once(monkeypatch):
         return cfsm._explore(s, k)
 
     monkeypatch.setattr(compat, "_explore", counting)
-    monkeypatch.setattr(generalized, "_explore", counting)
+    monkeypatch.setattr(session, "_explore", counting)
     s = parse_system(load("commit.cfsm"))
     assert [ok for _, ok, _ in session_compatible(s).items] == [True] * 5
     assert calls == [1]
@@ -447,9 +447,9 @@ def test_receiver_property_searches_receiver_sets_once(monkeypatch):
 
     def counting(start, step, what):
         calls.append(what)
-        return cfsm._bfs(start, step, what)
+        return search._bfs(start, step, what)
 
-    monkeypatch.setattr(generalized, "_bfs", counting)
+    monkeypatch.setattr(session, "_bfs", counting)
     # three independent pairs: Ai sends Bi x (a loop), or y and then z, and
     # Bi mirrors it; RS_1 has a choice point wherever some Ai is at q0
     text = "".join(

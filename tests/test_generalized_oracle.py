@@ -14,7 +14,7 @@ from conftest import load
 from mpst import (ChoiceOwnership, ResourceLimit, gg_participants, gproject,
                   gto_machine, is_safe, parse_gglobal, parse_glocal,
                   print_gglobal, print_glocal, to_petri, traces)
-from mpst.cfsm import _trie
+from mpst.search import _trie
 from test_generalized import fork_join
 
 PARTS = ("A", "B", "C")

@@ -12,8 +12,9 @@ from conftest import DATA
 
 import mpst
 
-SUBMODULES = ("errors", "syntax", "projection", "cfsm", "translate",
-              "semantics", "compat", "synthesis", "generalized")
+SUBMODULES = ("errors", "syntax", "projection", "search", "cfsm",
+              "translate", "semantics", "compat", "synthesis", "generalized",
+              "session")
 
 REPORT = ("import sys\n"
           "print(' '.join(sorted(m[5:] for m in sys.modules"
@@ -75,6 +76,46 @@ def test_projection_verbs_load_projection_only(argv):
                                                    "projection"}
 
 
+# RS_k and the compatibility check, and the session checks that read them
+RS_K = {"cfsm", "compat", "session"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("parse", "data_transfer.ggt"),
+    ("parse", "data_transfer_a.glt"),
+    ("gproject", "data_transfer.ggt", "-p", "A"),
+    ("petri", "data_transfer.ggt"),
+    ("petri", "data_transfer_a.glt", "-p", "A"),
+    ("dot", "data_transfer.ggt"),
+    ("dot", "data_transfer_a.glt"),
+], ids=lambda argv: "-".join(argv[:2]))
+def test_equation_system_verbs_load_no_rs_k(argv):
+    verb, name, *rest = argv
+    loaded = loaded_by(verb, DATA / name, *rest)
+    assert "generalized" in loaded
+    assert not loaded & RS_K
+
+
+@pytest.mark.parametrize("argv", [
+    ("translate", "commit_c.lt", "-p", "C"),
+    ("translate", "commit.cfsm"),
+    ("dot", "commit.cfsm"),
+    ("dot", "commit.cfsm", "-p", "C"),
+    ("dot", "commit_c.lt", "-p", "C"),
+], ids=lambda argv: "-".join(argv[:2]) + "-p" * ("-p" in argv))
+def test_translation_verbs_load_no_rs_k(argv):
+    verb, name, *rest = argv
+    loaded = loaded_by(verb, DATA / name, *rest)
+    assert "search" in loaded
+    assert not loaded & RS_K
+
+
+def test_dot_loads_rs_k_only_under_a_bound():
+    loaded = loaded_by("dot", DATA / "commit.cfsm", "--bound", "2")
+    assert "cfsm" in loaded
+    assert not loaded & {"compat", "session", "generalized"}
+
+
 def test_check_loads_no_later_layer():
     loaded = loaded_by("check", DATA / "commit.cfsm", "--bound", "2")
     assert not loaded & {"compat", "semantics", "synthesis"}
@@ -107,9 +148,10 @@ def test_submodules_load_no_dataclasses():
     assert fresh("import dataclasses\n" + HEAVY_REPORT) == "dataclasses inspect"
 
 
-def test_session_loads_generalized():
+@pytest.mark.parametrize("verb", ["session", "gsynth"])
+def test_session_verbs_load_rs_k_and_generalized(verb):
     # the control for the tests above: loading is seen when it happens
-    assert "generalized" in loaded_by("session", DATA / "commit.cfsm")
+    assert RS_K | {"generalized"} <= loaded_by(verb, DATA / "commit.cfsm")
 
 
 def test_all_is_sorted_and_complete():

@@ -10,7 +10,7 @@ from mpst import (Action, GBranch, local_config, parse_global, parse_local,
                   step_global, trace_equiv, traces, trie_flatten, unfold,
                   well_formed)
 from mpst import semantics
-from mpst.cfsm import _trie
+from mpst.search import _trie
 from conftest import DATA
 
 LOOP = """
